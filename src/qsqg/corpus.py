@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import GridSpec, RealField
+from . import spectral
 
 DEFAULT_SEED = 8191
 
@@ -49,6 +50,6 @@ def band_limited_corpus(
             c = (re + 1j * im) / np.sqrt(2.0)
             coeff[k1 % n, k2 % n] = c
             coeff[-k1 % n, -k2 % n] = np.conj(c)
-        values = np.fft.ifft2(coeff).real * n * n / np.sqrt(len(modes))
+        values = spectral.inverse(spectral.half(coeff), n) * n * n / np.sqrt(len(modes))
         fields.append(RealField(grid, values))
     return fields

@@ -30,6 +30,7 @@ from .corpus import DEFAULT_SEED, band_limited_corpus
 from .errors import DivergenceError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory, field_from_function
 from . import operators as ops
+from . import spectral
 from .norms import (
     besov_sum_norm,
     caloric_minus1_norm,
@@ -511,8 +512,12 @@ def _random_trajectories(cfg: ExperimentConfig, timegrid: TimeGrid, count: int =
 
 
 def _l2_sq(spec: np.ndarray, grid: GridSpec) -> float:
-    """Squared L2 norm from an unnormalized FFT array (Parseval)."""
-    return float((np.abs(spec) ** 2).sum()) * grid.cell_area ** 2 / grid.length ** 2
+    """Squared L2 norm from an unnormalized half spectrum (Parseval).  The
+    interior columns 1 .. N/2-1 also stand for their conjugate partners, so
+    they count twice."""
+    power = np.abs(spec) ** 2
+    total = power.sum() + power[:, 1:-1].sum()
+    return float(total) * grid.cell_area ** 2 / grid.length ** 2
 
 
 def _dissipative_memory_ratio(traj: Trajectory, params: SpaceParams) -> float:
@@ -520,9 +525,9 @@ def _dissipative_memory_ratio(traj: Trajectory, params: SpaceParams) -> float:
     (-Lap)^b f(s) ds against f itself, both with weight t^(-a/b)."""
     grid = traj.grid
     a, b = params.alpha, params.beta
-    lam = ops.dissipation_symbol(grid, 2 * b)
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
     nodes = np.concatenate([[0.0], traj.times])
-    specs = [np.fft.fft2(s.values) for s in traj.snapshots]
+    specs = [spectral.forward(s.values) for s in traj.snapshots]
     # memory term per node, exact per mode with the density frozen per cell
     weights, _ = trajectory_weights(traj.times, traj.times[-1], a / b)
     lhs = rhs = 0.0
@@ -546,10 +551,10 @@ def _memory_smoothing_ratio(traj: Trajectory, params: SpaceParams, k: int) -> tu
     int_0^t N ds against the box functional times the plain weighted mass."""
     grid = traj.grid
     a, b = params.alpha, params.beta
-    lam = ops.dissipation_symbol(grid, 2 * b)
-    smooth = ops.dissipation_symbol(grid, k * b + 1)
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
+    smooth = spectral.half(ops.dissipation_symbol(grid, k * b + 1))
     nodes = np.concatenate([[0.0], traj.times])
-    specs = [np.fft.fft2(s.values) for s in traj.snapshots]
+    specs = [spectral.forward(s.values) for s in traj.snapshots]
     weights, _ = trajectory_weights(traj.times, traj.times[-1], a / b)
 
     lhs = 0.0

@@ -9,6 +9,17 @@ Conventions, fixed once for the whole package:
 * forward transform  fhat(xi) = sum_x f(x) exp(-i xi . x) (L/N)^2,
   so the partial derivative along axis j acts as multiplication by i xi_j.
 
+Package code transforms through ``qsqg.spectral``, which keeps only the half
+spectrum: columns k2 = 0 .. N/2 of the FFT layout, shape (N, N/2 + 1), the
+rest being fixed by conjugate symmetry.  Symbols and masks are built here in
+the full layout and multiply a half spectrum through its leading N/2 + 1
+columns.  Odd symbols stay projected by ``GridSpec.hermitian_part``: the real
+inverse drops unpaired odd content on the k2 = 0, N/2 columns as ``.real`` of
+a complex inverse does, but on the k1 = N/2 row it would turn that content
+into a spurious real term, so it must be zeroed before it is applied.
+``SpectralField`` and ``to_spectral``/``to_physical`` keep the full complex
+layout.
+
 Operators that are homogeneous or singular at xi = 0 send the mean to zero,
 and the norm estimators remove the mean on ingestion; constants are invisible
 to every seminorm in this package.
@@ -281,6 +292,15 @@ def to_physical(s: SpectralField) -> RealField:
     return RealField(s.grid, values)
 
 
+def check_times(times: np.ndarray) -> None:
+    """Reject a time grid that is not a non-empty, strictly increasing,
+    positive 1-d sequence."""
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a non-empty 1-d sequence")
+    if not (times[0] > 0 and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be strictly increasing and positive")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots of a field at strictly increasing positive times."""
@@ -292,10 +312,9 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        if t.ndim != 1 or len(t) != len(self.snapshots) or len(t) == 0:
-            raise ValueError("times and snapshots must be matching non-empty sequences")
-        if not (t[0] > 0 and np.all(np.diff(t) > 0)):
-            raise ValueError("times must be strictly increasing and positive")
+        if t.ndim == 1 and len(t) != len(self.snapshots):
+            raise ValueError("times and snapshots must be matching sequences")
+        check_times(t)
         g = self.snapshots[0].grid
         for s in self.snapshots[1:]:
             if s.grid != g:

@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GridSpec, RealField, SpaceParams, Trajectory
+from .fields import GridSpec, RealField, SpaceParams, Trajectory, check_times
 from . import operators as ops
+from . import spectral
 from .sweep import (
     BoxSweepConfig,
     CarlesonBox,
@@ -95,17 +96,18 @@ def _centered(f: RealField) -> np.ndarray:
 
 # -- dyadic block norms -------------------------------------------------------
 
+def _block_masks(grid: GridSpec) -> list[np.ndarray]:
+    """Half-spectrum annulus masks of the dyadic levels, in level order."""
+    return [spectral.half(ops._annulus_mask(grid, level)) for level in ops.block_levels(grid)]
+
+
 def _block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarray]:
-    """Sup norm of every dyadic frequency block (one forward FFT, one inverse
-    per block)."""
-    spec = np.fft.fft2(values)
-    levels = list(ops.block_levels(grid))
-    sups = np.empty(len(levels))
-    for i, level in enumerate(levels):
-        mask = ops._annulus_mask(grid, level)
-        blocked = np.where(mask, spec, 0.0)
-        sups[i] = np.abs(np.fft.ifft2(blocked).real).max()
-    return levels, sups
+    """Sup norm of every dyadic frequency block (one forward transform, the
+    block inverses batched)."""
+    spec = spectral.forward(values)
+    blocks = (np.where(mask, spec, 0.0) for mask in _block_masks(grid))
+    sups = np.array([np.abs(p).max() for p in spectral.inverse_chunks(blocks, grid.n)])
+    return list(ops.block_levels(grid)), sups
 
 
 def besov_sum_norm(f: RealField) -> NormReport:
@@ -190,7 +192,7 @@ def _difference_kernel_spectrum(grid: GridSpec, exponent: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         kern = dist ** (-exponent)
     kern[dist < grid.spacing / 2] = 0.0
-    spec = np.fft.fft2(kern)
+    spec = spectral.forward(kern)
     spec.setflags(write=False)
     return spec
 
@@ -218,12 +220,12 @@ def q_norm_direct(f: RealField, params: SpaceParams,
         offs = np.arange(-(half - 1), half)
         mask0 = np.zeros((grid.n, grid.n))
         mask0[np.ix_(offs % grid.n, offs % grid.n)] = 1.0
-        conv_mask = np.fft.ifft2(np.fft.fft2(mask0) * kernel_spec).real
+        conv_mask = spectral.inverse(spectral.forward(mask0) * kernel_spec, grid.n)
         edge_factor = (2.0 * r) ** (2 * a + 2 * b - 4)
         for ci in range(0, grid.n, stride):
             for cj in range(0, grid.n, stride):
                 g = np.roll(v, (-ci, -cj), axis=(0, 1)) * mask0
-                conv_g = np.fft.ifft2(np.fft.fft2(g) * kernel_spec).real
+                conv_g = spectral.inverse(spectral.forward(g) * kernel_spec, grid.n)
                 double_sum = 2.0 * float((g * g * conv_mask).sum() - (g * conv_g).sum())
                 val = edge_factor * h4 * max(double_sum, 0.0)
                 if val > best:
@@ -238,6 +240,29 @@ def q_norm_direct(f: RealField, params: SpaceParams,
 
 # -- semigroup characterizations ----------------------------------------------
 
+def _gradient_density(spec: np.ndarray, grid: GridSpec, beta: float,
+                      decay_times, weights) -> np.ndarray:
+    """sum_i w_i |grad e^(-s_i (-Lap)^beta) f|^2 from the half spectrum of f,
+    with the gradient planes of all ladder nodes batched through the chunked
+    inverse and reduced as they arrive."""
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
+    d1 = spectral.half(ops.derivative_symbol(grid, 1))
+    d2 = spectral.half(ops.derivative_symbol(grid, 2))
+
+    def gradients():
+        for s in decay_times:
+            decayed = np.exp(-s * lam) * spec
+            yield d1 * decayed
+            yield d2 * decayed
+
+    planes = spectral.inverse_chunks(gradients(), grid.n)
+    density = np.zeros((grid.n, grid.n))
+    for w in weights:
+        gx, gy = next(planes), next(planes)
+        density += w * (gx * gx + gy * gy)
+    return density
+
+
 def q_norm_semigroup(f: RealField, params: SpaceParams,
                      sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """Square root of the swept supremum of
@@ -249,10 +274,7 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
-    spec = np.fft.fft2(_centered(f))
-    lam = ops.dissipation_symbol(grid, 2 * b)
-    d1 = ops.derivative_symbol(grid, 1)
-    d2 = ops.derivative_symbol(grid, 2)
+    spec = spectral.forward(_centered(f))
 
     best = -1.0
     best_box = None
@@ -260,12 +282,7 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
         stride = sweep.stride(grid, m)
         lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
         weights = power_weight(lows, highs, a / b)
-        density = np.zeros((grid.n, grid.n))
-        for w, t in zip(weights, mids):
-            decayed = np.exp(-t * lam) * spec
-            gx = np.fft.ifft2(d1 * decayed).real
-            gy = np.fft.ifft2(d2 * decayed).real
-            density += w * (gx * gx + gy * gy)
+        density = _gradient_density(spec, grid, b, mids, weights)
         vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
         val, center = best_center(vals, grid, stride)
         if val > best:
@@ -291,10 +308,7 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     b = params.beta
-    spec = np.fft.fft2(_centered(f))
-    lam = ops.dissipation_symbol(grid, 2 * b)
-    d1 = ops.derivative_symbol(grid, 1)
-    d2 = ops.derivative_symbol(grid, 2)
+    spec = spectral.forward(_centered(f))
 
     best = -1.0
     best_box = None
@@ -302,12 +316,7 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
         stride = sweep.stride(grid, m)
         lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
         weights = linear_weight(lows, highs)
-        density = np.zeros((grid.n, grid.n))
-        for w, t in zip(weights, mids):
-            decayed = np.exp(-(t ** (2 * b)) * lam) * spec
-            gx = np.fft.ifft2(d1 * decayed).real
-            gy = np.fft.ifft2(d2 * decayed).real
-            density += w * (gx * gx + gy * gy)
+        density = _gradient_density(spec, grid, b, [t ** (2 * b) for t in mids], weights)
         vals = r ** (2 * gamma - 2) * grid.cell_area * box_sums(density, grid, r, "ball")
         val, center = best_center(vals, grid, stride)
         if val > best:
@@ -321,40 +330,78 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
 
 # -- trajectory norms ----------------------------------------------------------
 
-def _riesz_energy(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|f|^2 + |R1 f|^2 + |R2 f|^2 for one snapshot."""
-    spec = np.fft.fft2(values)
-    r1 = np.fft.ifft2(ops.riesz_symbol(grid, 1) * spec).real
-    r2 = np.fft.ifft2(ops.riesz_symbol(grid, 2) * spec).real
-    return values * values + r1 * r1 + r2 * r2
-
-
-def _carleson_sup(
-    energies: list[np.ndarray],
+def _solution_parts(
     times: np.ndarray,
+    spectra,
+    snapshots,
     grid: GridSpec,
     params: SpaceParams,
+    k: int,
     sweep: BoxSweepConfig,
-) -> tuple[float, "CarlesonBox | None", bool]:
-    """Swept box supremum of sum_m w_m(r) * energies_m over torus balls, with
+) -> dict:
+    """Block-sup part plus Carleson part of the trajectory whose centered
+    snapshot at times[m] has half spectrum spectra[m].
+
+    ``snapshots`` yields the matching physical values, or is None, in which
+    case each snapshot comes out of the batched inverse as well (an identity
+    row ahead of its blocks).  Both may be generators: every plane is reduced
+    as it arrives, so neither the planes nor the per-node Riesz energies
+    |f|^2 + |R1 f|^2 + |R2 f|^2 are ever held for the whole trajectory; the
+    energies go straight into one Carleson density per swept radius, with
     exact trajectory-cell weights for t^(-alpha/beta)."""
     a, b = params.alpha, params.beta
+    sup_weight = (2 * b - 1 + k) / (2 * b)
+    carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
+    masks = _block_masks(grid)
+    r1 = spectral.half(ops.riesz_symbol(grid, 1))
+    r2 = spectral.half(ops.riesz_symbol(grid, 2))
+
+    def rows():
+        for spec in spectra:
+            if snapshots is None:
+                yield spec
+            for mask in masks:
+                yield np.where(mask, spec, 0.0)
+            yield r1 * spec
+            yield r2 * spec
+
+    planes = spectral.inverse_chunks(rows(), grid.n)
+    values = iter(snapshots) if snapshots is not None else planes
+    radii = sweep.radii(grid)
+    cells = [trajectory_weights(times, r ** (2 * b), a / b) for r in radii]
+    densities = [np.zeros((grid.n, grid.n)) for _ in radii]
+
+    besov_best = -1.0
+    besov_time = None
+    for m, t in enumerate(times):
+        v = next(values)
+        sups = np.array([np.abs(next(planes)).max() for _ in masks])
+        bval = t ** sup_weight * float(sups.sum())
+        if bval > besov_best:
+            besov_best, besov_time = bval, float(t)
+        energy = v * v                      # then + |R1 f|^2 + |R2 f|^2
+        for _ in range(2):
+            riesz = next(planes)
+            energy += riesz * riesz
+        energy *= t ** carleson_weight
+        for (weights, _), density in zip(cells, densities):
+            if weights[m] > 0:
+                density += weights[m] * energy
+
     best = -1.0
     best_box = None
-    partial = False
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        stride = sweep.stride(grid, m)
-        weights, was_partial = trajectory_weights(times, r ** (2 * b), a / b)
-        partial = partial or was_partial
-        density = np.zeros((grid.n, grid.n))
-        for w, e in zip(weights, energies):
-            if w > 0:
-                density += w * e
+    for m, (r, density) in enumerate(zip(radii, densities), start=1):
         vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
-        val, center = best_center(vals, grid, stride)
+        val, center = best_center(vals, grid, sweep.stride(grid, m))
         if val > best:
             best, best_box = val, CarlesonBox(center, r)
-    return max(best, 0.0), best_box, partial
+    return {
+        "besov": besov_best,
+        "carleson": math.sqrt(max(best, 0.0)),
+        "time": besov_time,
+        "box": best_box,
+        "partial": any(partial for _, partial in cells),
+    }
 
 
 def _xk_component(
@@ -366,32 +413,24 @@ def _xk_component(
 ) -> dict:
     """Block-sup part plus Carleson part for one derivative multi-index."""
     grid = traj.grid
-    b = params.beta
-    sup_weight = (2 * b - 1 + k) / (2 * b)
-    carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
+    centered = (_centered(s) for s in traj.snapshots)
+    if orders == (0, 0):
+        spectra = (spectral.forward(_centered(s)) for s in traj.snapshots)
+        return _solution_parts(traj.times, spectra, centered, grid, params, k, sweep)
+    symbol = spectral.half(ops.mixed_derivative_symbol(grid, *orders))
+    spectra = (symbol * spectral.forward(d) for d in centered)
+    return _solution_parts(traj.times, spectra, None, grid, params, k, sweep)
 
-    besov_best = -1.0
-    besov_time = None
-    energies = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        d = _centered(snap)
-        if orders != (0, 0):
-            d = np.fft.ifft2(
-                ops.mixed_derivative_symbol(grid, *orders) * np.fft.fft2(d)
-            ).real
-        _, sups = _block_sups(d, grid)
-        bval = t ** sup_weight * float(sups.sum())
-        if bval > besov_best:
-            besov_best, besov_time = bval, float(t)
-        energies.append(t ** carleson_weight * _riesz_energy(d, grid))
-    carl, box, partial = _carleson_sup(energies, traj.times, grid, params, sweep)
-    return {
-        "besov": besov_best,
-        "carleson": math.sqrt(carl),
-        "time": besov_time,
-        "box": box,
-        "partial": partial,
-    }
+
+def _solution_report(comp: dict, config_hash: str) -> NormReport:
+    return NormReport(
+        value=comp["besov"] + comp["carleson"],
+        config_hash=config_hash,
+        attaining_box=comp["box"],
+        attaining_time=comp["time"],
+        partial_coverage=comp["partial"],
+        parts={"besov": comp["besov"], "carleson": comp["carleson"]},
+    )
 
 
 def x_norm(traj: Trajectory, params: SpaceParams,
@@ -404,14 +443,8 @@ def x_norm(traj: Trajectory, params: SpaceParams,
     """
     sweep = _sweep_for(traj.grid, sweep)
     comp = _xk_component(traj, params, 0, (0, 0), sweep)
-    return NormReport(
-        value=comp["besov"] + comp["carleson"],
-        config_hash=_hash(traj.grid, sweep, f"x;a={params.alpha!r};b={params.beta!r}"),
-        attaining_box=comp["box"],
-        attaining_time=comp["time"],
-        partial_coverage=comp["partial"],
-        parts={"besov": comp["besov"], "carleson": comp["carleson"]},
-    )
+    return _solution_report(
+        comp, _hash(traj.grid, sweep, f"x;a={params.alpha!r};b={params.beta!r}"))
 
 
 def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
@@ -479,10 +512,8 @@ def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
 
 
 def caloric_coverage_times(grid: GridSpec, params: SpaceParams,
-                           sweep: "BoxSweepConfig | None" = None,
                            num_nodes: int = 48) -> np.ndarray:
     """Graded times covering (0, r_max^(2 beta)] for the sweep's largest box."""
-    sweep = sweep if sweep is not None else BoxSweepConfig()
     horizon = (grid.length / 2) ** (2 * params.beta)
     steps = np.arange(1, num_nodes + 1, dtype=float) / num_nodes
     return horizon * steps ** 2
@@ -495,23 +526,19 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     a graded grid covering the largest swept box by default.
 
     This is the data-size functional of the well-posedness theory: finite
-    smallness of it is what the contraction argument consumes."""
+    smallness of it is what the contraction argument consumes.  The
+    extension never leaves spectral space: each node's half spectrum is
+    made on the fly and its snapshot, blocks and Riesz planes come out of
+    the same batched inverse."""
     grid = u0.grid
     sweep = _sweep_for(grid, sweep)
     if times is None:
-        times = caloric_coverage_times(grid, params, sweep)
-    spec = np.fft.fft2(_centered(u0))
-    lam = ops.dissipation_symbol(grid, 2 * params.beta)
-    snaps = tuple(
-        RealField(grid, np.fft.ifft2(np.exp(-t * lam) * spec).real) for t in times
-    )
-    report = x_norm(Trajectory(times, snaps), params, sweep)
-    return NormReport(
-        value=report.value,
-        config_hash=_hash(grid, sweep,
-                          f"caloric;a={params.alpha!r};b={params.beta!r};M={len(times)}"),
-        attaining_box=report.attaining_box,
-        attaining_time=report.attaining_time,
-        partial_coverage=report.partial_coverage,
-        parts=report.parts,
-    )
+        times = caloric_coverage_times(grid, params)
+    times = np.asarray(times, dtype=float)
+    check_times(times)
+    spec = spectral.forward(_centered(u0))
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
+    spectra = (np.exp(-t * lam) * spec for t in times)
+    comp = _solution_parts(times, spectra, None, grid, params, 0, sweep)
+    return _solution_report(comp, _hash(
+        grid, sweep, f"caloric;a={params.alpha!r};b={params.beta!r};M={len(times)}"))

@@ -1,10 +1,11 @@
 """Fourier-multiplier operators on torus fields.
 
-Every operator here is diagonal in frequency: transform, multiply by a lattice
-symbol, transform back, keep the real part.  Lattice symbols are passed through
-``GridSpec.hermitian_part`` once at build time, which zeroes the unpaired odd
-content on Nyquist rows; without that step odd symbols such as i*xi_j would
-leak imaginary output on even grids.
+Every operator here is diagonal in frequency: transform to the half spectrum,
+multiply by the half view of a lattice symbol, transform back with the real
+inverse.  Lattice symbols are passed through ``GridSpec.hermitian_part`` once
+at build time, which zeroes the unpaired odd content on Nyquist rows; without
+that step odd symbols such as i*xi_1 would leave a spurious real term on the
+k1 = N/2 row (see ``qsqg.spectral``).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import SymmetryError
 from .fields import GridSpec, MultiplierSymbol, RealField, SpaceParams
+from . import spectral
 
 __all__ = [
     "apply_multiplier",
@@ -33,7 +35,7 @@ __all__ = [
 
 def apply_lattice_symbol(f: RealField, symbol: np.ndarray) -> RealField:
     """Multiply the spectrum of f by a prebuilt (Hermitian) lattice symbol."""
-    out = np.fft.ifft2(symbol * np.fft.fft2(f.values)).real
+    out = spectral.inverse(spectral.half(symbol) * spectral.forward(f.values), f.grid.n)
     return RealField(f.grid, out)
 
 
@@ -166,9 +168,9 @@ def mixed_derivative(f: RealField, order1: int, order2: int) -> RealField:
 
 def dealias_field(f: RealField) -> RealField:
     """Zero all modes with |k_j| beyond the grid's dealias fraction."""
-    spec = np.fft.fft2(f.values)
-    spec[~f.grid.dealias_mask] = 0.0
-    return RealField(f.grid, np.fft.ifft2(spec).real)
+    spec = spectral.forward(f.values)
+    spec[~spectral.half(f.grid.dealias_mask)] = 0.0
+    return RealField(f.grid, spectral.inverse(spec, f.grid.n))
 
 
 # -- Littlewood-Paley blocks -------------------------------------------------
@@ -190,11 +192,9 @@ def _annulus_mask(grid: GridSpec, level: int) -> np.ndarray:
 
 def littlewood_paley_block(f: RealField, level: int) -> RealField:
     """Restrict f to the sharp frequency annulus 2^level <= |xi| < 2^(level+1)."""
-    spec = np.fft.fft2(f.values)
-    out = np.zeros_like(spec)
-    mask = _annulus_mask(f.grid, level)
-    out[mask] = spec[mask]
-    return RealField(f.grid, np.fft.ifft2(out).real)
+    spec = spectral.forward(f.values)
+    out = np.where(spectral.half(_annulus_mask(f.grid, level)), spec, 0.0)
+    return RealField(f.grid, spectral.inverse(out, f.grid.n))
 
 
 # -- convolution kernels of the named operators -------------------------------
@@ -214,7 +214,7 @@ def kernel_fields(
     area = grid.cell_area
 
     def render(symbol: np.ndarray) -> RealField:
-        return RealField(grid, np.fft.ifft2(symbol).real / area)
+        return RealField(grid, spectral.inverse(spectral.half(symbol), grid.n) / area)
 
     heat = render(decay)
     grad = (

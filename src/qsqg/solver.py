@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DivergenceError, GridMismatchError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory, read_field, write_field
 from . import operators as ops
+from . import spectral
 from .norms import x_norm
 from .sweep import BoxSweepConfig
 
@@ -119,26 +120,27 @@ def nonlinear_density(u: RealField, v: RealField, dealiased: bool = True) -> Rea
         raise GridMismatchError("density factors live on different grids")
     grid = u.grid
     u.require_mean_zero("nonlinear_density")
-    keep = grid.dealias_mask if dealiased else None
+    keep = spectral.half(grid.dealias_mask) if dealiased else None
 
-    spec_u = np.fft.fft2(u.values)
-    spec_v = np.fft.fft2(v.values)
-    if keep is not None:
-        spec_u = np.where(keep, spec_u, 0.0)
-        spec_v = np.where(keep, spec_v, 0.0)
-    v_phys = np.fft.ifft2(spec_v).real
+    def banded(f: RealField) -> np.ndarray:
+        spec = spectral.forward(f.values)
+        return spec if keep is None else np.where(keep, spec, 0.0)
+
+    spec_u = banded(u)
+    spec_v = spec_u if v is u else banded(v)
+    v_phys = spectral.inverse(spec_v, grid.n)
     flux = []
     for axis in (2, 1):
-        r = np.fft.ifft2(ops.riesz_symbol(grid, axis) * spec_u).real
-        prod = np.fft.fft2(v_phys * r)
+        r = spectral.inverse(spectral.half(ops.riesz_symbol(grid, axis)) * spec_u, grid.n)
+        prod = spectral.forward(v_phys * r)
         if keep is not None:
             prod = np.where(keep, prod, 0.0)
         flux.append(prod)
     out_spec = (
-        ops.derivative_symbol(grid, 1) * flux[0]
-        - ops.derivative_symbol(grid, 2) * flux[1]
+        spectral.half(ops.derivative_symbol(grid, 1)) * flux[0]
+        - spectral.half(ops.derivative_symbol(grid, 2)) * flux[1]
     )
-    return RealField(grid, np.fft.ifft2(out_spec).real)
+    return RealField(grid, spectral.inverse(out_spec, grid.n))
 
 
 def nonlinearity(theta: RealField, dealiased: bool = True) -> RealField:
@@ -152,12 +154,10 @@ def linear_flow(theta0: RealField, grid: TimeGrid, params: SpaceParams) -> Traje
     """Caloric trajectory e^(-t(-Lap)^beta) theta0 on the grid's nodes."""
     theta0.require_mean_zero("linear_flow")
     g = theta0.grid
-    spec = np.fft.fft2(theta0.values)
-    lam = ops.dissipation_symbol(g, 2 * params.beta)
-    snaps = tuple(
-        RealField(g, np.fft.ifft2(np.exp(-t * lam) * spec).real) for t in grid.times
-    )
-    return Trajectory(grid.times, snaps)
+    spec = spectral.forward(theta0.values)
+    lam = spectral.half(ops.dissipation_symbol(g, 2 * params.beta))
+    planes = spectral.inverse_chunks((np.exp(-t * lam) * spec for t in grid.times), g.n)
+    return Trajectory(grid.times, tuple(RealField(g, p) for p in planes))
 
 
 def duhamel_bilinear(
@@ -183,14 +183,14 @@ def duhamel_bilinear(
     if density_fn is None:
         density_fn = lambda u, v: nonlinear_density(u, v, dealiased)
 
-    lam = ops.dissipation_symbol(grid, 2 * params.beta)
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_lam = np.where(lam > 0, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
 
     m_total = len(times)
     # index i holds ghat at the left node s_i; s_0 = 0 reuses the t_1 density
     at_nodes = [
-        np.fft.fft2(density_fn(U.snapshots[i], V.snapshots[i]).values)
+        spectral.forward(density_fn(U.snapshots[i], V.snapshots[i]).values)
         for i in range(max(m_total - 1, 1))
     ]
     densities = ([at_nodes[0]] + at_nodes)[:m_total]
@@ -207,7 +207,7 @@ def duhamel_bilinear(
             decay_lo = decay_hi
         acc *= inv_lam
         acc[0, 0] = 0.0
-        snaps.append(RealField(grid, np.fft.ifft2(acc).real))
+        snaps.append(RealField(grid, spectral.inverse(acc, grid.n)))
     return Trajectory(times, tuple(snaps))
 
 
@@ -277,10 +277,10 @@ def reference_solve(
     """
     theta0.require_mean_zero("reference_solve")
     grid = theta0.grid
-    lam = ops.dissipation_symbol(grid, 2 * params.beta)
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
     tg = config.timegrid
     nodes = np.concatenate([[0.0], tg.times])
-    spec = np.fft.fft2(theta0.values)
+    spec = spectral.forward(theta0.values)
     snaps = []
     for m in range(1, len(nodes)):
         h = (nodes[m] - nodes[m - 1]) / config.reference_refine
@@ -290,11 +290,11 @@ def reference_solve(
         try:
             for _ in range(config.reference_refine):
                 if include_nonlinearity:
-                    theta = RealField(grid, np.fft.ifft2(spec).real)
-                    n0 = np.fft.fft2(nonlinearity(theta).values)
+                    theta = RealField(grid, spectral.inverse(spec, grid.n))
+                    n0 = spectral.forward(nonlinearity(theta).values)
                     pred = decay * spec + phi1 * n0
-                    theta_star = RealField(grid, np.fft.ifft2(pred).real)
-                    n1 = np.fft.fft2(nonlinearity(theta_star).values)
+                    theta_star = RealField(grid, spectral.inverse(pred, grid.n))
+                    n1 = spectral.forward(nonlinearity(theta_star).values)
                     spec = decay * spec + phi1 * 0.5 * (n0 + n1)
                 else:
                     spec = decay * spec
@@ -303,7 +303,7 @@ def reference_solve(
                 f"reference solution blew up by t = {nodes[m]:.6g}",
                 time=float(nodes[m]),
             ) from exc
-        values = np.fft.ifft2(spec).real
+        values = spectral.inverse(spec, grid.n)
         if not np.isfinite(values).all():
             raise DivergenceError(
                 f"reference solution blew up by t = {nodes[m]:.6g}", time=float(nodes[m])

@@ -8,8 +8,8 @@ enlarging a sweep only ever adds boxes and a reported supremum is a certified
 lower bound that never decreases under enlargement.
 
 Spatial box sums are circular convolutions with the (even) indicator of the
-ball or cube, evaluated by FFT once per radius and read off at every center
-at once.
+ball or cube, evaluated by real FFT once per radius and read off at every
+center at once.
 
 Time integrals use exact weights: each cell contributes the closed-form
 integral of the weight times the non-singular factor frozen at one point.
@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import GridSpec
+from . import spectral
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ class BoxSweepConfig:
 
 @lru_cache(maxsize=256)
 def _mask_spectrum(grid: GridSpec, radius: float, kind: str) -> np.ndarray:
+    """Half spectrum of the ball/cube indicator centered at the origin."""
     d = grid.signed_coords
     d1, d2 = np.meshgrid(d, d, indexing="ij")
     if kind == "ball":
@@ -94,7 +96,7 @@ def _mask_spectrum(grid: GridSpec, radius: float, kind: str) -> np.ndarray:
         mask = (np.abs(d1) < radius) & (np.abs(d2) < radius)
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
-    spec = np.fft.fft2(mask.astype(float))
+    spec = spectral.forward(mask.astype(float))
     spec.setflags(write=False)
     return spec
 
@@ -108,7 +110,8 @@ def mask_point_count(grid: GridSpec, radius: float, kind: str) -> int:
 def box_sums(values: np.ndarray, grid: GridSpec, radius: float, kind: str) -> np.ndarray:
     """Circular convolution of ``values`` with the indicator of the ball/cube:
     entry (i, j) is the plain sum of ``values`` over the box centered there."""
-    return np.fft.ifft2(np.fft.fft2(values) * _mask_spectrum(grid, radius, kind)).real
+    spec = spectral.forward(values) * _mask_spectrum(grid, radius, kind)
+    return spectral.inverse(spec, grid.n)
 
 
 def sweep_centers(grid: GridSpec, stride: int) -> np.ndarray:

@@ -94,6 +94,19 @@ class TestRunners:
         assert set(ta) == set(tb)
         assert all(ta[k] == tb[k] for k in ta)
 
+    @pytest.mark.parametrize("name", ["riesz", "scaling"])
+    def test_artifacts_independent_of_thread_count(self, name, cfg32, tmp_path, monkeypatch):
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QSQG_THREADS", threads)
+            tree = tree_bytes(persist(RUNNERS[name](cfg32), tmp_path / threads))
+            # config.json records threads_cap, so it differs by design
+            del tree["config.json"]
+            trees.append(tree)
+        assert {"rows.csv", "summary.txt"} < set(trees[0])
+        assert any(k.startswith("plots/") for k in trees[0])
+        assert trees[0] == trees[1]
+
     def test_zero_field_ratio_is_undefined(self, cfg32, grid32, tmp_path):
         zero = RealField(grid32, np.zeros((32, 32)))
         report = run_riesz_boundedness(cfg32, fields=[zero])
