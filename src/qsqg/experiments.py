@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -45,10 +46,10 @@ from .solver import (
     TimeGrid,
     duhamel_bilinear,
     linear_flow,
-    nonlinearity,
     picard_solve,
     reference_solve,
     scaling_transform,
+    _cell_propagators,
 )
 from .sweep import BoxSweepConfig, trajectory_weights
 
@@ -385,11 +386,25 @@ def wellposedness_data(grid: GridSpec) -> RealField:
     return field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
 
 
+class WellposedRow(NamedTuple):
+    """One amplitude of the well-posedness ladder (a rows.csv line)."""
+
+    epsilon: float
+    data_norm: float
+    converged: bool
+    iterations: int
+    contraction_ratio: "float | None"
+    residual: "float | None"
+    reference_rel_err: "float | None"
+    status: str
+
+
 def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Picard iteration across a geometric amplitude ladder; per amplitude the
     contraction ratio, the fixed-point residual, and the node-wise agreement
     with the reference integrator.  Non-convergence and blow-up are recorded
-    as data, not errors."""
+    as data, not errors; a run reported converged with a contraction ratio
+    >= 1 is warned about, since the fixed point it found is not certified."""
     t0 = time.monotonic()
     shape = wellposedness_data(cfg.grid)
     solver_cfg = cfg.solver_config()
@@ -422,24 +437,28 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                 ref_err = float(max(errs))
         except DivergenceError as exc:
             status = f"diverged(iteration={exc.iteration})"
-        rows.append((eps, data_norm, converged, iterations, contraction, residual, ref_err, status))
+        rows.append(WellposedRow(eps, data_norm, converged, iterations, contraction,
+                                 residual, ref_err, status))
 
     hard, warn = [], []
     summary: dict = {"largest_converging_eps": largest}
-    tiny = [r for r in rows if r[0] <= 1e-3]
-    if not any(r[2] for r in tiny):
+    if not any(r.converged for r in rows if r.epsilon <= 1e-3):
         hard.append("no amplitude <= 1e-3 converged")
     # quasi-monotonicity of the contraction ratio along the ladder
-    conv = [(r[0], r[4]) for r in rows if r[2] and r[4] is not None]
+    conv = [(r.epsilon, r.contraction_ratio) for r in rows
+            if r.converged and r.contraction_ratio is not None]
     for (e1, c1), (e2, c2) in zip(conv, conv[1:]):
         if c1 > c2 + 0.1:
             warn.append(f"contraction ratio fell from {c1:.3g} at eps={e1:g} "
                         f"to {c2:.3g} at eps={e2:g}")
-    plot = {"contraction_vs_eps": [(r[0], r[4]) for r in rows if r[4] is not None]}
+    for e, c in conv:
+        if c >= 1:
+            warn.append(f"eps={e:g} is reported converged with contraction ratio "
+                        f"{c:.3g} >= 1")
+    plot = {"contraction_vs_eps": [(r.epsilon, r.contraction_ratio) for r in rows
+                                   if r.contraction_ratio is not None]}
     return ExperimentReport(
-        "wellposed", cfg,
-        ("epsilon", "data_norm", "converged", "iterations",
-         "contraction_ratio", "residual", "reference_rel_err", "status"),
+        "wellposed", cfg, WellposedRow._fields,
         rows, summary, plot, hard, warn, time.monotonic() - t0,
     )
 
@@ -526,22 +545,17 @@ def _dissipative_memory_ratio(traj: Trajectory, params: SpaceParams) -> float:
     grid = traj.grid
     a, b = params.alpha, params.beta
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
-    nodes = np.concatenate([[0.0], traj.times])
-    specs = [spectral.forward(s.values) for s in traj.snapshots]
-    # memory term per node, exact per mode with the density frozen per cell
+    specs = spectral.forward(np.stack([s.values for s in traj.snapshots]))
     weights, _ = trajectory_weights(traj.times, traj.times[-1], a / b)
+    # the solver's Duhamel recursion with the density frozen at each cell's
+    # left node (the first cell reuses t_1); lam * phi1 = 1 - E per mode
+    steps = np.diff(traj.times, prepend=0.0)
     lhs = rhs = 0.0
-    for m in range(1, len(nodes)):
-        t = nodes[m]
-        acc = np.zeros_like(specs[0])
-        decay_lo = np.exp(-t * lam)
-        for i in range(m):
-            decay_hi = np.exp(-(t - nodes[i + 1]) * lam)
-            acc += specs[max(i - 1, 0)] * (decay_hi - decay_lo)
-            decay_lo = decay_hi
-        w = weights[m - 1]
-        lhs += w * _l2_sq(acc, grid)
-        rhs += w * _l2_sq(specs[m - 1], grid)
+    acc = np.zeros_like(specs[0])
+    for m, (decay, phi1) in enumerate(_cell_propagators(lam, steps)):
+        acc = decay * acc + lam * phi1 * specs[max(m - 1, 0)]
+        lhs += weights[m] * _l2_sq(acc, grid)
+        rhs += weights[m] * _l2_sq(specs[m], grid)
     return lhs / rhs if rhs > 0 else float("nan")
 
 

@@ -12,10 +12,19 @@ in divergence form d/dt theta = -(-Lap)^beta theta - [d1(theta R2 theta)
 
 with the Duhamel integral evaluated exactly per Fourier mode on each time
 cell, the nonlinear density frozen at the cell's left node.
+
+Picard iterates, Duhamel sums and the reference integrator's state are
+(M, N, N/2+1) half-spectrum stacks (``qsqg.spectral``); each density takes
+one batched inverse and one batched forward transform, and the Duhamel sum
+runs as an O(M) recursion over the cells.  Physical snapshots are made once,
+for the returned Trajectory.  Blow-up is found by an explicit finiteness
+check on each Picard iterate and each reference substep, which raises
+DivergenceError; no other exception is read as divergence.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,7 +35,7 @@ from .errors import DivergenceError, GridMismatchError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory, read_field, write_field
 from . import operators as ops
 from . import spectral
-from .norms import x_norm
+from . import norms
 from .sweep import BoxSweepConfig
 
 __all__ = [
@@ -109,6 +118,25 @@ class PicardReport:
 
 # -- nonlinearity --------------------------------------------------------------
 
+def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec,
+             dealiased: bool = True) -> np.ndarray:
+    """Half spectrum of d1(v R2 u) - d2(v R1 u) from the half spectra of u
+    and v: one batched inverse of (v, R2 u, R1 u), one batched forward of
+    the two products."""
+    keep = spectral.half(grid.dealias_mask) if dealiased else None
+    if keep is not None:
+        spec_u = np.where(keep, spec_u, 0.0)
+        spec_v = np.where(keep, spec_v, 0.0)
+    r1 = spectral.half(ops.riesz_symbol(grid, 1))
+    r2 = spectral.half(ops.riesz_symbol(grid, 2))
+    v, r2u, r1u = spectral.inverse(np.stack([spec_v, r2 * spec_u, r1 * spec_u]), grid.n)
+    flux = spectral.forward(np.stack([v * r2u, v * r1u]))
+    if keep is not None:
+        flux = np.where(keep, flux, 0.0)
+    return (spectral.half(ops.derivative_symbol(grid, 1)) * flux[0]
+            - spectral.half(ops.derivative_symbol(grid, 2)) * flux[1])
+
+
 def nonlinear_density(u: RealField, v: RealField, dealiased: bool = True) -> RealField:
     """Divergence-form density d1(v R2 u) - d2(v R1 u) with 2/3-rule products.
 
@@ -120,27 +148,11 @@ def nonlinear_density(u: RealField, v: RealField, dealiased: bool = True) -> Rea
         raise GridMismatchError("density factors live on different grids")
     grid = u.grid
     u.require_mean_zero("nonlinear_density")
-    keep = spectral.half(grid.dealias_mask) if dealiased else None
-
-    def banded(f: RealField) -> np.ndarray:
-        spec = spectral.forward(f.values)
-        return spec if keep is None else np.where(keep, spec, 0.0)
-
-    spec_u = banded(u)
-    spec_v = spec_u if v is u else banded(v)
-    v_phys = spectral.inverse(spec_v, grid.n)
-    flux = []
-    for axis in (2, 1):
-        r = spectral.inverse(spectral.half(ops.riesz_symbol(grid, axis)) * spec_u, grid.n)
-        prod = spectral.forward(v_phys * r)
-        if keep is not None:
-            prod = np.where(keep, prod, 0.0)
-        flux.append(prod)
-    out_spec = (
-        spectral.half(ops.derivative_symbol(grid, 1)) * flux[0]
-        - spectral.half(ops.derivative_symbol(grid, 2)) * flux[1]
-    )
-    return RealField(grid, spectral.inverse(out_spec, grid.n))
+    if v is u:
+        spec_u = spec_v = spectral.forward(u.values)
+    else:
+        spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
+    return RealField(grid, spectral.inverse(_density(spec_u, spec_v, grid, dealiased), grid.n))
 
 
 def nonlinearity(theta: RealField, dealiased: bool = True) -> RealField:
@@ -150,14 +162,48 @@ def nonlinearity(theta: RealField, dealiased: bool = True) -> RealField:
 
 # -- flows ---------------------------------------------------------------------
 
+def _cell_propagators(lam: np.ndarray, steps):
+    """Per cell of length h in ``steps``, the pair (E, phi1) with
+    E = e^(-h lam) and phi1 = (1 - E)/lam exact per mode (h where lam = 0).
+    1 - E is taken from expm1, so short cells on low modes keep full
+    relative precision."""
+    positive = lam > 0
+    safe = np.where(positive, lam, 1.0)
+    for h in steps:
+        yield np.exp(-h * lam), np.where(positive, -np.expm1(-h * lam) / safe, h)
+
+
+def _trajectory(times: np.ndarray, spectra, grid: GridSpec) -> Trajectory:
+    """Trajectory of physical snapshots from per-node half spectra."""
+    planes = spectral.inverse_chunks(spectra, grid.n)
+    return Trajectory(times, tuple(RealField(grid, p) for p in planes))
+
+
 def linear_flow(theta0: RealField, grid: TimeGrid, params: SpaceParams) -> Trajectory:
     """Caloric trajectory e^(-t(-Lap)^beta) theta0 on the grid's nodes."""
     theta0.require_mean_zero("linear_flow")
     g = theta0.grid
     spec = spectral.forward(theta0.values)
     lam = spectral.half(ops.dissipation_symbol(g, 2 * params.beta))
-    planes = spectral.inverse_chunks((np.exp(-t * lam) * spec for t in grid.times), g.n)
-    return Trajectory(grid.times, tuple(RealField(g, p) for p in planes))
+    return _trajectory(grid.times, (np.exp(-t * lam) * spec for t in grid.times), g)
+
+
+def _duhamel(density_at, times: np.ndarray, lam: np.ndarray):
+    """Yield the half spectrum of B at each node of ``times`` in turn, by the
+    recursion of ``duhamel_bilinear``.
+
+    ``density_at(j)`` gives the density's half spectrum at times[j].  Each
+    density is made when the first cell that needs it is reached, and only
+    the current one is held."""
+    acc = np.zeros(lam.shape, dtype=complex)
+    g, made = None, -1
+    for k, (decay, phi1) in enumerate(_cell_propagators(lam, np.diff(times, prepend=0.0))):
+        j = max(k - 1, 0)
+        if j != made:
+            g, made = density_at(j), j
+        acc = decay * acc + phi1 * g
+        acc[0, 0] = 0.0  # modes do not mix, so this only zeroes the output mean
+        yield acc
 
 
 def duhamel_bilinear(
@@ -169,46 +215,36 @@ def duhamel_bilinear(
 ) -> Trajectory:
     """B(U, V) on the common time grid of U and V.
 
-    Per target node t_m the integral is summed over cells [s_i, s_{i+1}],
-    s_0 = 0, with the density frozen at the left node (the first cell uses the
-    t_1 snapshot for the 0+ value) and the semigroup factor integrated exactly
-    per mode:  ghat * (e^(-(t-s_{i+1})|xi|^(2b)) - e^(-(t-s_i)|xi|^(2b))) / |xi|^(2b).
+    The integral runs over cells [s_(m-1), s_m], s_0 = 0, s_m = t_m, with the
+    density g frozen at the cell's left node (the first cell uses the t_1
+    snapshot for the 0+ value) and the semigroup integrated exactly per mode.
+    On half spectra, with h_m = s_m - s_(m-1) and E_m = e^(-h_m |xi|^(2b)),
+
+        acc_m = E_m acc_(m-1) + phi1(h_m) g(s_(m-1)),
+        phi1(h) = (1 - e^(-h |xi|^(2b))) / |xi|^(2b),
+
+    which equals the cell-by-cell sum of ghat (e^(-(t_m - s_i)|xi|^(2b))
+    - e^(-(t_m - s_(i-1))|xi|^(2b))) / |xi|^(2b) in O(M) exponentials instead
+    of O(M^2).  Each snapshot pair is transformed when its density is made,
+    and each node's sum goes through the chunked inverse as it is reached.
 
     ``density_fn(u_snap, v_snap) -> RealField`` replaces the transport density;
     it exists so tests can isolate the quadrature from the nonlinearity.
     """
     U._check(V)
     grid = U.grid
-    times = U.times
-    if density_fn is None:
-        density_fn = lambda u, v: nonlinear_density(u, v, dealiased)
+
+    def density_at(j):
+        u, v = U.snapshots[j], V.snapshots[j]
+        if density_fn is not None:
+            return spectral.forward(density_fn(u, v).values)
+        u.require_mean_zero("duhamel_bilinear")
+        spec_u = spectral.forward(u.values)
+        spec_v = spec_u if v is u else spectral.forward(v.values)
+        return _density(spec_u, spec_v, grid, dealiased)
 
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_lam = np.where(lam > 0, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-
-    m_total = len(times)
-    # index i holds ghat at the left node s_i; s_0 = 0 reuses the t_1 density
-    at_nodes = [
-        spectral.forward(density_fn(U.snapshots[i], V.snapshots[i]).values)
-        for i in range(max(m_total - 1, 1))
-    ]
-    densities = ([at_nodes[0]] + at_nodes)[:m_total]
-
-    nodes = np.concatenate([[0.0], times])
-    snaps = []
-    for m in range(1, m_total + 1):
-        t = nodes[m]
-        acc = np.zeros_like(densities[0])
-        decay_lo = np.exp(-(t - nodes[0]) * lam)
-        for i in range(m):
-            decay_hi = np.exp(-(t - nodes[i + 1]) * lam)
-            acc += densities[i] * (decay_hi - decay_lo)
-            decay_lo = decay_hi
-        acc *= inv_lam
-        acc[0, 0] = 0.0
-        snaps.append(RealField(grid, spectral.inverse(acc, grid.n)))
-    return Trajectory(times, tuple(snaps))
+    return _trajectory(U.times, _duhamel(density_at, U.times, lam), grid)
 
 
 def picard_solve(
@@ -217,31 +253,48 @@ def picard_solve(
     """Iterate theta^(k+1) = e^(-t(-Lap)^beta) theta0 + B(theta^k, theta^k),
     measuring iterates and increments in the trajectory norm.
 
-    Stops when the increment drops below picard_tol * (norm + 1) or after
-    max_iter sweeps; non-convergence is reported, NaN blow-up raises
-    DivergenceError with the iteration index."""
+    Iterates stay (M, N, N/2+1) half-spectrum stacks: B is summed on them
+    directly and the norms read them through the same batched inverse that
+    ``x_norm`` uses, so the only way back to physical space is the returned
+    trajectory.  Stops when the increment drops below picard_tol * (norm + 1)
+    or after max_iter sweeps; non-convergence is reported.  An iterate with a
+    non-finite value, or whose norm is not finite, raises DivergenceError
+    with the iteration index."""
     theta0.require_mean_zero("picard_solve")
-    sweep = config.sweep
-    base = linear_flow(theta0, config.timegrid, params)
+    grid = theta0.grid
+    sweep = norms._sweep_for(grid, config.sweep)
+    times = config.timegrid.times
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
+    spec0 = spectral.forward(theta0.values)
+    spec0[0, 0] = 0.0  # the norms measure the mean-zero part
+    base = np.empty((len(times),) + spec0.shape, dtype=complex)
+    for plane, t in zip(base, times):
+        np.multiply(np.exp(-t * lam), spec0, out=plane)
+
+    def measure(spectra) -> float:
+        """x_norm value of the trajectory with these mean-zero half spectra."""
+        comp = norms._solution_parts(times, spectra, None, grid, params, 0, sweep)
+        return comp["besov"] + comp["carleson"]
+
     current = base
-    norms = [x_norm(current, params, sweep).value]
+    iterate_norms = [measure(current)]
     increments: list[float] = []
     converged = False
     iterations = 0
     for it in range(1, config.max_iter + 1):
         iterations = it
-        # field construction rejects non-finite values, so an overflowing
-        # iterate surfaces as ValueError inside the bilinear evaluation
-        try:
-            nxt = base + duhamel_bilinear(current, current, params)
-        except (ValueError, FloatingPointError) as exc:
-            raise DivergenceError(
-                f"picard iterate {it} has NaN/overflow", iteration=it
-            ) from exc
-        increments.append(x_norm(nxt - current, params, sweep).value)
+        nxt = np.empty_like(base)
+        duhamel = _duhamel(lambda j: _density(current[j], current[j], grid), times, lam)
+        for out, b, acc in zip(nxt, base, duhamel):
+            np.add(b, acc, out=out)
+        if not np.isfinite(nxt).all():
+            raise DivergenceError(f"picard iterate {it} has NaN/overflow", iteration=it)
+        increments.append(measure(a - b for a, b in zip(nxt, current)))
         current = nxt
-        norms.append(x_norm(current, params, sweep).value)
-        if increments[-1] <= config.picard_tol * (norms[-1] + 1.0):
+        iterate_norms.append(measure(current))
+        if not (math.isfinite(increments[-1]) and math.isfinite(iterate_norms[-1])):
+            raise DivergenceError(f"picard iterate {it} has a non-finite norm", iteration=it)
+        if increments[-1] <= config.picard_tol * (iterate_norms[-1] + 1.0):
             converged = True
             break
     ratios = [
@@ -249,8 +302,8 @@ def picard_solve(
         for i in range(len(increments) - 1)
         if increments[i] > 0
     ]
-    return current, PicardReport(
-        iterate_norms=tuple(norms),
+    return _trajectory(times, current, grid), PicardReport(
+        iterate_norms=tuple(iterate_norms),
         increments=tuple(increments),
         converged=converged,
         contraction_ratio=max(ratios) if ratios else float("nan"),
@@ -273,44 +326,33 @@ def reference_solve(
         corrector   theta' = E theta + phi1 (N(theta) + N(theta*)) / 2
 
     with E = e^(-h |xi|^(2b)) and phi1 = (1 - E)/|xi|^(2b) exact per mode.
+    The state stays a half spectrum throughout; a substep that leaves a
+    non-finite value raises DivergenceError with the node time reached.
     ``include_nonlinearity=False`` drops N, reducing to the exact linear flow.
     """
     theta0.require_mean_zero("reference_solve")
     grid = theta0.grid
+    times = config.timegrid.times
+    steps = np.diff(times, prepend=0.0) / config.reference_refine
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    tg = config.timegrid
-    nodes = np.concatenate([[0.0], tg.times])
-    spec = spectral.forward(theta0.values)
-    snaps = []
-    for m in range(1, len(nodes)):
-        h = (nodes[m] - nodes[m - 1]) / config.reference_refine
-        decay = np.exp(-h * lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi1 = np.where(lam > 0, (1.0 - decay) / np.where(lam > 0, lam, 1.0), h)
-        try:
+
+    def at_nodes():
+        spec = spectral.forward(theta0.values)
+        for t, (decay, phi1) in zip(times, _cell_propagators(lam, steps)):
             for _ in range(config.reference_refine):
                 if include_nonlinearity:
-                    theta = RealField(grid, spectral.inverse(spec, grid.n))
-                    n0 = spectral.forward(nonlinearity(theta).values)
+                    n0 = _density(spec, spec, grid)
                     pred = decay * spec + phi1 * n0
-                    theta_star = RealField(grid, spectral.inverse(pred, grid.n))
-                    n1 = spectral.forward(nonlinearity(theta_star).values)
-                    spec = decay * spec + phi1 * 0.5 * (n0 + n1)
+                    spec = decay * spec + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
                 else:
                     spec = decay * spec
-        except (ValueError, FloatingPointError) as exc:
-            raise DivergenceError(
-                f"reference solution blew up by t = {nodes[m]:.6g}",
-                time=float(nodes[m]),
-            ) from exc
-        values = spectral.inverse(spec, grid.n)
-        if not np.isfinite(values).all():
-            raise DivergenceError(
-                f"reference solution blew up by t = {nodes[m]:.6g}", time=float(nodes[m])
-            )
-        snaps.append(RealField(grid, values))
-    return Trajectory(tg.times, tuple(snaps))
+                if not np.isfinite(spec).all():
+                    raise DivergenceError(
+                        f"reference solution blew up by t = {t:.6g}", time=float(t)
+                    )
+            yield spec
 
+    return _trajectory(times, at_nodes(), grid)
 
 # -- symmetry ------------------------------------------------------------------
 

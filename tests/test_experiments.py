@@ -18,6 +18,7 @@ from qsqg.experiments import (
     gamma_constant_quadrature,
     persist,
     run_riesz_boundedness,
+    run_wellposedness_sweep,
     thread_budget,
     wellposedness_data,
 )
@@ -65,6 +66,18 @@ class TestHelpers:
 
     def test_wellposedness_data_is_mean_zero(self, grid32):
         wellposedness_data(grid32).require_mean_zero("test")
+
+    def test_wellposed_warns_on_converged_non_contraction(self):
+        # default config: the eps = 10 run stops on a small increment although
+        # its contraction ratio is about 1.64, and it is the only such row
+        report = run_wellposedness_sweep(ExperimentConfig())
+        flagged = [r for r in report.rows if r.converged
+                   and r.contraction_ratio is not None and r.contraction_ratio >= 1]
+        assert [r.epsilon for r in flagged] == [10.0]
+        assert report.warnings == [
+            "eps=10 is reported converged with contraction ratio 1.64 >= 1"
+        ]
+        assert report.columns == type(report.rows[0])._fields
 
 
 class TestRunners:

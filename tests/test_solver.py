@@ -23,12 +23,14 @@ from qsqg import (
     partial_derivative,
     picard_solve,
     reference_solve,
+    riesz_transform,
     save_trajectory,
     scale_trajectory,
     scaling_transform,
     sqg_velocity,
     x_norm,
 )
+from qsqg import solver, spectral
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
 L = 2 * np.pi
@@ -135,6 +137,36 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             nonlinearity(lump)
 
+    def test_spectral_core_matches_public_density(self, grid32):
+        u, v = band_limited_corpus(grid32, count=2, max_mode=6, seed=5)
+        core = solver._density(
+            spectral.forward(u.values), spectral.forward(v.values), grid32
+        )
+        public = nonlinear_density(u, v).values
+        scale = np.abs(public).max()
+        assert np.abs(spectral.inverse(core, grid32.n) - public).max() <= 1e-13 * scale
+        # operator-level form d1(v R2 u) - d2(v R1 u) with dealiased factors
+        # and products; u and v enter asymmetrically, so a swap would show
+        ud, vd = dealias_field(u), dealias_field(v)
+        flux = [
+            dealias_field(RealField(grid32, vd.values * riesz_transform(ud, axis).values))
+            for axis in (2, 1)
+        ]
+        oracle = partial_derivative(flux[0], 1).values - partial_derivative(flux[1], 2).values
+        assert np.abs(public - oracle).max() <= 1e-12 * scale
+        assert np.abs(nonlinear_density(v, u).values - public).max() > 1e-3 * scale
+
+    def test_density_transform_budget(self, smooth32, monkeypatch):
+        spec = spectral.forward(smooth32.values)
+        calls = {"forward": 0, "inverse": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(spectral, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        solver._density(spec, spec, smooth32.grid)
+        assert calls == {"forward": 1, "inverse": 1}
+
 
 class TestDuhamel:
     def test_stationary_density_closed_form(self, grid32, params):
@@ -162,6 +194,34 @@ class TestDuhamel:
             for a, b in zip(left.snapshots, split.snapshots)
         )
         assert err <= 1e-12
+
+
+    @pytest.mark.parametrize("m", [16, 32, 128])
+    def test_recursion_matches_quadratic_oracle(self, grid32, params, m):
+        tg = TimeGrid(1.0, m)
+        fields = band_limited_corpus(grid32, count=m, max_mode=8, seed=17)
+        traj = Trajectory(tg.times, tuple(fields))
+        # the density at each node is that node's snapshot, so every cell
+        # integrates a different field
+        got = duhamel_bilinear(traj, traj, params, density_fn=lambda u, v: u)
+
+        k = np.fft.fftfreq(grid32.n, 1.0 / grid32.n)
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        lam = np.hypot(k1, k2) ** (2 * params.beta)
+        inv_lam = np.where(lam > 0, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
+        ghat = [np.fft.fft2(f.values) for f in fields]
+        left = [ghat[0]] + ghat[: m - 1]  # s_0 = 0 reuses the t_1 density
+        nodes = np.concatenate([[0.0], tg.times])
+        want = []
+        for j in range(1, m + 1):
+            acc = np.zeros_like(ghat[0])
+            for i in range(j):
+                acc += left[i] * (np.exp(-(nodes[j] - nodes[i + 1]) * lam)
+                                  - np.exp(-(nodes[j] - nodes[i]) * lam))
+            want.append(np.fft.ifft2(acc * inv_lam).real)
+        scale = max(np.abs(w).max() for w in want)
+        err = max(np.abs(s.values - w).max() for s, w in zip(got.snapshots, want))
+        assert err <= 1e-13 * scale
 
 
 class TestPicard:
@@ -200,6 +260,17 @@ class TestPicard:
 
 
 class TestReference:
+    def test_blowup_raises_divergence_error_with_time(self, grid16, params):
+        theta0 = 1e6 * field_from_function(
+            grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2)
+        )
+        config = SolverConfig(TimeGrid(1.0, 16))
+        with pytest.raises(DivergenceError) as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference_solve(theta0, params, config)
+        assert info.value.time in config.timegrid.times
+
+
     def test_linear_switch_matches_linear_flow(self, grid32, params):
         theta0 = field_from_function(grid32, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
         config = SolverConfig(TimeGrid(1.0, 16))
