@@ -17,3 +17,8 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.time = time
+
+
+class NonFiniteError(ValueError):
+    """An estimator met a non-finite input or produced a non-finite
+    intermediate (an overflowed or NaN density)."""

@@ -163,6 +163,17 @@ def _drift(fine: float, coarse: float) -> "float | None":
 
 # -- experiment 1: Riesz transform boundedness ---------------------------------
 
+class RieszRow(NamedTuple):
+    """One (field, component) case of the Riesz study (a rows.csv line)."""
+
+    grid_n: int
+    field_id: int
+    component: int
+    norm_f: float
+    norm_riesz_f: float
+    ratio: "float | None"
+
+
 def run_riesz_boundedness(cfg: ExperimentConfig, fields=None) -> ExperimentReport:
     """Semigroup-characterization norm of R_j f against that of f over the
     corpus, at the base grid and its refinement; drift of the max ratio is a
@@ -187,16 +198,15 @@ def run_riesz_boundedness(cfg: ExperimentConfig, fields=None) -> ExperimentRepor
             for j in (1, 2):
                 rj = ops.riesz_transform(f, j)
                 norm_rj = q_norm_semigroup(rj, cfg.params, cfg.sweep).value
-                out.append((grid.n, fid, j, norm_f, norm_rj, _ratio(norm_rj, norm_f)))
+                out.append(RieszRow(grid.n, fid, j, norm_f, norm_rj, _ratio(norm_rj, norm_f)))
             return out
 
         for triple in _map_cases(case, list(enumerate(corpus))):
             rows.extend(triple)
             for row in triple:
-                n_, _, j, _, _, ratio = row
-                if ratio is not None:
-                    key = (n_, j)
-                    max_ratio[key] = max(max_ratio.get(key, 0.0), ratio)
+                if row.ratio is not None:
+                    key = (row.grid_n, row.component)
+                    max_ratio[key] = max(max_ratio.get(key, 0.0), row.ratio)
 
     summary: dict = {"corpus_size": cfg.corpus_size, "band": band, "seed": cfg.seed}
     hard, warn = [], []
@@ -218,15 +228,13 @@ def run_riesz_boundedness(cfg: ExperimentConfig, fields=None) -> ExperimentRepor
 
     plot = {
         f"ratio_j{j}": [
-            (float(fid), float(r))
-            for (n_, fid, jj, _, _, r) in rows
-            if jj == j and n_ == cfg.grid.n and r is not None
+            (float(r.field_id), float(r.ratio)) for r in rows
+            if r.component == j and r.grid_n == cfg.grid.n and r.ratio is not None
         ]
         for j in (1, 2)
     }
     return ExperimentReport(
-        "riesz", cfg,
-        ("grid_n", "field_id", "component", "norm_f", "norm_riesz_f", "ratio"),
+        "riesz", cfg, RieszRow._fields,
         rows, summary, plot, hard, warn, time.monotonic() - t0,
     )
 
@@ -234,6 +242,19 @@ def run_riesz_boundedness(cfg: ExperimentConfig, fields=None) -> ExperimentRepor
 # -- experiment 2: space identity and norm equivalences -------------------------
 
 IDENTITY_PAIRS = ((0.25, 0.75), (0.3, 0.8), (0.4, 0.7), (0.45, 0.9), (0.2, 0.85))
+
+
+class IdentityRow(NamedTuple):
+    """A lifting-constant case ("constant": a, b, quadrature, closed form,
+    error) or a corpus case ("equivalence": N, field id, Morrey norm,
+    semigroup norm, ratio); a rows.csv line."""
+
+    case: str
+    a_or_n: float
+    b_or_id: float
+    value_or_morrey: float
+    closed_or_semigroup: float
+    err_or_ratio: "float | None"
 
 
 def gamma_constant_quadrature(params: SpaceParams) -> tuple[float, float]:
@@ -259,7 +280,7 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
         pair = SpaceParams(a, b)
         value, closed = gamma_constant_quadrature(pair)
         err = abs(value - closed)
-        rows.append(("constant", a, b, value, closed, err))
+        rows.append(IdentityRow("constant", a, b, value, closed, err))
         if err > 1e-8:
             hard.append(f"lifting constant quadrature off by {err:.2e} at ({a},{b})")
     summary["constant_default_pair"] = gamma_constant_quadrature(cfg.params)[1]
@@ -277,11 +298,11 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
             lifted = ops.fractional_laplacian(f, lift)
             m = morrey_norm(lifted, 2, morrey_index, cfg.sweep).value
             q = q_norm_semigroup(f, cfg.params, cfg.sweep).value
-            return (grid.n, fid, m, q, _ratio(m, q))
+            return IdentityRow("equivalence", grid.n, fid, m, q, _ratio(m, q))
 
         res = _map_cases(case, list(enumerate(corpus)))
-        rows.extend(("equivalence",) + r for r in res)
-        ratios = [r[-1] for r in res if r[-1] is not None]
+        rows.extend(res)
+        ratios = [r.err_or_ratio for r in res if r.err_or_ratio is not None]
         intervals[grid.n] = (min(ratios), max(ratios)) if ratios else (None, None)
 
     for n_, (lo, hi) in intervals.items():
@@ -300,12 +321,11 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
             warn.append(f"equivalence interval drifted {drift:.1%} under refinement")
 
     plot = {"equivalence_ratio": [
-        (float(r[2]), float(r[5])) for r in rows
-        if r[0] == "equivalence" and r[1] == cfg.grid.n and r[5] is not None
+        (float(r.value_or_morrey), float(r.err_or_ratio)) for r in rows
+        if r.case == "equivalence" and r.a_or_n == cfg.grid.n and r.err_or_ratio is not None
     ]}
     return ExperimentReport(
-        "identity", cfg,
-        ("case", "a_or_n", "b_or_id", "value_or_morrey", "closed_or_semigroup", "err_or_ratio"),
+        "identity", cfg, IdentityRow._fields,
         rows, summary, plot, hard, warn, time.monotonic() - t0,
     )
 
@@ -318,6 +338,17 @@ def deepest_sweep(grid: GridSpec, like: BoxSweepConfig, cap: int = 5) -> BoxSwee
     while m < cap and grid.n % 2 ** (m + 2) == 0:
         m += 1
     return BoxSweepConfig(m, like.time_nodes, like.time_ratio)
+
+
+class ScalingRow(NamedTuple):
+    """One rescaled field of the scaling study (a rows.csv line)."""
+
+    field_id: int
+    lam: int
+    kind: str
+    norm_f: float
+    norm_scaled: float
+    ratio: "float | None"
 
 
 def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
@@ -340,21 +371,21 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
         identity = caloric_minus1_norm(
             scaling_transform(f, 1, cfg.params), cfg.params, sweep
         ).value
-        out.append((fid, 1, "critical", base, identity, _ratio(identity, base)))
+        out.append(ScalingRow(fid, 1, "critical", base, identity, _ratio(identity, base)))
         for lam in (2, 4):
             proper = scaling_transform(f, lam, cfg.params)
             control = RealField(f.grid, proper.values * float(lam) ** (2 - 2 * b))
             for kind, g in (("critical", proper), ("control", control)):
                 val = caloric_minus1_norm(g, cfg.params, sweep).value
-                out.append((fid, lam, kind, base, val, _ratio(val, base)))
+                out.append(ScalingRow(fid, lam, kind, base, val, _ratio(val, base)))
         return out
 
     for triple in _map_cases(case, list(enumerate(corpus))):
         rows.extend(triple)
 
     lo, hi = 0.8, 1.25
-    crit2 = [r[5] for r in rows if r[2] == "critical" and r[1] == 2 and r[5] is not None]
-    ctrl = [r[5] for r in rows if r[2] == "control" and r[1] == 4 and r[5] is not None]
+    crit2 = [r.ratio for r in rows if r.kind == "critical" and r.lam == 2 and r.ratio is not None]
+    ctrl = [r.ratio for r in rows if r.kind == "control" and r.lam == 4 and r.ratio is not None]
     in_band = sum(lo <= r <= hi for r in crit2) / len(crit2) if crit2 else 0.0
     out_band = sum(not lo <= r <= hi for r in ctrl) / len(ctrl) if ctrl else 0.0
 
@@ -368,14 +399,13 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
         hard.append(f"only {in_band:.0%} of lam=2 critical ratios inside [{lo},{hi}]")
     if out_band < 0.9:
         hard.append(f"only {out_band:.0%} of control ratios outside [{lo},{hi}]")
-    if any(r[1] == 1 and r[5] != 1.0 for r in rows):
+    if any(r.lam == 1 and r.ratio != 1.0 for r in rows):
         hard.append("lam=1 rescaling did not reproduce the data norm exactly")
 
-    plot = {"critical_ratio_lam2": [(float(r[0]), float(r[5])) for r in rows
-                                    if r[2] == "critical" and r[1] == 2 and r[5] is not None]}
+    plot = {"critical_ratio_lam2": [(float(r.field_id), float(r.ratio)) for r in rows
+                                    if r.kind == "critical" and r.lam == 2 and r.ratio is not None]}
     return ExperimentReport(
-        "scaling", cfg,
-        ("field_id", "lam", "kind", "norm_f", "norm_scaled", "ratio"),
+        "scaling", cfg, ScalingRow._fields,
         rows, summary, plot, hard, warn, time.monotonic() - t0,
     )
 

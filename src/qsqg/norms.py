@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory, check_times
 from . import operators as ops
 from . import spectral
@@ -240,27 +241,87 @@ def q_norm_direct(f: RealField, params: SpaceParams,
 
 # -- semigroup characterizations ----------------------------------------------
 
-def _gradient_density(spec: np.ndarray, grid: GridSpec, beta: float,
-                      decay_times, weights) -> np.ndarray:
-    """sum_i w_i |grad e^(-s_i (-Lap)^beta) f|^2 from the half spectrum of f,
-    with the gradient planes of all ladder nodes batched through the chunked
-    inverse and reduced as they arrive."""
+# Two ladder nodes are one node when their decay times agree to this relative
+# tolerance.  Nodes shared by dyadic-radius ladders agree to ~1e-15 and
+# distinct nodes differ by percents.
+_MERGE_RTOL = 1e-12
+
+
+def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
+                  ladder) -> tuple[float, CarlesonBox]:
+    """Square root of the swept supremum over the radii r of ``sweep`` of
+
+        p_r * h^2 * sum_{|y-x|<r} sum_i w_ri |grad e^(-s_ri (-Lap)^beta) f(y)|^2
+
+    and the box attaining it, where ``ladder(r)`` gives the ascending decay
+    times s_r, the weights w_r and the prefactor p_r of radius r, and h^2 is
+    the cell area.
+
+    The ladders of dyadic radii overlap.  Nodes whose decay times agree to
+    _MERGE_RTOL are one node, timed by the largest radius holding it.  Each
+    distinct node's gradient pair is made once, in ascending time order
+    through one chunked inverse, and its energy goes into the density of
+    every radius holding it with that radius's weight.  A radius is
+    box-summed, and its density dropped, once its last node is in.
+
+    The centered field is scaled by 2^-e, e the binary exponent of its
+    largest magnitude, and the value by 2^e.  Both are exact, so the squared
+    energies neither overflow nor underflow at any finite amplitude.  Raises
+    NonFiniteError on a non-finite centered field, density or value."""
+    grid = f.grid
+    v = _centered(f)
+    if not np.isfinite(v).all():
+        raise NonFiniteError("centered field is not finite")
+    scale = int(np.frexp(np.abs(v).max())[1])
+    spec = spectral.forward(np.ldexp(v, -scale))
+    radii = sweep.radii(grid)
+    ladders = [ladder(r) for r in radii]
+
+    nodes = []          # ascending [decay time, owner radius, [(radius, weight)]]
+    for s, k, w in sorted((s, k, w) for k, (times, weights, _) in enumerate(ladders)
+                          for s, w in zip(times, weights)):
+        if not nodes or s - nodes[-1][0] > _MERGE_RTOL * s:
+            nodes.append([s, k, []])
+        elif k < nodes[-1][1]:
+            nodes[-1][:2] = s, k
+        nodes[-1][2].append((k, w))
+    last = {k: g for g, (_, _, users) in enumerate(nodes) for k, _ in users}
+
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
     d1 = spectral.half(ops.derivative_symbol(grid, 1))
     d2 = spectral.half(ops.derivative_symbol(grid, 2))
 
     def gradients():
-        for s in decay_times:
+        for s, _, _ in nodes:
             decayed = np.exp(-s * lam) * spec
             yield d1 * decayed
             yield d2 * decayed
 
     planes = spectral.inverse_chunks(gradients(), grid.n)
-    density = np.zeros((grid.n, grid.n))
-    for w in weights:
+    densities = {}
+    found = [None] * len(radii)
+    for g, (_, _, users) in enumerate(nodes):
         gx, gy = next(planes), next(planes)
-        density += w * (gx * gx + gy * gy)
-    return density
+        energy = gx * gx + gy * gy
+        for k, w in users:
+            if k in densities:
+                densities[k] += w * energy
+            else:
+                densities[k] = w * energy
+            if last[k] == g:
+                density = densities.pop(k)
+                if not np.isfinite(density).all():
+                    raise NonFiniteError(f"density at radius {radii[k]!r} is not finite")
+                vals = ladders[k][2] * grid.cell_area * box_sums(density, grid, radii[k], "ball")
+                val, center = best_center(vals, grid, sweep.stride(grid, k + 1))
+                found[k] = val, CarlesonBox(center, radii[k])
+
+    best, box = max(found, key=lambda item: item[0])   # first (largest) radius on ties
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(math.sqrt(max(best, 0.0)), scale))
+    if not math.isfinite(value):
+        raise NonFiniteError("value overflows")
+    return value, box
 
 
 def q_norm_semigroup(f: RealField, params: SpaceParams,
@@ -270,27 +331,24 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
         r^(2a+2b-4) * int_0^(r^(2b)) int_{|y-x|<r}
             |grad e^(-t(-Lap)^b) f|^2 t^(-a/b) dy dt
 
-    with the time integral on the top-anchored geometric ladder."""
+    with the time integral on the top-anchored geometric ladder.  Ladders of
+    successive radii are the same nodes shifted by 2b log 2 / log(ratio)
+    steps; when that is an integer (b = 3/4 at the default ratio 2^(1/4))
+    the shared nodes are made once (see ``_ladder_sweep``).  Finite and
+    homogeneous at any finite amplitude, or NonFiniteError."""
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
-    spec = spectral.forward(_centered(f))
 
-    best = -1.0
-    best_box = None
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        stride = sweep.stride(grid, m)
+    def ladder(r):
         lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
-        weights = power_weight(lows, highs, a / b)
-        density = _gradient_density(spec, grid, b, mids, weights)
-        vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
-        val, center = best_center(vals, grid, stride)
-        if val > best:
-            best, best_box = val, CarlesonBox(center, r)
+        return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
+
+    value, box = _ladder_sweep(f, b, sweep, ladder)
     return NormReport(
-        value=math.sqrt(max(best, 0.0)),
+        value=value,
         config_hash=_hash(grid, sweep, f"q_semigroup;a={a!r};b={b!r}"),
-        attaining_box=best_box,
+        attaining_box=box,
     )
 
 
@@ -302,29 +360,25 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
             |grad e^(-t^(2b) (-Lap)^b) f|^2 t dy dt
 
     the box functional equivalent to the cube oscillation norm of index
-    lam = 2 - 2 gamma (0 < gamma < 1)."""
+    lam = 2 - 2 gamma (0 < gamma < 1).  The ladder in t of radius r/2 is that
+    of radius r shifted by log 2 / log(ratio) steps, 4 at the default ratio
+    for every b, and shared nodes are made once (see ``_ladder_sweep``).
+    Finite and homogeneous at any finite amplitude, or NonFiniteError."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     b = params.beta
-    spec = spectral.forward(_centered(f))
 
-    best = -1.0
-    best_box = None
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        stride = sweep.stride(grid, m)
+    def ladder(r):
         lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
-        weights = linear_weight(lows, highs)
-        density = _gradient_density(spec, grid, b, [t ** (2 * b) for t in mids], weights)
-        vals = r ** (2 * gamma - 2) * grid.cell_area * box_sums(density, grid, r, "ball")
-        val, center = best_center(vals, grid, stride)
-        if val > best:
-            best, best_box = val, CarlesonBox(center, r)
+        return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
+
+    value, box = _ladder_sweep(f, b, sweep, ladder)
     return NormReport(
-        value=math.sqrt(max(best, 0.0)),
+        value=value,
         config_hash=_hash(grid, sweep, f"morrey_semigroup;g={gamma!r};b={params.beta!r}"),
-        attaining_box=best_box,
+        attaining_box=box,
     )
 
 

@@ -19,6 +19,17 @@ adds cells below without touching existing cells (monotone in the node
 count); trajectory-based estimators take their cells from the data's time
 grid, head cell (0, t_1] included, with the integrand frozen at the right
 node of each cell.
+
+The ladders of dyadic radii overlap.  Halving r lowers a ladder's top by a
+factor 2^(2 beta) (top r^(2 beta)) or 2 (top r); when that factor is a
+whole number of ratio steps, the smaller radius's ladder is the larger one
+shifted down by that many steps, so its upper nodes are the larger one's
+lower nodes.  The semigroup estimators make each shared node once
+(``norms._ladder_sweep``).  Nodes whose times agree to 1e-12 relative are
+one node, timed by the largest radius holding it, and each radius adds its
+own weighted energies in ascending time order.  So the largest radius's
+density is the one its lone ladder gives, and adding a smaller radius
+leaves the density of every existing radius unchanged, bit for bit.
 """
 from __future__ import annotations
 

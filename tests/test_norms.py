@@ -7,6 +7,7 @@ import pytest
 from qsqg import (
     BoxSweepConfig,
     GridSpec,
+    NonFiniteError,
     RealField,
     SpaceParams,
     Trajectory,
@@ -24,9 +25,18 @@ from qsqg import (
     x_k_norm,
     x_norm,
 )
+from qsqg import operators as ops
+from qsqg import spectral
 from qsqg.norms import caloric_coverage_times
 from qsqg.solver import TimeGrid
-from qsqg.sweep import mask_point_count
+from qsqg.sweep import (
+    best_center,
+    box_sums,
+    geometric_ladder,
+    linear_weight,
+    mask_point_count,
+    power_weight,
+)
 
 L = 2 * np.pi
 
@@ -248,6 +258,114 @@ class TestSweepMonotonicity:
             morrey_semigroup_functional(smooth32, 0.5, params, big).value
             >= morrey_semigroup_functional(smooth32, 0.5, params, small).value
         )
+
+
+def ladder_oracle(f, params, sweep, kind, gamma=0.5):
+    """Per-radius semigroup sweep: a fresh ladder for every radius, each
+    node's gradient from a full complex inverse FFT, energies added in
+    ascending time order (kind "q": q_norm_semigroup, "morrey":
+    morrey_semigroup_functional)."""
+    grid = f.grid
+    a, b = params.alpha, params.beta
+    spec = np.fft.fft2(f.values - f.values.mean())
+    lam = ops.dissipation_symbol(grid, 2 * b)
+    d1, d2 = ops.derivative_symbol(grid, 1), ops.derivative_symbol(grid, 2)
+    best = -1.0
+    for m, r in enumerate(sweep.radii(grid), start=1):
+        if kind == "q":
+            lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
+            times, weights = mids, power_weight(lows, highs, a / b)
+            prefactor = r ** (2 * a + 2 * b - 4)
+        else:
+            lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
+            times, weights = mids ** (2 * b), linear_weight(lows, highs)
+            prefactor = r ** (2 * gamma - 2)
+        density = np.zeros((grid.n, grid.n))
+        for s, w in zip(times, weights):
+            decayed = np.exp(-s * lam) * spec
+            gx = np.fft.ifft2(d1 * decayed).real
+            gy = np.fft.ifft2(d2 * decayed).real
+            density += w * (gx * gx + gy * gy)
+        vals = prefactor * grid.cell_area * box_sums(density, grid, r, "ball")
+        best = max(best, best_center(vals, grid, sweep.stride(grid, m))[0])
+    return math.sqrt(max(best, 0.0))
+
+
+def semigroup_estimators(params):
+    return {
+        "q": lambda f, s=None: q_norm_semigroup(f, params, s),
+        "morrey": lambda f, s=None: morrey_semigroup_functional(f, 0.5, params, s),
+    }
+
+
+class TestLadderSweep:
+    """`norms._ladder_sweep`, the shared-node sweep behind the two semigroup estimators."""
+
+    @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
+    @pytest.mark.parametrize("n,radii", [(32, 3), (64, 3), (64, 5)])
+    def test_matches_per_radius_oracle(self, a, b, n, radii):
+        params = SpaceParams(a, b)
+        sweep = BoxSweepConfig(radii)
+        for f in band_limited_corpus(GridSpec(n, L), count=2, max_mode=n // 6, seed=8191):
+            for kind, est in semigroup_estimators(params).items():
+                got = est(f, sweep).value
+                want = ladder_oracle(f, params, sweep, kind)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (kind, n, radii)
+
+    @pytest.mark.parametrize("a,b,kind,planes", [
+        (0.25, 0.75, "q", 54),        # shift of 6 nodes: 15 + 6 + 6 distinct
+        (0.25, 0.75, "morrey", 46),   # shift of 4 nodes: 15 + 4 + 4 distinct
+        (0.3, 0.8, "q", 90),          # shift of 6.4 nodes: nothing shared
+    ])
+    def test_transform_budget(self, grid64, monkeypatch, a, b, kind, planes):
+        f = band_limited_corpus(grid64, count=1, max_mode=10, seed=8191)[0]
+        est = semigroup_estimators(SpaceParams(a, b))[kind]
+        inverse = spectral.inverse
+        counted = []
+
+        def counting_inverse(spec, n):
+            counted.append(int(np.prod(spec.shape[:-2])))
+            return inverse(spec, n)
+
+        monkeypatch.setattr(spectral, "inverse", counting_inverse)
+        est(f)
+        assert sum(counted) == planes + 3   # gradient planes, then box sums
+
+    def test_added_radius_leaves_common_radii_bit_identical(self, params, corpus32):
+        compared = 0
+        for est in semigroup_estimators(params).values():
+            for f in corpus32:
+                small, big = est(f, BoxSweepConfig(3)), est(f, BoxSweepConfig(4))
+                if big.attaining_box.radius >= L / 8:
+                    assert big.value == small.value
+                    assert big.attaining_box == small.attaining_box
+                    compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("kind", ["q", "morrey"])
+    def test_homogeneous_over_all_amplitudes(self, params, corpus32, kind):
+        est = semigroup_estimators(params)[kind]
+        f = corpus32[0]
+        base = est(f).value
+        assert base > 0
+        for c in (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300):
+            value = est(c * f).value
+            assert math.isfinite(value)
+            assert abs(value - c * base) <= 1e-12 * c * base, c
+
+    @pytest.mark.parametrize("kind", ["q", "morrey"])
+    def test_non_finite_input_raises(self, params, grid32, kind):
+        est = semigroup_estimators(params)[kind]
+        bad = RealField.zero(grid32)
+        values = np.zeros((32, 32))
+        values[3, 5] = np.inf
+        object.__setattr__(bad, "values", values)   # past RealField's own check
+        # finite values whose mean overflows leave a non-finite centered field
+        huge = RealField(grid32, np.full((32, 32), 1.5e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for field in (bad, huge):
+                with pytest.raises(NonFiniteError):
+                    est(field)
 
 
 class TestTrajectoryNorms:
