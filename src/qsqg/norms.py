@@ -95,6 +95,30 @@ def _centered(f: RealField) -> np.ndarray:
     return v - v.mean()
 
 
+def _binary_scaled(v: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """v times 2^-e and e, the binary exponent of v's largest magnitude.
+
+    Power-of-two scaling is exact, so a value computed from the scaled array
+    and multiplied back by 2^e (``_unscaled``) is the value of v itself,
+    while squares of the scaled entries neither overflow nor underflow.
+    Raises NonFiniteError when v is not finite."""
+    if not np.isfinite(v).all():
+        raise NonFiniteError(f"{what} is not finite")
+    scale = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -scale), scale
+
+
+def _unscaled(value: float, scale: int) -> float:
+    """value * 2^scale, or NonFiniteError when that is not a finite float."""
+    try:
+        value = math.ldexp(value, scale)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteError("value overflows")
+    return value
+
+
 # -- dyadic block norms -------------------------------------------------------
 
 def _block_masks(grid: GridSpec) -> list[np.ndarray]:
@@ -102,12 +126,17 @@ def _block_masks(grid: GridSpec) -> list[np.ndarray]:
     return [spectral.half(ops._annulus_mask(grid, level)) for level in ops.block_levels(grid)]
 
 
+def _spectrum_block_sups(spec: np.ndarray, masks: list[np.ndarray], n: int) -> np.ndarray:
+    """Sup norm of every dyadic block of a half spectrum, in level order (the
+    block inverses batched)."""
+    blocks = (np.where(mask, spec, 0.0) for mask in masks)
+    return np.array([np.abs(p).max() for p in spectral.inverse_chunks(blocks, n)])
+
+
 def _block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarray]:
     """Sup norm of every dyadic frequency block (one forward transform, the
     block inverses batched)."""
-    spec = spectral.forward(values)
-    blocks = (np.where(mask, spec, 0.0) for mask in _block_masks(grid))
-    sups = np.array([np.abs(p).max() for p in spectral.inverse_chunks(blocks, grid.n)])
+    sups = _spectrum_block_sups(spectral.forward(values), _block_masks(grid), grid.n)
     return list(ops.block_levels(grid)), sups
 
 
@@ -139,12 +168,18 @@ def besov_sup_norm(f: RealField, s: float) -> NormReport:
 def morrey_norm(f: RealField, p: float, lam: float,
                 sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """sup over swept cubes I of ( l(I)^(-lam) * integral_I |f - f_I|^p )^(1/p)
-    with l(I) = 2r and f_I the cube average."""
+    with l(I) = 2r and f_I the cube average.
+
+    For p = 2 the centered field is scaled by a power of two before its box
+    sums are squared, so the value is finite and homogeneous at any finite
+    amplitude, or NonFiniteError is raised."""
     if p < 1:
         raise ValueError(f"integrability exponent p must be >= 1, got {p}")
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     v = _centered(f)
+    if p == 2:
+        v, scale = _binary_scaled(v, "centered field")
     area = grid.cell_area
 
     best = -1.0
@@ -175,8 +210,9 @@ def morrey_norm(f: RealField, p: float, lam: float,
                     if val > best:
                         best = val
                         best_box = CarlesonBox((float(grid.coords[ci]), float(grid.coords[cj])), r)
+    value = float(best) ** (1.0 / p)
     return NormReport(
-        value=float(best) ** (1.0 / p),
+        value=_unscaled(value, scale) if p == 2 else value,
         config_hash=_hash(grid, sweep, f"morrey;p={p!r};lam={lam!r}"),
         attaining_box=best_box,
     )
@@ -269,11 +305,8 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
     energies neither overflow nor underflow at any finite amplitude.  Raises
     NonFiniteError on a non-finite centered field, density or value."""
     grid = f.grid
-    v = _centered(f)
-    if not np.isfinite(v).all():
-        raise NonFiniteError("centered field is not finite")
-    scale = int(np.frexp(np.abs(v).max())[1])
-    spec = spectral.forward(np.ldexp(v, -scale))
+    v, scale = _binary_scaled(_centered(f), "centered field")
+    spec = spectral.forward(v)
     radii = sweep.radii(grid)
     ladders = [ladder(r) for r in radii]
 
@@ -317,11 +350,7 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
                 found[k] = val, CarlesonBox(center, radii[k])
 
     best, box = max(found, key=lambda item: item[0])   # first (largest) radius on ties
-    with np.errstate(over="ignore"):
-        value = float(np.ldexp(math.sqrt(max(best, 0.0)), scale))
-    if not math.isfinite(value):
-        raise NonFiniteError("value overflows")
-    return value, box
+    return _unscaled(math.sqrt(max(best, 0.0)), scale), box
 
 
 def q_norm_semigroup(f: RealField, params: SpaceParams,
@@ -384,55 +413,62 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
 
 # -- trajectory norms ----------------------------------------------------------
 
-def _solution_parts(
-    times: np.ndarray,
-    spectra,
-    snapshots,
-    grid: GridSpec,
-    params: SpaceParams,
-    k: int,
-    sweep: BoxSweepConfig,
-) -> dict:
-    """Block-sup part plus Carleson part of the trajectory whose centered
-    snapshot at times[m] has half spectrum spectra[m].
+# The Besov pass skips a node whose l1 bound, widened by this relative margin,
+# is below the running maximum.  The bound holds in exact arithmetic; what it
+# must dominate is a computed block sum.  The real inverse FFT errs by about
+# eps * log2(N) times the l1 norm of a block's coefficients and the bound's
+# pairwise sum by about eps * log2(N^2), so a computed sum can exceed the
+# computed bound by ~1e-15 relative: fields with all phases aligned exceed it
+# by up to 2.5e-16 at N = 16, 64 and 256, and a delta, which attains it, by
+# 0.0.  1e-9 covers that with six orders of magnitude to spare.
+_BOUND_MARGIN = 1e-9
 
-    ``snapshots`` yields the matching physical values, or is None, in which
-    case each snapshot comes out of the batched inverse as well (an identity
-    row ahead of its blocks).  Both may be generators: every plane is reduced
-    as it arrives, so neither the planes nor the per-node Riesz energies
-    |f|^2 + |R1 f|^2 + |R2 f|^2 are ever held for the whole trajectory; the
-    energies go straight into one Carleson density per swept radius, with
-    exact trajectory-cell weights for t^(-alpha/beta)."""
+
+def _block_sum_bound(spec: np.ndarray, n: int) -> float:
+    """sum_half colw |spec| / N^2, an upper bound on sum_l sup |P_l f| for the
+    N x N field f with half spectrum ``spec``.
+
+    colw is 2 on columns 1 .. N/2-1, which stand for their conjugate columns
+    too, and 1 on columns 0 and N/2.  The bound holds because the dyadic
+    annuli partition the nonzero modes and |sum c_j e^(i j x)| <= sum |c_j|."""
+    colw = np.full(spec.shape[-1], 2.0)
+    colw[[0, -1]] = 1.0
+    return float(np.abs(spec).sum(axis=0) @ colw) / (n * n)
+
+
+def _carleson_pass(times, spectrum, snapshots, grid, params, k, sweep):
+    """Carleson part, its box, the partial-coverage flag and every node's
+    ``_block_sum_bound``.
+
+    Each node's snapshot and Riesz planes are streamed through one chunked
+    inverse and reduced as they arrive: the energies |f|^2 + |R1 f|^2 +
+    |R2 f|^2 go straight into one Carleson density per swept radius, with
+    exact trajectory-cell weights for t^(-alpha/beta).  The densities and
+    the stream's buffers are freed when this returns, so the Besov pass
+    does not hold them."""
     a, b = params.alpha, params.beta
-    sup_weight = (2 * b - 1 + k) / (2 * b)
+    n = grid.n
     carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
-    masks = _block_masks(grid)
     r1 = spectral.half(ops.riesz_symbol(grid, 1))
     r2 = spectral.half(ops.riesz_symbol(grid, 2))
+    l1 = np.empty(len(times))
 
     def rows():
-        for spec in spectra:
+        for m in range(len(times)):
+            spec = spectrum(m)
+            l1[m] = _block_sum_bound(spec, n)
             if snapshots is None:
                 yield spec
-            for mask in masks:
-                yield np.where(mask, spec, 0.0)
             yield r1 * spec
             yield r2 * spec
 
-    planes = spectral.inverse_chunks(rows(), grid.n)
+    planes = spectral.inverse_chunks(rows(), n)
     values = iter(snapshots) if snapshots is not None else planes
     radii = sweep.radii(grid)
     cells = [trajectory_weights(times, r ** (2 * b), a / b) for r in radii]
-    densities = [np.zeros((grid.n, grid.n)) for _ in radii]
-
-    besov_best = -1.0
-    besov_time = None
+    densities = [np.zeros((n, n)) for _ in radii]
     for m, t in enumerate(times):
         v = next(values)
-        sups = np.array([np.abs(next(planes)).max() for _ in masks])
-        bval = t ** sup_weight * float(sups.sum())
-        if bval > besov_best:
-            besov_best, besov_time = bval, float(t)
         energy = v * v                      # then + |R1 f|^2 + |R2 f|^2
         for _ in range(2):
             riesz = next(planes)
@@ -449,12 +485,64 @@ def _solution_parts(
         val, center = best_center(vals, grid, sweep.stride(grid, m))
         if val > best:
             best, best_box = val, CarlesonBox(center, r)
+    partial = any(flag for _, flag in cells)
+    return math.sqrt(max(best, 0.0)), best_box, partial, l1
+
+
+def _solution_parts(
+    times: np.ndarray,
+    spectrum,
+    snapshots,
+    grid: GridSpec,
+    params: SpaceParams,
+    k: int,
+    sweep: BoxSweepConfig,
+) -> dict:
+    """Block-sup part plus Carleson part of the trajectory whose centered
+    snapshot at times[m] has half spectrum ``spectrum(m)``.
+
+    ``snapshots`` yields the matching physical values, or is None, in which
+    case each snapshot comes out of the batched inverse as well (an identity
+    row ahead of its Riesz rows).  Two passes:
+
+    * Carleson pass (``_carleson_pass``): every node's snapshot and Riesz
+      planes, streamed and reduced as they arrive.  It also records each
+      node's Wiener bound t^w * ``_block_sum_bound`` >= t^w * sum_l
+      sup |P_l f|, with w = (2b - 1 + k)/(2b).  A non-finite bound raises
+      NonFiniteError.
+    * Besov pass.  Nodes are visited by descending bound, ties in ascending
+      index, and a node's block planes are made (``spectrum(m)`` is called
+      again) only while bound * (1 + _BOUND_MARGIN) >= the running maximum.
+      A node whose block sum reaches the maximum has a bound at least that
+      large, so it is always evaluated; with equal sums the earliest node
+      wins.  The value and its first attaining time are therefore those of
+      the exhaustive loop over all nodes, bit for bit.
+
+    Neither the spectra nor the planes are held for the whole trajectory."""
+    b = params.beta
+    sup_weight = (2 * b - 1 + k) / (2 * b)
+    carleson, box, partial, l1 = _carleson_pass(
+        times, spectrum, snapshots, grid, params, k, sweep)
+    bounds = times ** sup_weight * l1
+    if not np.isfinite(bounds).all():
+        raise NonFiniteError("block-sum bound of a trajectory node is not finite")
+
+    masks = _block_masks(grid)
+    besov = -1.0
+    best_m = None
+    for m in np.argsort(-bounds, kind="stable"):
+        if bounds[m] * (1 + _BOUND_MARGIN) < besov:
+            break
+        sups = _spectrum_block_sups(spectrum(m), masks, grid.n)
+        bval = times[m] ** sup_weight * float(sups.sum())
+        if bval > besov or (bval == besov and m < best_m):
+            besov, best_m = bval, m
     return {
-        "besov": besov_best,
-        "carleson": math.sqrt(max(best, 0.0)),
-        "time": besov_time,
-        "box": best_box,
-        "partial": any(partial for _, partial in cells),
+        "besov": besov,
+        "carleson": carleson,
+        "time": float(times[best_m]),
+        "box": box,
+        "partial": partial,
     }
 
 
@@ -465,15 +553,20 @@ def _xk_component(
     orders: tuple[int, int],
     sweep: BoxSweepConfig,
 ) -> dict:
-    """Block-sup part plus Carleson part for one derivative multi-index."""
+    """Block-sup part plus Carleson part for one derivative multi-index.
+    Node m's spectrum is the forward transform of centered snapshot m, times
+    the derivative symbol."""
     grid = traj.grid
-    centered = (_centered(s) for s in traj.snapshots)
-    if orders == (0, 0):
-        spectra = (spectral.forward(_centered(s)) for s in traj.snapshots)
-        return _solution_parts(traj.times, spectra, centered, grid, params, k, sweep)
-    symbol = spectral.half(ops.mixed_derivative_symbol(grid, *orders))
-    spectra = (symbol * spectral.forward(d) for d in centered)
-    return _solution_parts(traj.times, spectra, None, grid, params, k, sweep)
+    symbol = None
+    if orders != (0, 0):
+        symbol = spectral.half(ops.mixed_derivative_symbol(grid, *orders))
+
+    def spectrum(m):
+        spec = spectral.forward(_centered(traj.snapshots[m]))
+        return spec if symbol is None else symbol * spec
+
+    centered = (_centered(s) for s in traj.snapshots) if symbol is None else None
+    return _solution_parts(traj.times, spectrum, centered, grid, params, k, sweep)
 
 
 def _solution_report(comp: dict, config_hash: str) -> NormReport:
@@ -494,6 +587,13 @@ def x_norm(traj: Trajectory, params: SpaceParams,
         sup_t t^(1-1/(2b)) ||f(t)||_blocksum
       + sqrt( sup over boxes of r^(2a+2b-4) *
               iint (|f|^2 + |R1 f|^2 + |R2 f|^2) t^(-a/b) dy dt )
+
+    Computed in two passes (see ``_solution_parts``): the Carleson pass
+    streams every snapshot's Riesz planes and records an l1 bound on each
+    node's block sum; the Besov pass makes block planes only at nodes, taken
+    by descending bound (ties: earliest first), whose bound widened by a
+    1e-9 roundoff margin still reaches the running maximum.  The sup and its
+    first attaining time equal those of an exhaustive loop bit for bit.
     """
     sweep = _sweep_for(traj.grid, sweep)
     comp = _xk_component(traj, params, 0, (0, 0), sweep)
@@ -581,18 +681,30 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
 
     This is the data-size functional of the well-posedness theory: finite
     smallness of it is what the contraction argument consumes.  The
-    extension never leaves spectral space: each node's half spectrum is
-    made on the fly and its snapshot, blocks and Riesz planes come out of
-    the same batched inverse."""
+    extension never leaves spectral space: node m's half spectrum
+    exp(-t_m (-Lap)^beta) u0^ is made when ``_solution_parts`` asks for it,
+    once for the Carleson pass and again only at the nodes whose block-sum
+    bound can still set the sup.
+
+    The centered data is scaled by 2^-e, e the binary exponent of its
+    largest magnitude, and both parts by 2^e; both steps are exact, so the
+    value is homogeneous at any finite amplitude.  Raises NonFiniteError on
+    non-finite data or a value that overflows."""
     grid = u0.grid
     sweep = _sweep_for(grid, sweep)
     if times is None:
         times = caloric_coverage_times(grid, params)
     times = np.asarray(times, dtype=float)
     check_times(times)
-    spec = spectral.forward(_centered(u0))
+    v, scale = _binary_scaled(_centered(u0), "centered data")
+    spec = spectral.forward(v)
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    spectra = (np.exp(-t * lam) * spec for t in times)
-    comp = _solution_parts(times, spectra, None, grid, params, 0, sweep)
-    return _solution_report(comp, _hash(
+    comp = _solution_parts(times, lambda m: np.exp(-times[m] * lam) * spec, None,
+                           grid, params, 0, sweep)
+    comp["besov"] = _unscaled(comp["besov"], scale)
+    comp["carleson"] = _unscaled(comp["carleson"], scale)
+    report = _solution_report(comp, _hash(
         grid, sweep, f"caloric;a={params.alpha!r};b={params.beta!r};M={len(times)}"))
+    if not math.isfinite(report.value):
+        raise NonFiniteError("value overflows")
+    return report

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, GridMismatchError
+from .errors import DivergenceError, GridMismatchError, NonFiniteError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory, read_field, write_field
 from . import operators as ops
 from . import spectral
@@ -254,12 +254,14 @@ def picard_solve(
     measuring iterates and increments in the trajectory norm.
 
     Iterates stay (M, N, N/2+1) half-spectrum stacks: B is summed on them
-    directly and the norms read them through the same batched inverse that
-    ``x_norm`` uses, so the only way back to physical space is the returned
-    trajectory.  Stops when the increment drops below picard_tol * (norm + 1)
-    or after max_iter sweeps; non-convergence is reported.  An iterate with a
-    non-finite value, or whose norm is not finite, raises DivergenceError
-    with the iteration index."""
+    directly and the norms read them node by node through the two passes of
+    ``x_norm`` (``norms._solution_parts``): the increment's node m is
+    nxt[m] - cur[m], made again only at the few nodes whose block-sum bound
+    can still set the sup.  The only way back to physical space is the
+    returned trajectory.  Stops when the increment drops below
+    picard_tol * (norm + 1) or after max_iter sweeps; non-convergence is
+    reported.  An iterate with a non-finite value, or whose norm is not
+    finite, raises DivergenceError with the iteration index."""
     theta0.require_mean_zero("picard_solve")
     grid = theta0.grid
     sweep = norms._sweep_for(grid, config.sweep)
@@ -271,13 +273,18 @@ def picard_solve(
     for plane, t in zip(base, times):
         np.multiply(np.exp(-t * lam), spec0, out=plane)
 
-    def measure(spectra) -> float:
-        """x_norm value of the trajectory with these mean-zero half spectra."""
-        comp = norms._solution_parts(times, spectra, None, grid, params, 0, sweep)
+    def measure(spectrum, it: int) -> float:
+        """x_norm value of the trajectory whose node m has the mean-zero half
+        spectrum spectrum(m)."""
+        try:
+            comp = norms._solution_parts(times, spectrum, None, grid, params, 0, sweep)
+        except NonFiniteError as err:
+            raise DivergenceError(f"picard iterate {it} has a non-finite norm",
+                                  iteration=it) from err
         return comp["besov"] + comp["carleson"]
 
     current = base
-    iterate_norms = [measure(current)]
+    iterate_norms = [measure(lambda m: current[m], 0)]
     increments: list[float] = []
     converged = False
     iterations = 0
@@ -289,9 +296,9 @@ def picard_solve(
             np.add(b, acc, out=out)
         if not np.isfinite(nxt).all():
             raise DivergenceError(f"picard iterate {it} has NaN/overflow", iteration=it)
-        increments.append(measure(a - b for a, b in zip(nxt, current)))
+        increments.append(measure(lambda m: nxt[m] - current[m], it))
         current = nxt
-        iterate_norms.append(measure(current))
+        iterate_norms.append(measure(lambda m: current[m], it))
         if not (math.isfinite(increments[-1]) and math.isfinite(iterate_norms[-1])):
             raise DivergenceError(f"picard iterate {it} has a non-finite norm", iteration=it)
         if increments[-1] <= config.picard_tol * (iterate_norms[-1] + 1.0):

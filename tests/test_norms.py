@@ -25,10 +25,12 @@ from qsqg import (
     x_k_norm,
     x_norm,
 )
+from qsqg import norms
 from qsqg import operators as ops
 from qsqg import spectral
+from qsqg.experiments import ExperimentConfig, deepest_sweep
 from qsqg.norms import caloric_coverage_times
-from qsqg.solver import TimeGrid
+from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 from qsqg.sweep import (
     best_center,
     box_sums,
@@ -36,6 +38,7 @@ from qsqg.sweep import (
     linear_weight,
     mask_point_count,
     power_weight,
+    trajectory_weights,
 )
 
 L = 2 * np.pi
@@ -458,3 +461,241 @@ class TestNormReport:
         c = q_norm_semigroup(smooth32, params, BoxSweepConfig(3)).config_hash
         assert a != b
         assert a == c
+
+
+AMPLITUDES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300)
+
+
+def exhaustive_parts(times, spectra, snapshots, grid, params, k, sweep):
+    """(besov, attaining time, carleson) of the trajectory whose node m has
+    half spectrum spectra[m]: every node's block planes made, each plane by
+    its own inverse transform, and the sup taken in time order keeping the
+    first attaining node.  ``snapshots`` are the physical values, or None
+    to invert the spectra."""
+    a, b = params.alpha, params.beta
+    n = grid.n
+    masks = [spectral.half(ops._annulus_mask(grid, l)) for l in ops.block_levels(grid)]
+    r1 = spectral.half(ops.riesz_symbol(grid, 1))
+    r2 = spectral.half(ops.riesz_symbol(grid, 2))
+    radii = sweep.radii(grid)
+    cells = [trajectory_weights(times, r ** (2 * b), a / b)[0] for r in radii]
+    densities = [np.zeros((n, n)) for _ in radii]
+    besov, when = -1.0, None
+    for m, (t, spec) in enumerate(zip(times, spectra)):
+        sups = np.array([np.abs(spectral.inverse(np.where(mask, spec, 0.0), n)).max()
+                         for mask in masks])
+        bval = t ** ((2 * b - 1 + k) / (2 * b)) * float(sups.sum())
+        if bval > besov:
+            besov, when = bval, float(t)
+        v = spectral.inverse(spec, n) if snapshots is None else snapshots[m]
+        energy = v * v
+        for symbol in (r1, r2):
+            riesz = spectral.inverse(symbol * spec, n)
+            energy += riesz * riesz
+        energy *= t ** (k / b)
+        for weights, density in zip(cells, densities):
+            if weights[m] > 0:
+                density += weights[m] * energy
+    best = -1.0
+    for j, (r, density) in enumerate(zip(radii, densities), start=1):
+        vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
+        best = max(best, best_center(vals, grid, sweep.stride(grid, j))[0])
+    return besov, when, math.sqrt(max(best, 0.0))
+
+
+def caloric_spectra(f, params, times):
+    spec = spectral.forward(f.values - f.values.mean())
+    lam = spectral.half(ops.dissipation_symbol(f.grid, 2 * params.beta))
+    return [np.exp(-t * lam) * spec for t in times]
+
+
+def report_parts(report):
+    return report.parts["besov"], report.attaining_time, report.parts["carleson"]
+
+
+class TestBesovPruning:
+    """The two-pass `norms._solution_parts`: block planes only at nodes whose
+    l1 bound can still set the Besov sup, with the exhaustive loop's answer."""
+
+    @staticmethod
+    def bound_cases(n, rng):
+        noise = rng.standard_normal((n, n))
+        delta = np.zeros((n, n))
+        delta[rng.integers(n), rng.integers(n)] = 1.0
+        aligned = spectral.inverse(np.abs(spectral.forward(rng.standard_normal((n, n)))), n)
+        nyquist_row = np.outer((-1.0) ** np.arange(n), rng.standard_normal(n))
+        return {"noise": noise, "delta": delta, "aligned": aligned, "nyquist_row": nyquist_row}
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_bound_dominates_block_sum(self, n):
+        grid = GridSpec(n, L)
+        masks = norms._block_masks(grid)
+        rng = np.random.default_rng(8191 + n)
+        for t in (0.3, 1.0, 4.0):
+            weight = t ** ((2 * 0.75 - 1) / (2 * 0.75))
+            for kind, v in self.bound_cases(n, rng).items():
+                spec = spectral.forward(v - v.mean())
+                block_sum = weight * float(norms._spectrum_block_sups(spec, masks, n).sum())
+                bound = weight * norms._block_sum_bound(spec, n)
+                assert block_sum <= bound * (1 + norms._BOUND_MARGIN), (n, kind)
+                if kind == "delta":   # the tight case: every mode in phase at one point
+                    assert block_sum == pytest.approx(bound, rel=1e-13), n
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_caloric_matches_exhaustive_oracle(self, params, n):
+        grid = GridSpec(n, L)
+        sweep = BoxSweepConfig()
+        times = caloric_coverage_times(grid, params)
+        for f in band_limited_corpus(grid, count=4, max_mode=n // 8 - 1, seed=8191):
+            want = exhaustive_parts(times, caloric_spectra(f, params, times), None,
+                                    grid, params, 0, sweep)
+            assert report_parts(caloric_minus1_norm(f, params, sweep)) == want
+
+    def test_x_norm_matches_exhaustive_oracle(self, params, corpus32):
+        times = caloric_coverage_times(corpus32[0].grid, params, num_nodes=24)
+        rng = np.random.default_rng(8192)
+
+        def random_mix():
+            weights = rng.standard_normal(len(corpus32))
+            return RealField(corpus32[0].grid, sum(c * g.values for c, g in zip(weights, corpus32)))
+
+        irregular = Trajectory(times, tuple(random_mix() for _ in times))
+        for traj in (irregular, caloric_trajectory(corpus32[1], params, times),
+                     self.decoy_trajectory(corpus32[0].grid, params)):
+            centered = [s.values - s.values.mean() for s in traj.snapshots]
+            spectra = [spectral.forward(v) for v in centered]
+            want = exhaustive_parts(traj.times, spectra, centered, traj.grid, params, 0,
+                                    BoxSweepConfig())
+            assert report_parts(x_norm(traj, params)) == want
+
+    @staticmethod
+    def decoy_trajectory(grid, params):
+        """A delta at t = 0.5, then white noise at t = 1 whose bound is far
+        larger but whose weighted block sum is 3% smaller: the noise node is
+        visited first, and only a bound check within the margin reaches the
+        delta that attains the sup."""
+        n = grid.n
+        w = (2 * params.beta - 1) / (2 * params.beta)
+        delta = np.zeros((n, n))
+        delta[5, 7] = 1.0
+        noise = np.random.default_rng(8193).standard_normal((n, n))
+        masks = norms._block_masks(grid)
+
+        def weighted_sum(t, v):
+            spec = spectral.forward(v - v.mean())
+            return t ** w * float(norms._spectrum_block_sups(spec, masks, n).sum())
+
+        noise *= 0.97 * weighted_sum(0.5, delta) / weighted_sum(1.0, noise)
+        return Trajectory(np.array([0.5, 1.0]), (RealField(grid, delta), RealField(grid, noise)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_x_k_norm_matches_exhaustive_oracle(self, params, corpus32, k):
+        grid = corpus32[0].grid
+        times = caloric_coverage_times(grid, params, num_nodes=24)
+        traj = caloric_trajectory(corpus32[2], params, times)
+        best = None
+        for a1 in range(k, -1, -1):
+            symbol = spectral.half(ops.mixed_derivative_symbol(grid, a1, k - a1))
+            spectra = [symbol * spectral.forward(s.values - s.values.mean())
+                       for s in traj.snapshots]
+            parts = exhaustive_parts(times, spectra, None, grid, params, k, BoxSweepConfig())
+            if best is None or parts[0] + parts[2] > best[0] + best[2]:
+                best = parts
+        assert report_parts(x_k_norm(traj, params, k)) == best
+
+    def test_picard_measures_match_exhaustive_oracle(self, grid32, params, monkeypatch):
+        real = norms._solution_parts
+        checked = []
+
+        def checking(times, spectrum, snapshots, grid, params_, k, sweep):
+            comp = real(times, spectrum, snapshots, grid, params_, k, sweep)
+            want = exhaustive_parts(times, [spectrum(m) for m in range(len(times))],
+                                    snapshots, grid, params_, k, sweep)
+            checked.append((comp["besov"], comp["time"], comp["carleson"]) == want)
+            return comp
+
+        monkeypatch.setattr(norms, "_solution_parts", checking)
+        theta0 = 0.3 * field_from_function(grid32, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
+        _, report = picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16), max_iter=3))
+        assert len(checked) == 1 + 2 * report.iterations   # base, then increment and iterate
+        assert all(checked)
+
+    def test_block_planes_only_at_evaluated_nodes(self, monkeypatch):
+        cfg = ExperimentConfig()
+        grid, params = cfg.grid, cfg.params
+        f = band_limited_corpus(grid, 1, grid.n // 8 - 1, cfg.seed)[0]   # as run_scaling_invariance
+        sweep = deepest_sweep(grid, cfg.sweep)
+        times = caloric_coverage_times(grid, params)
+        spectra = caloric_spectra(f, params, times)
+        asked = []
+
+        def spectrum(m):
+            asked.append(m)
+            return spectra[m]
+
+        inverse = spectral.inverse
+        planes = []
+
+        def counting_inverse(spec, n):
+            planes.append(int(np.prod(spec.shape[:-2])))
+            return inverse(spec, n)
+
+        monkeypatch.setattr(spectral, "inverse", counting_inverse)
+        comp = norms._solution_parts(times, spectrum, None, grid, params, 0, sweep)
+        count = len(times)
+        assert asked[:count] == list(range(count))   # the Carleson pass, in order
+        evaluated = asked[count:]
+        assert len(set(evaluated)) == len(evaluated) < count / 2
+        assert comp["time"] in times[evaluated]
+        blocks = len(ops.block_levels(grid))
+        # snapshot and two Riesz planes per node, blocks per evaluated node, box sums
+        assert sum(planes) == 3 * count + blocks * len(evaluated) + len(sweep.radii(grid))
+
+    def test_zero_field_reports_first_time(self, grid32, params):
+        times = np.array([0.25, 0.5, 1.0])
+        zero = Trajectory(times, tuple(RealField.zero(grid32) for _ in times))
+        assert x_norm(zero, params).attaining_time == 0.25
+        report = caloric_minus1_norm(RealField.zero(grid32), params)
+        assert report.attaining_time == caloric_coverage_times(grid32, params)[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bound_raises(self, smooth32, params, bad):
+        times = np.array([0.25, 0.5, 1.0])
+        good = spectral.forward(smooth32.values)
+
+        def spectrum(m):
+            return good * bad if m == 1 else good
+
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            norms._solution_parts(times, spectrum, None, smooth32.grid, params, 0,
+                                  BoxSweepConfig())
+
+
+def amplitude_estimators(params):
+    return {
+        "caloric": lambda f: caloric_minus1_norm(f, params).value,
+        "morrey2": lambda f: morrey_norm(f, 2, 1.0).value,
+    }
+
+
+@pytest.mark.parametrize("kind", ["caloric", "morrey2"])
+def test_homogeneous_over_all_amplitudes(params, corpus32, kind):
+    est = amplitude_estimators(params)[kind]
+    f = corpus32[0]
+    base = est(f)
+    assert base > 0
+    for c in AMPLITUDES:
+        value = est(c * f)
+        assert isinstance(value, float) and math.isfinite(value)
+        assert abs(value - c * base) <= 1e-12 * c * base, c
+
+
+@pytest.mark.parametrize("kind", ["caloric", "morrey2"])
+def test_non_finite_input_raises(params, grid32, kind):
+    est = amplitude_estimators(params)[kind]
+    bad = RealField.zero(grid32)
+    values = np.zeros((32, 32))
+    values[3, 5] = np.inf
+    object.__setattr__(bad, "values", values)   # past RealField's own check
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+        est(bad)

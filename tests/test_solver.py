@@ -258,6 +258,17 @@ class TestPicard:
                 picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
         assert info.value.iteration is not None
 
+    def test_unmeasurable_data_raises_divergence_error(self, grid16, params):
+        # finite data whose spectrum overflows: the linear flow's norm is not
+        # finite, which is divergence at iteration 0, not an estimator error
+        theta0 = 1e306 * field_from_function(
+            grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2)
+        )
+        with pytest.raises(DivergenceError) as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
+        assert info.value.iteration == 0
+
 
 class TestReference:
     def test_blowup_raises_divergence_error_with_time(self, grid16, params):
