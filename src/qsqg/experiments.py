@@ -412,6 +412,13 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
 
 # -- experiment 4: well-posedness sweep ------------------------------------------
 
+# A converged wellposed row whose largest node-wise relative distance to the
+# reference integrator exceeds this is warned about.  Picard's first-order
+# Duhamel quadrature errs about linearly in eps: 6.2e-3 at eps = 1 and 0.31
+# at eps = 10 at the default config, so only the eps = 10 row trips it.
+REFERENCE_ERR_WARN = 1e-2
+
+
 def wellposedness_data(grid: GridSpec) -> RealField:
     return field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
 
@@ -434,7 +441,8 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     contraction ratio, the fixed-point residual, and the node-wise agreement
     with the reference integrator.  Non-convergence and blow-up are recorded
     as data, not errors; a run reported converged with a contraction ratio
-    >= 1 is warned about, since the fixed point it found is not certified."""
+    >= 1 is warned about, since the fixed point it found is not certified,
+    and so is one whose reference_rel_err exceeds REFERENCE_ERR_WARN."""
     t0 = time.monotonic()
     shape = wellposedness_data(cfg.grid)
     solver_cfg = cfg.solver_config()
@@ -485,6 +493,12 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         if c >= 1:
             warn.append(f"eps={e:g} is reported converged with contraction ratio "
                         f"{c:.3g} >= 1")
+    for r in rows:
+        if r.converged and r.reference_rel_err is not None \
+                and r.reference_rel_err > REFERENCE_ERR_WARN:
+            warn.append(f"eps={r.epsilon:g} is reported converged but differs from the "
+                        f"reference integrator by {r.reference_rel_err:.3g} relative "
+                        f"> {REFERENCE_ERR_WARN:g}")
     plot = {"contraction_vs_eps": [(r.epsilon, r.contraction_ratio) for r in rows
                                    if r.contraction_ratio is not None]}
     return ExperimentReport(

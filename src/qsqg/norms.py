@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -119,6 +120,172 @@ def _unscaled(value: float, scale: int) -> float:
     return value
 
 
+def _binary_exponent(x: float) -> int:
+    """The binary exponent e of x (|x| < 2^e), clamped to [-1022, 1000], so
+    that |x| 2^-e < 2^24 and 2^-e is a normal float whose products with the
+    Riesz symbols (nonzero entries above 2^-22 for N up to 2^21) are normal
+    too.  Multiplying by 2^-e, or by a symbol scaled by it, is then exact,
+    as ``np.ldexp`` would be, and as fast as any product."""
+    return min(max(int(np.frexp(x)[1]), -1022), 1000)
+
+
+# -- radius sweeps -------------------------------------------------------------
+
+# Bound pruning skips work only when an upper bound, widened by this relative
+# margin, is below the running maximum.  The bounds hold in exact arithmetic;
+# what they must dominate are computed values.
+# * Besov pass: the real inverse FFT errs by about eps * log2(N) times the l1
+#   norm of a block's coefficients and the bound's pairwise sum by about
+#   eps * log2(N^2), so a computed block sum can exceed the computed bound by
+#   ~1e-15 relative: fields with all phases aligned exceed it by up to
+#   2.5e-16 at N = 16, 64 and 256, and a delta, which attains it, by 0.0.
+# * Carleson radii: an FFT box sum errs by about eps * log2(N^2) times the
+#   mass (the total) of its nonnegative density, and the Parseval masses and
+#   their sums by about eps * log2(N^2) of themselves.  The balls of radius
+#   L/2^m about the 4^(m+1) centers of its sublattice cover the torus, so a
+#   radius's bound is at least its density's mass over 4^(m+1), and relative
+#   to the bound the error is at most about eps * log2(N^2) * 4^(m+1):
+#   1.1e-11 at the deepest radius of N = 64 (m = 5), 2.3e-10 at N = 256
+#   (m = 7).
+# 1e-9 covers both.
+_BOUND_MARGIN = 1e-9
+
+
+def _beaten(bound: float, best: float) -> bool:
+    """Whether ``bound`` widened by _BOUND_MARGIN is below ``best``; False
+    whenever either is NaN, so a NaN never prunes."""
+    return bound * (1 + _BOUND_MARGIN) < best
+
+
+class _RadiusSweep:
+    """Running supremum over the radii of a sweep with the exhaustive loop's
+    answer: radius i's value is the maximum over its center sublattice, the
+    box its first attaining center in row-major order, and the largest value
+    wins, the larger radius (lower index) on an exact tie.
+
+    ``offer`` takes a radius's values on the grid, ``finish`` a radius's
+    density (``factors[i]`` times its ball sums), and ``stream`` streams the
+    nodes of per-radius densities and prunes radii that can no longer win."""
+
+    def __init__(self, grid: GridSpec, sweep: BoxSweepConfig, prefactors=None):
+        self.grid = grid
+        self.radii = sweep.radii(grid)
+        self.strides = [sweep.stride(grid, i) for i in range(1, len(self.radii) + 1)]
+        self.factors = [p * grid.cell_area for p in prefactors] if prefactors else None
+        self.best, self.box, self.index = -1.0, None, len(self.radii)
+
+    def offer(self, i: int, vals: np.ndarray) -> None:
+        val, center = best_center(vals, self.grid, self.strides[i])
+        if not math.isfinite(val):
+            raise NonFiniteError(f"box value at radius {self.radii[i]!r} is not finite")
+        if val > self.best or (val == self.best and i < self.index):
+            self.best, self.box, self.index = val, CarlesonBox(center, self.radii[i]), i
+
+    def finish(self, i: int, density: np.ndarray) -> None:
+        if not np.isfinite(density).all():
+            raise NonFiniteError(f"density at radius {self.radii[i]!r} is not finite")
+        self.offer(i, self.factors[i] * box_sums(density, self.grid, self.radii[i], "ball"))
+
+    def stream(self, weights: np.ndarray, masses, rows, energy, per_node: int) -> None:
+        """Sup over the radii of the densities sum_g weights[i, g] * energy_g.
+
+        Nodes g go in ascending order.  Node g's ``per_node`` half spectra
+        ``rows(g)`` go through one chunked inverse, and ``energy(g, *planes)``
+        reduces its planes to its nonnegative energy.  A radius is finished,
+        and its density dropped, once its last node (nonzero weight) is in.
+        When every radius weighs each node before its last as the largest
+        radius does (trajectory cells clip only at a radius's horizon), the
+        unfinished radii hold one partial density instead of one each.
+
+        ``masses[g]`` bounds the total of energy_g.  Each time a radius
+        finishes, an unfinished radius i is dropped when ``_beaten`` holds for
+
+            factors[i] * (max over i's centers of the ball sums of its
+                          partial density + sum over its later nodes of
+                          weight * mass)
+
+        which bounds its value, since the densities are nonnegative and a
+        ball holds at most the whole torus.  The transform-free bound with
+        the partial density's mass in place of its ball sums is tried first.
+        A dropped radius is strictly below the final maximum, so the value and
+        box are those of the exhaustive sweep bit for bit.
+
+        A node is streamed only while an unfinished radius holds it, and the
+        stream stops when every radius is finished or dropped.  The producer
+        records each node it hands to the inverse, so the consumer reads
+        exactly those planes; read-ahead that a later drop makes moot costs
+        at most one batch."""
+        count = weights.shape[1]
+        last = [int(np.flatnonzero(row)[-1]) for row in weights]
+        shared = all((row[:end] == weights[0, :end]).all() for row, end in zip(weights, last))
+        table = weights.tolist()
+        unfinished = list(range(len(self.radii)))
+        after = np.cumsum((weights * np.asarray(masses))[:, ::-1], axis=1)[:, ::-1]
+        tails = np.concatenate([after[:, 1:], np.zeros((len(last), 1))], axis=1)
+        totals = after[:, 0]
+        densities = {}      # radius -> partial density (not shared)
+        common = np.zeros((self.grid.n,) * 2) if shared else None
+        need = []           # need[g]: an unfinished radius holds node g
+
+        def hold():
+            need[:] = [any(table[i][g] > 0 for i in unfinished) for g in range(count)]
+
+        sent = deque()
+
+        def produce():
+            for g in range(count):
+                if need[g]:
+                    sent.append(g)
+                    yield from rows(g)
+
+        hold()
+        planes = spectral.inverse_chunks(produce(), self.grid.n)
+        while unfinished:
+            node = [next(planes) for _ in range(per_node)]
+            g = sent.popleft()
+            if not need[g]:
+                continue
+            e = energy(g, *node)
+            del node
+            ending = [i for i in unfinished if last[i] == g]
+            if shared:
+                for i in ending:
+                    final = table[i][g] * e
+                    final += common
+                    self.finish(i, final)
+            else:
+                for i in unfinished:
+                    w = table[i][g]
+                    if w > 0:
+                        if i in densities:
+                            densities[i] += w * e
+                        else:
+                            densities[i] = w * e
+                for i in ending:
+                    self.finish(i, densities.pop(i))
+            unfinished = [i for i in unfinished if last[i] != g]
+            if shared and unfinished:
+                common += table[unfinished[0]][g] * e
+            if ending:
+                for i in list(unfinished):
+                    partial = common if shared else densities.get(i)
+                    if self._beaten_at(i, partial, totals[i], tails[i, g]):
+                        unfinished.remove(i)
+                        densities.pop(i, None)
+                hold()
+
+    def _beaten_at(self, i, partial, total, tail) -> bool:
+        """Whether radius i, with partial density ``partial`` (None before
+        its first node) and ``tail`` still to come, can no longer win."""
+        if _beaten(self.factors[i] * total, self.best):
+            return True
+        if partial is None:
+            return False
+        reach = best_center(box_sums(partial, self.grid, self.radii[i], "ball"),
+                            self.grid, self.strides[i])[0]
+        return _beaten(self.factors[i] * (reach + tail), self.best)
+
+
 # -- dyadic block norms -------------------------------------------------------
 
 def _block_masks(grid: GridSpec) -> list[np.ndarray]:
@@ -178,25 +345,25 @@ def morrey_norm(f: RealField, p: float, lam: float,
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     v = _centered(f)
+    area = grid.cell_area
+    radii = sweep.radii(grid)
+
     if p == 2:
         v, scale = _binary_scaled(v, "centered field")
-    area = grid.cell_area
-
-    best = -1.0
-    best_box = None
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        stride = sweep.stride(grid, m)
-        edge = 2.0 * r
-        if p == 2:
+        search = _RadiusSweep(grid, sweep)
+        for i, r in enumerate(radii):
             count = mask_point_count(grid, r, "cube")
             s1 = box_sums(v, grid, r, "cube")
             s2 = box_sums(v * v, grid, r, "cube")
             osc = np.maximum(s2 - s1 * s1 / count, 0.0)
-            vals = edge ** (-lam) * area * osc
-            val, center = best_center(vals, grid, stride)
-            if val > best:
-                best, best_box = val, CarlesonBox(center, r)
-        else:
+            search.offer(i, (2.0 * r) ** (-lam) * area * osc)
+        best, best_box = search.best, search.box
+    else:
+        best = -1.0
+        best_box = None
+        for m, r in enumerate(radii, start=1):
+            stride = sweep.stride(grid, m)
+            edge = 2.0 * r
             half = int(round(r / grid.spacing))
             offs = np.arange(-(half - 1), half)
             for ci in range(0, grid.n, stride):
@@ -297,8 +464,12 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
     _MERGE_RTOL are one node, timed by the largest radius holding it.  Each
     distinct node's gradient pair is made once, in ascending time order
     through one chunked inverse, and its energy goes into the density of
-    every radius holding it with that radius's weight.  A radius is
-    box-summed, and its density dropped, once its last node is in.
+    every radius holding it with that radius's weight (``_RadiusSweep``).
+    A radius is box-summed, and its density dropped, once its last node is
+    in.  Node s's energy totals sum_half colw e^(-2 s lam) |grad f^|^2 / N^2
+    (Parseval, ``_caloric_measures``), so once a radius is in, a radius
+    whose bound cannot beat it is dropped, and nodes that only dropped radii
+    hold are never made; the value and box are the exhaustive sweep's.
 
     The centered field is scaled by 2^-e, e the binary exponent of its
     largest magnitude, and the value by 2^e.  Both are exact, so the squared
@@ -318,39 +489,29 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
         elif k < nodes[-1][1]:
             nodes[-1][:2] = s, k
         nodes[-1][2].append((k, w))
-    last = {k: g for g, (_, _, users) in enumerate(nodes) for k, _ in users}
+    weights = np.zeros((len(radii), len(nodes)))
+    for g, (_, _, users) in enumerate(nodes):
+        for k, w in users:
+            weights[k, g] = w
 
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
     d1 = spectral.half(ops.derivative_symbol(grid, 1))
     d2 = spectral.half(ops.derivative_symbol(grid, 2))
+    gradient = np.hypot(np.abs(d1), np.abs(d2)) * np.abs(spec)
+    masses = [math.ldexp(q, 2 * e) for _, e, q in
+              _caloric_measures(gradient, lam, [s for s, _, _ in nodes], grid.n)]
 
-    def gradients():
-        for s, _, _ in nodes:
-            decayed = np.exp(-s * lam) * spec
-            yield d1 * decayed
-            yield d2 * decayed
+    def gradients(g):
+        decayed = np.exp(-nodes[g][0] * lam) * spec
+        yield d1 * decayed
+        yield d2 * decayed
 
-    planes = spectral.inverse_chunks(gradients(), grid.n)
-    densities = {}
-    found = [None] * len(radii)
-    for g, (_, _, users) in enumerate(nodes):
-        gx, gy = next(planes), next(planes)
-        energy = gx * gx + gy * gy
-        for k, w in users:
-            if k in densities:
-                densities[k] += w * energy
-            else:
-                densities[k] = w * energy
-            if last[k] == g:
-                density = densities.pop(k)
-                if not np.isfinite(density).all():
-                    raise NonFiniteError(f"density at radius {radii[k]!r} is not finite")
-                vals = ladders[k][2] * grid.cell_area * box_sums(density, grid, radii[k], "ball")
-                val, center = best_center(vals, grid, sweep.stride(grid, k + 1))
-                found[k] = val, CarlesonBox(center, radii[k])
+    def energy(g, gx, gy):
+        return gx * gx + gy * gy
 
-    best, box = max(found, key=lambda item: item[0])   # first (largest) radius on ties
-    return _unscaled(math.sqrt(max(best, 0.0)), scale), box
+    search = _RadiusSweep(grid, sweep, [p for _, _, p in ladders])
+    search.stream(weights, masses, gradients, energy, 2)
+    return _unscaled(math.sqrt(max(search.best, 0.0)), scale), search.box
 
 
 def q_norm_semigroup(f: RealField, params: SpaceParams,
@@ -363,8 +524,11 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
     with the time integral on the top-anchored geometric ladder.  Ladders of
     successive radii are the same nodes shifted by 2b log 2 / log(ratio)
     steps; when that is an integer (b = 3/4 at the default ratio 2^(1/4))
-    the shared nodes are made once (see ``_ladder_sweep``).  Finite and
-    homogeneous at any finite amplitude, or NonFiniteError."""
+    the shared nodes are made once (see ``_ladder_sweep``).  Once a radius
+    is finished, radii whose energy bound cannot beat it are dropped and
+    the nodes only they hold never made; the value and box are the
+    exhaustive sweep's, bit for bit.  Finite and homogeneous at any finite
+    amplitude, or NonFiniteError."""
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
@@ -392,6 +556,8 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
     lam = 2 - 2 gamma (0 < gamma < 1).  The ladder in t of radius r/2 is that
     of radius r shifted by log 2 / log(ratio) steps, 4 at the default ratio
     for every b, and shared nodes are made once (see ``_ladder_sweep``).
+    Radii that cannot beat a finished one are dropped, as in
+    ``q_norm_semigroup``, with the exhaustive sweep's value and box.
     Finite and homogeneous at any finite amplitude, or NonFiniteError."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -413,104 +579,164 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
 
 # -- trajectory norms ----------------------------------------------------------
 
-# The Besov pass skips a node whose l1 bound, widened by this relative margin,
-# is below the running maximum.  The bound holds in exact arithmetic; what it
-# must dominate is a computed block sum.  The real inverse FFT errs by about
-# eps * log2(N) times the l1 norm of a block's coefficients and the bound's
-# pairwise sum by about eps * log2(N^2), so a computed sum can exceed the
-# computed bound by ~1e-15 relative: fields with all phases aligned exceed it
-# by up to 2.5e-16 at N = 16, 64 and 256, and a delta, which attains it, by
-# 0.0.  1e-9 covers that with six orders of magnitude to spare.
-_BOUND_MARGIN = 1e-9
+@lru_cache(maxsize=16)
+def _column_weights(n: int) -> np.ndarray:
+    """colw: 2 on the half-spectrum columns 1 .. N/2-1, which stand for their
+    conjugate columns too, and 1 on columns 0 and N/2, so that a sum over
+    the full spectrum is the colw-weighted sum over the half."""
+    colw = np.full(spectral.half_width(n), 2.0)
+    colw[[0, -1]] = 1.0
+    colw.setflags(write=False)
+    return colw
+
+
+def _half_sum(values: np.ndarray, n: int) -> float:
+    """sum_half colw * values / N^2."""
+    return float(values.sum(axis=0) @ _column_weights(n)) / (n * n)
 
 
 def _block_sum_bound(spec: np.ndarray, n: int) -> float:
     """sum_half colw |spec| / N^2, an upper bound on sum_l sup |P_l f| for the
-    N x N field f with half spectrum ``spec``.
+    N x N field f with half spectrum ``spec``, and on max |f| and max |R_j f|.
 
-    colw is 2 on columns 1 .. N/2-1, which stand for their conjugate columns
-    too, and 1 on columns 0 and N/2.  The bound holds because the dyadic
-    annuli partition the nonzero modes and |sum c_j e^(i j x)| <= sum |c_j|."""
-    colw = np.full(spec.shape[-1], 2.0)
-    colw[[0, -1]] = 1.0
-    return float(np.abs(spec).sum(axis=0) @ colw) / (n * n)
+    The bound holds because the dyadic annuli partition the nonzero modes
+    and |sum c_j e^(i j x)| <= sum |c_j|."""
+    return _half_sum(np.abs(spec), n)
 
 
-def _carleson_pass(times, spectrum, snapshots, grid, params, k, sweep):
-    """Carleson part, its box, the partial-coverage flag and every node's
-    ``_block_sum_bound``.
+def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
+    """(W, e, q) for the field with half spectrum ``spec``: W its
+    ``_block_sum_bound``, e the binary exponent of W, and q * 4^e its sum of
+    squares sum_half colw |spec|^2 / N^2 (Parseval), from one |spec| pass.
+    Scaling by 2^-e first keeps q clear of overflow and underflow."""
+    mags = np.abs(spec)
+    bound = _half_sum(mags, n)
+    scale = _binary_exponent(bound)
+    mags *= math.ldexp(1.0, -scale)
+    return bound, scale, _half_sum(np.square(mags, out=mags), n)
 
-    Each node's snapshot and Riesz planes are streamed through one chunked
-    inverse and reduced as they arrive: the energies |f|^2 + |R1 f|^2 +
-    |R2 f|^2 go straight into one Carleson density per swept radius, with
-    exact trajectory-cell weights for t^(-alpha/beta).  The densities and
-    the stream's buffers are freed when this returns, so the Besov pass
-    does not hold them."""
+
+def _caloric_measures(spec: np.ndarray, lam: np.ndarray, times,
+                      n: int) -> list[tuple[float, int, float]]:
+    """``_spectrum_measures`` of every node exp(-t lam) spec of a caloric
+    extension, with one exponent e for all nodes, that of max |spec|: decay
+    only shrinks the modes, so no square overflows.
+
+    Modes with equal lam decay alike, so colw |spec| and colw |spec|^2 are
+    first summed per distinct lam (457 of 2,112 modes at N = 64), and a node
+    costs two dot products over the distinct rates, not a pass over its
+    spectrum."""
+    levels, level_of = np.unique(lam, return_inverse=True)
+    mags = np.abs(spec)
+    scale = _binary_exponent(mags.max())
+    mags *= math.ldexp(1.0, -scale)
+    weighted = _column_weights(n) * mags / (n * n)
+    first = np.bincount(level_of.ravel(), weighted.ravel(), levels.size)
+    second = np.bincount(level_of.ravel(), (weighted * mags).ravel(), levels.size)
+    measures = []
+    for t in times:
+        decay = np.exp(-t * levels)
+        bound = math.ldexp(float(decay @ first), scale)
+        measures.append((bound, scale, float(np.square(decay, out=decay) @ second)))
+    return measures
+
+
+def _plane_measures(v: np.ndarray) -> tuple[float, int, float]:
+    """(max |v|, e, q) with e the binary exponent of max |v| and q * 4^e the
+    sum of squares of v, which is scaled in place."""
+    peak = float(np.abs(v).max())
+    scale = _binary_exponent(peak)
+    v *= math.ldexp(1.0, -scale)
+    return peak, scale, float(np.vdot(v, v))
+
+
+def _carleson_pass(times, spectrum, snapshot, grid, params, k, sweep, scale, masses, l1):
+    """Carleson part, its box and the partial-coverage flag, from planes
+    scaled by 2^-scale: the Riesz symbols carry the factor, so each Riesz
+    row is one product, and each snapshot plane is scaled in place.
+
+    The streamed nodes' Riesz planes, and their snapshot planes too when
+    ``snapshot`` is None, go through one chunked inverse and are reduced as
+    they arrive: the energies |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b),
+    go into one Carleson density per swept radius, with exact
+    trajectory-cell weights for t^(-alpha/beta).  Cells clip only at a
+    radius's last node, so the unfinished radii share one partial density
+    (``_RadiusSweep.stream``).
+    ``masses[m]`` bounds node m's energy total in the same scaled units;
+    radii that can no longer win are dropped, and nodes that only they hold
+    are not streamed (``_RadiusSweep.stream``).  With ``snapshot`` given,
+    each streamed node's ``_block_sum_bound`` goes into l1[m]."""
     a, b = params.alpha, params.beta
     n = grid.n
     carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
-    r1 = spectral.half(ops.riesz_symbol(grid, 1))
-    r2 = spectral.half(ops.riesz_symbol(grid, 2))
-    l1 = np.empty(len(times))
-
-    def rows():
-        for m in range(len(times)):
-            spec = spectrum(m)
-            l1[m] = _block_sum_bound(spec, n)
-            if snapshots is None:
-                yield spec
-            yield r1 * spec
-            yield r2 * spec
-
-    planes = spectral.inverse_chunks(rows(), n)
-    values = iter(snapshots) if snapshots is not None else planes
+    factor = math.ldexp(1.0, -scale)
+    r1 = factor * spectral.half(ops.riesz_symbol(grid, 1))
+    r2 = factor * spectral.half(ops.riesz_symbol(grid, 2))
     radii = sweep.radii(grid)
     cells = [trajectory_weights(times, r ** (2 * b), a / b) for r in radii]
-    densities = [np.zeros((n, n)) for _ in radii]
-    for m, t in enumerate(times):
-        v = next(values)
-        energy = v * v                      # then + |R1 f|^2 + |R2 f|^2
-        for _ in range(2):
-            riesz = next(planes)
-            energy += riesz * riesz
-        energy *= t ** carleson_weight
-        for (weights, _), density in zip(cells, densities):
-            if weights[m] > 0:
-                density += weights[m] * energy
 
-    best = -1.0
-    best_box = None
-    for m, (r, density) in enumerate(zip(radii, densities), start=1):
-        vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
-        val, center = best_center(vals, grid, sweep.stride(grid, m))
-        if val > best:
-            best, best_box = val, CarlesonBox(center, r)
-    partial = any(flag for _, flag in cells)
-    return math.sqrt(max(best, 0.0)), best_box, partial, l1
+    def rows(m):
+        spec = spectrum(m)
+        if snapshot is None:
+            yield spec
+        else:
+            l1[m] = _block_sum_bound(spec, n)
+        yield r1 * spec
+        yield r2 * spec
+
+    def energy(m, *planes):
+        # e is a fresh array: a view would keep the planes' whole batch alive
+        v, p1, p2 = planes if snapshot is None else (snapshot(m),) + planes
+        v *= factor
+        e = v * v
+        e += np.square(p1, out=p1)
+        e += np.square(p2, out=p2)
+        e *= times[m] ** carleson_weight
+        return e
+
+    search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
+    search.stream(np.array([w for w, _ in cells]), masses, rows, energy,
+                  3 if snapshot is None else 2)
+    carleson = _unscaled(math.sqrt(max(search.best, 0.0)), scale)
+    return carleson, search.box, any(flag for _, flag in cells)
 
 
 def _solution_parts(
     times: np.ndarray,
     spectrum,
-    snapshots,
+    snapshot,
     grid: GridSpec,
     params: SpaceParams,
     k: int,
     sweep: BoxSweepConfig,
+    measures=None,
 ) -> dict:
     """Block-sup part plus Carleson part of the trajectory whose centered
     snapshot at times[m] has half spectrum ``spectrum(m)``.
 
-    ``snapshots`` yields the matching physical values, or is None, in which
-    case each snapshot comes out of the batched inverse as well (an identity
-    row ahead of its Riesz rows).  Two passes:
+    ``snapshot(m)`` gives the matching physical values, or ``snapshot`` is
+    None, in which case each snapshot comes out of the batched inverse as
+    well (an identity row ahead of its Riesz rows).  Three steps:
 
-    * Carleson pass (``_carleson_pass``): every node's snapshot and Riesz
-      planes, streamed and reduced as they arrive.  It also records each
-      node's Wiener bound t^w * ``_block_sum_bound`` >= t^w * sum_l
-      sup |P_l f|, with w = (2b - 1 + k)/(2b).  A non-finite bound raises
-      NonFiniteError.
-    * Besov pass.  Nodes are visited by descending bound, ties in ascending
+    * Measures, before any plane.  Without ``snapshot``, one |f^| pass per
+      node gives its Wiener bound ``_block_sum_bound`` and its sum of
+      squares (``_spectrum_measures``), unless the caller passes them as
+      ``measures``; with it, max |f| and the sum of squares come from the
+      snapshot, so no forward transform is added.  The energy total of node
+      m is at most 2 t_m^(k/b) times its sum of squares, since
+      |R1|^2 + |R2|^2 <= 1.  One binary exponent e (``_binary_exponent``)
+      of the largest Wiener bound (or max |f|) is fixed here: the Carleson
+      planes are scaled by 2^-e and the Carleson part by 2^e, both exact,
+      so its squares neither overflow nor underflow at any finite
+      amplitude.  A non-finite node raises NonFiniteError.
+    * Carleson pass (``_carleson_pass``): streamed nodes in ascending time,
+      reduced as they arrive; radii whose bound cannot beat the best
+      finished one are dropped, and streaming stops once no unfinished
+      radius holds the next node.  The value and box are those of the
+      exhaustive sweep, bit for bit.  With ``snapshot``, a node the stream
+      did not reach gets its Wiener bound from ``spectrum(m)`` afterwards.
+    * Besov pass.  With w = (2b - 1 + k)/(2b), nodes are visited by
+      descending bound t^w W >= t^w sum_l sup |P_l f|, ties in ascending
       index, and a node's block planes are made (``spectrum(m)`` is called
       again) only while bound * (1 + _BOUND_MARGIN) >= the running maximum.
       A node whose block sum reaches the maximum has a bound at least that
@@ -520,9 +746,25 @@ def _solution_parts(
 
     Neither the spectra nor the planes are held for the whole trajectory."""
     b = params.beta
+    n = grid.n
+    if snapshot is None:
+        if measures is None:
+            measures = [_spectrum_measures(spectrum(m), n) for m in range(len(times))]
+        l1 = np.array([bound for bound, _, _ in measures])
+    else:
+        measures = [_plane_measures(snapshot(m)) for m in range(len(times))]
+        l1 = np.full(len(times), np.nan)
+    peaks = np.array([peak for peak, _, _ in measures])
+    if not np.isfinite(peaks).all():
+        raise NonFiniteError("a trajectory node is not finite")
+    scale = _binary_exponent(peaks.max())
+    masses = 2 * times ** (k / b) * np.array(
+        [math.ldexp(q, 2 * (e - scale)) for _, e, q in measures])
+    carleson, box, partial = _carleson_pass(
+        times, spectrum, snapshot, grid, params, k, sweep, scale, masses, l1)
+    for m in np.flatnonzero(np.isnan(l1)):
+        l1[m] = _block_sum_bound(spectrum(m), n)
     sup_weight = (2 * b - 1 + k) / (2 * b)
-    carleson, box, partial, l1 = _carleson_pass(
-        times, spectrum, snapshots, grid, params, k, sweep)
     bounds = times ** sup_weight * l1
     if not np.isfinite(bounds).all():
         raise NonFiniteError("block-sum bound of a trajectory node is not finite")
@@ -546,27 +788,14 @@ def _solution_parts(
     }
 
 
-def _xk_component(
-    traj: Trajectory,
-    params: SpaceParams,
-    k: int,
-    orders: tuple[int, int],
-    sweep: BoxSweepConfig,
-) -> dict:
-    """Block-sup part plus Carleson part for one derivative multi-index.
-    Node m's spectrum is the forward transform of centered snapshot m, times
-    the derivative symbol."""
-    grid = traj.grid
-    symbol = None
-    if orders != (0, 0):
-        symbol = spectral.half(ops.mixed_derivative_symbol(grid, *orders))
+def _x_parts(traj: Trajectory, params: SpaceParams, sweep: BoxSweepConfig) -> dict:
+    """``_solution_parts`` of x_norm: node m's snapshot is centered snapshot
+    m and its spectrum that snapshot's forward transform."""
+    def snapshot(m):
+        return _centered(traj.snapshots[m])
 
-    def spectrum(m):
-        spec = spectral.forward(_centered(traj.snapshots[m]))
-        return spec if symbol is None else symbol * spec
-
-    centered = (_centered(s) for s in traj.snapshots) if symbol is None else None
-    return _solution_parts(traj.times, spectrum, centered, grid, params, k, sweep)
+    return _solution_parts(traj.times, lambda m: spectral.forward(snapshot(m)), snapshot,
+                           traj.grid, params, 0, sweep)
 
 
 def _solution_report(comp: dict, config_hash: str) -> NormReport:
@@ -588,15 +817,21 @@ def x_norm(traj: Trajectory, params: SpaceParams,
       + sqrt( sup over boxes of r^(2a+2b-4) *
               iint (|f|^2 + |R1 f|^2 + |R2 f|^2) t^(-a/b) dy dt )
 
-    Computed in two passes (see ``_solution_parts``): the Carleson pass
-    streams every snapshot's Riesz planes and records an l1 bound on each
-    node's block sum; the Besov pass makes block planes only at nodes, taken
-    by descending bound (ties: earliest first), whose bound widened by a
-    1e-9 roundoff margin still reaches the running maximum.  The sup and its
+    Computed in two passes (see ``_solution_parts``).  The Carleson pass
+    streams snapshots and Riesz planes in time order and stops once no
+    radius that could still beat the best finished one needs the next node;
+    each radius's bound is its partial ball sums plus the Parseval energy
+    (2 sum f^2, no extra transform) of the nodes still to come.  The Besov
+    pass makes block planes only at nodes, taken by descending Wiener bound
+    (ties: earliest first), whose bound widened by a 1e-9 roundoff margin
+    still reaches the running maximum.  The value, box, coverage flag and
     first attaining time equal those of an exhaustive loop bit for bit.
+    The Carleson planes are scaled by one power of two for the whole
+    trajectory, so the value is finite and homogeneous at any finite
+    amplitude, or NonFiniteError is raised.
     """
     sweep = _sweep_for(traj.grid, sweep)
-    comp = _xk_component(traj, params, 0, (0, 0), sweep)
+    comp = _x_parts(traj, params, sweep)
     return _solution_report(
         comp, _hash(traj.grid, sweep, f"x;a={params.alpha!r};b={params.beta!r}"))
 
@@ -607,20 +842,29 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
     t^(k/(2b)) d^a u for every multi-index |a| = k, block part weighted by
     t^((2b-1+k)/(2b)), maximum over the k+1 multi-indices reported.
 
-    k = 0 reduces exactly to x_norm."""
+    k = 0 reduces exactly to x_norm.  For k >= 1 every snapshot is
+    forward-transformed once and its half spectrum held; each multi-index
+    applies its symbol to those spectra."""
     if k < 0:
         raise ValueError(f"derivative order k must be >= 0, got {k}")
-    sweep = _sweep_for(traj.grid, sweep)
+    grid = traj.grid
+    sweep = _sweep_for(grid, sweep)
+    spectra = [spectral.forward(_centered(s)) for s in traj.snapshots] if k else None
     best = None
     best_orders = None
     for a1 in range(k, -1, -1):
-        comp = _xk_component(traj, params, k, (a1, k - a1), sweep)
+        if k == 0:
+            comp = _x_parts(traj, params, sweep)
+        else:
+            symbol = spectral.half(ops.mixed_derivative_symbol(grid, a1, k - a1))
+            comp = _solution_parts(traj.times, lambda m: symbol * spectra[m], None,
+                                   grid, params, k, sweep)
         comp["value"] = comp["besov"] + comp["carleson"]
         if best is None or comp["value"] > best["value"]:
             best, best_orders = comp, (a1, k - a1)
     return NormReport(
         value=best["value"],
-        config_hash=_hash(traj.grid, sweep,
+        config_hash=_hash(grid, sweep,
                           f"xk;k={k};a={params.alpha!r};b={params.beta!r}"),
         attaining_box=best["box"],
         attaining_time=best["time"],
@@ -636,31 +880,28 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
 def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
                            sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """Swept supremum of r^(2a+2b-4) * iint_box |f(t,y)| t^(-a/b) dy dt,
-    degree-1 homogeneous in the trajectory; no mean subtraction."""
+    degree-1 homogeneous in the trajectory; no mean subtraction.  Raises
+    NonFiniteError when a radius's density is not finite."""
     grid = traj.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
     magnitudes = [np.abs(s.values) for s in traj.snapshots]
+    radii = sweep.radii(grid)
 
-    best = -1.0
-    best_box = None
+    search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
     partial = False
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        stride = sweep.stride(grid, m)
+    for i, r in enumerate(radii):
         weights, was_partial = trajectory_weights(traj.times, r ** (2 * b), a / b)
         partial = partial or was_partial
         density = np.zeros((grid.n, grid.n))
         for w, g in zip(weights, magnitudes):
             if w > 0:
                 density += w * g
-        vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
-        val, center = best_center(vals, grid, stride)
-        if val > best:
-            best, best_box = val, CarlesonBox(center, r)
+        search.finish(i, density)
     return NormReport(
-        value=float(max(best, 0.0)),
+        value=float(max(search.best, 0.0)),
         config_hash=_hash(grid, sweep, f"carleson_l1;a={a!r};b={b!r}"),
-        attaining_box=best_box,
+        attaining_box=search.box,
         partial_coverage=partial,
     )
 
@@ -682,9 +923,10 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     This is the data-size functional of the well-posedness theory: finite
     smallness of it is what the contraction argument consumes.  The
     extension never leaves spectral space: node m's half spectrum
-    exp(-t_m (-Lap)^beta) u0^ is made when ``_solution_parts`` asks for it,
-    once for the Carleson pass and again only at the nodes whose block-sum
-    bound can still set the sup.
+    exp(-t_m (-Lap)^beta) u0^ is made when ``_solution_parts`` asks for it:
+    at the nodes the Carleson pass streams, and again at the nodes whose
+    block-sum bound can still set the sup.  Every node's Wiener bound and
+    energy come from the nonzero modes of u0^ alone (``_caloric_measures``).
 
     The centered data is scaled by 2^-e, e the binary exponent of its
     largest magnitude, and both parts by 2^e; both steps are exact, so the
@@ -700,7 +942,7 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     spec = spectral.forward(v)
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
     comp = _solution_parts(times, lambda m: np.exp(-times[m] * lam) * spec, None,
-                           grid, params, 0, sweep)
+                           grid, params, 0, sweep, _caloric_measures(spec, lam, times, grid.n))
     comp["besov"] = _unscaled(comp["besov"], scale)
     comp["carleson"] = _unscaled(comp["carleson"], scale)
     report = _solution_report(comp, _hash(

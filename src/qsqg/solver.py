@@ -256,9 +256,10 @@ def picard_solve(
     Iterates stay (M, N, N/2+1) half-spectrum stacks: B is summed on them
     directly and the norms read them node by node through the two passes of
     ``x_norm`` (``norms._solution_parts``): the increment's node m is
-    nxt[m] - cur[m], made again only at the few nodes whose block-sum bound
-    can still set the sup.  The only way back to physical space is the
-    returned trajectory.  Stops when the increment drops below
+    nxt[m] - cur[m], made once for its Wiener bound and energy, again if the
+    Carleson stream reaches it, and again only at the few nodes whose
+    block-sum bound can still set the sup.  The only way back to physical
+    space is the returned trajectory.  Stops when the increment drops below
     picard_tol * (norm + 1) or after max_iter sweeps; non-convergence is
     reported.  An iterate with a non-finite value, or whose norm is not
     finite, raises DivergenceError with the iteration index."""

@@ -30,6 +30,14 @@ one node, timed by the largest radius holding it, and each radius adds its
 own weighted energies in ascending time order.  So the largest radius's
 density is the one its lone ladder gives, and adding a smaller radius
 leaves the density of every existing radius unchanged, bit for bit.
+
+Sweeps skip work that cannot change their answer (``norms._RadiusSweep``).
+Nodes go in ascending time, and each time a radius is finished, a radius
+whose upper bound (the ball sums of its partial density plus the total
+energy of its nodes still to come) falls below the best finished value is
+dropped; nodes that only dropped radii hold are never made.  A dropped
+radius lies strictly below the reported supremum, so pruning keeps the
+certified lower bound and the supremum, value and box, bit for bit.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ from qsqg.fields import GridSpec, RealField, SpaceParams
 from qsqg.sweep import BoxSweepConfig
 from qsqg.experiments import (
     IDENTITY_PAIRS,
+    REFERENCE_ERR_WARN,
     RUNNERS,
     UNDEFINED,
     ExperimentConfig,
@@ -69,13 +70,19 @@ class TestHelpers:
 
     def test_wellposed_warns_on_converged_non_contraction(self):
         # default config: the eps = 10 run stops on a small increment although
-        # its contraction ratio is about 1.64, and it is the only such row
+        # its contraction ratio is about 1.64 and it is 31% off the reference
+        # integrator, and it is the only such row
         report = run_wellposedness_sweep(ExperimentConfig())
         flagged = [r for r in report.rows if r.converged
                    and r.contraction_ratio is not None and r.contraction_ratio >= 1]
         assert [r.epsilon for r in flagged] == [10.0]
+        far = [r for r in report.rows if r.converged
+               and r.reference_rel_err > REFERENCE_ERR_WARN]
+        assert [r.epsilon for r in far] == [10.0]
         assert report.warnings == [
-            "eps=10 is reported converged with contraction ratio 1.64 >= 1"
+            "eps=10 is reported converged with contraction ratio 1.64 >= 1",
+            "eps=10 is reported converged but differs from the reference integrator "
+            "by 0.31 relative > 0.01",
         ]
         assert report.columns == type(report.rows[0])._fields
 

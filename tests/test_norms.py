@@ -32,6 +32,7 @@ from qsqg.experiments import ExperimentConfig, deepest_sweep
 from qsqg.norms import caloric_coverage_times
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 from qsqg.sweep import (
+    CarlesonBox,
     best_center,
     box_sums,
     geometric_ladder,
@@ -263,6 +264,17 @@ class TestSweepMonotonicity:
         )
 
 
+def ladder(params, sweep, kind, r, gamma=0.5):
+    """(decay times, weights, prefactor) of radius r, as the estimator of
+    ``kind`` builds them."""
+    a, b = params.alpha, params.beta
+    if kind == "q":
+        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
+        return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
+    lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
+    return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
+
+
 def ladder_oracle(f, params, sweep, kind, gamma=0.5):
     """Per-radius semigroup sweep: a fresh ladder for every radius, each
     node's gradient from a full complex inverse FFT, energies added in
@@ -301,8 +313,70 @@ def semigroup_estimators(params):
     }
 
 
+def shared_ladder_oracle(f, params, sweep, kind):
+    """(value, box) of the exhaustive shared-node sweep: nodes of all radii
+    merged at 1e-12 relative and timed by the largest radius holding them,
+    every node's gradient planes made, one inverse per plane, every radius
+    box-summed, and the radii compared in order so the larger keeps a tie."""
+    grid = f.grid
+    v = f.values - f.values.mean()
+    scale = int(np.frexp(np.abs(v).max())[1])
+    spec = spectral.forward(np.ldexp(v, -scale))
+    radii = sweep.radii(grid)
+    ladders = [ladder(params, sweep, kind, r) for r in radii]
+    nodes = []
+    for s, k, w in sorted((s, k, w) for k, (times, weights, _) in enumerate(ladders)
+                          for s, w in zip(times, weights)):
+        if not nodes or s - nodes[-1][0] > 1e-12 * s:
+            nodes.append([s, k, []])
+        elif k < nodes[-1][1]:
+            nodes[-1][:2] = s, k
+        nodes[-1][2].append((k, w))
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
+    d1 = spectral.half(ops.derivative_symbol(grid, 1))
+    d2 = spectral.half(ops.derivative_symbol(grid, 2))
+    densities = [None] * len(radii)
+    for s, _, users in nodes:
+        decayed = np.exp(-s * lam) * spec
+        gx, gy = spectral.inverse(d1 * decayed, grid.n), spectral.inverse(d2 * decayed, grid.n)
+        energy = gx * gx + gy * gy
+        for k, w in users:
+            if densities[k] is None:
+                densities[k] = w * energy
+            else:
+                densities[k] += w * energy
+    best, box = -1.0, None
+    for m, (r, (_, _, prefactor), density) in enumerate(zip(radii, ladders, densities), start=1):
+        vals = prefactor * grid.cell_area * box_sums(density, grid, r, "ball")
+        val, center = best_center(vals, grid, sweep.stride(grid, m))
+        if val > best:
+            best, box = val, CarlesonBox(center, r)
+    return math.ldexp(math.sqrt(max(best, 0.0)), scale), box
+
+
 class TestLadderSweep:
     """`norms._ladder_sweep`, the shared-node sweep behind the two semigroup estimators."""
+
+    @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
+    @pytest.mark.parametrize("n,radii", [(32, 3), (64, 5)])
+    def test_matches_exhaustive_shared_oracle(self, a, b, n, radii):
+        params = SpaceParams(a, b)
+        sweep = BoxSweepConfig(radii)
+        grid = GridSpec(n, L)
+        fields = list(band_limited_corpus(grid, count=3, max_mode=n // 6, seed=8191))
+        fields.append(field_from_function(grid, lambda x1, x2: np.sin(x1)))
+        for f in fields:
+            for kind, est in semigroup_estimators(params).items():
+                report = est(f, sweep)
+                assert (report.value, report.attaining_box) == \
+                    shared_ladder_oracle(f, params, sweep, kind), (kind, n, radii)
+
+    @pytest.mark.parametrize("kind", ["q", "morrey"])
+    def test_zero_field_ties_keep_the_largest_radius(self, grid32, params, kind):
+        # every radius is worth exactly 0 and the smallest finishes first
+        report = semigroup_estimators(params)[kind](RealField.zero(grid32))
+        assert report.value == 0.0
+        assert report.attaining_box.radius == L / 2
 
     @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
     @pytest.mark.parametrize("n,radii", [(32, 3), (64, 3), (64, 5)])
@@ -332,7 +406,17 @@ class TestLadderSweep:
 
         monkeypatch.setattr(spectral, "inverse", counting_inverse)
         est(f)
-        assert sum(counted) == planes + 3   # gradient planes, then box sums
+        # Gradient planes up to the smallest radius's last node plus the
+        # rest of its batch (7 planes at N = 64), then box sums: the smallest
+        # radius attains the sup and the larger ones fall to their bounds,
+        # transform-free but for one morrey radius's ball-sum bound.
+        pruned = {(0.25, 0.75, "q"): 35 + 1, (0.25, 0.75, "morrey"): 35 + 2,
+                  (0.3, 0.8, "q"): 56 + 1}[a, b, kind]
+        assert sum(counted) == pruned
+        counted.clear()
+        monkeypatch.setattr(norms._RadiusSweep, "_beaten_at", lambda *args: False)
+        est(f)
+        assert sum(counted) == planes + 3   # unpruned: every node's gradient planes, then box sums
 
     def test_added_radius_leaves_common_radii_bit_identical(self, params, corpus32):
         compared = 0
@@ -467,11 +551,13 @@ AMPLITUDES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300)
 
 
 def exhaustive_parts(times, spectra, snapshots, grid, params, k, sweep):
-    """(besov, attaining time, carleson) of the trajectory whose node m has
-    half spectrum spectra[m]: every node's block planes made, each plane by
-    its own inverse transform, and the sup taken in time order keeping the
-    first attaining node.  ``snapshots`` are the physical values, or None
-    to invert the spectra."""
+    """(besov, attaining time, carleson, box, partial) of the trajectory
+    whose node m has half spectrum spectra[m]: every node's block and
+    Carleson planes made, each plane by its own inverse transform, one
+    density per radius, the Besov sup taken in time order keeping the first
+    attaining node, and the radii compared in order so the larger keeps a
+    tie.  ``snapshots`` are the physical values, or None to invert the
+    spectra."""
     a, b = params.alpha, params.beta
     n = grid.n
     masks = [spectral.half(ops._annulus_mask(grid, l)) for l in ops.block_levels(grid)]
@@ -496,11 +582,14 @@ def exhaustive_parts(times, spectra, snapshots, grid, params, k, sweep):
         for weights, density in zip(cells, densities):
             if weights[m] > 0:
                 density += weights[m] * energy
-    best = -1.0
+    best, box = -1.0, None
     for j, (r, density) in enumerate(zip(radii, densities), start=1):
         vals = r ** (2 * a + 2 * b - 4) * grid.cell_area * box_sums(density, grid, r, "ball")
-        best = max(best, best_center(vals, grid, sweep.stride(grid, j))[0])
-    return besov, when, math.sqrt(max(best, 0.0))
+        val, center = best_center(vals, grid, sweep.stride(grid, j))
+        if val > best:
+            best, box = val, CarlesonBox(center, r)
+    partial = any(trajectory_weights(times, r ** (2 * b), a / b)[1] for r in radii)
+    return besov, when, math.sqrt(max(best, 0.0)), box, partial
 
 
 def caloric_spectra(f, params, times):
@@ -510,12 +599,14 @@ def caloric_spectra(f, params, times):
 
 
 def report_parts(report):
-    return report.parts["besov"], report.attaining_time, report.parts["carleson"]
+    return (report.parts["besov"], report.attaining_time, report.parts["carleson"],
+            report.attaining_box, report.partial_coverage)
 
 
 class TestBesovPruning:
-    """The two-pass `norms._solution_parts`: block planes only at nodes whose
-    l1 bound can still set the Besov sup, with the exhaustive loop's answer."""
+    """The two-pass `norms._solution_parts`: Carleson planes only at nodes a
+    radius that can still win holds, block planes only at nodes whose l1
+    bound can still set the Besov sup, with the exhaustive loop's answer."""
 
     @staticmethod
     def bound_cases(n, rng):
@@ -541,6 +632,109 @@ class TestBesovPruning:
                 if kind == "delta":   # the tight case: every mode in phase at one point
                     assert block_sum == pytest.approx(bound, rel=1e-13), n
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_carleson_bound_dominates_value(self, n):
+        # a radius's value is at most factor * (max ball sum of its partial
+        # density + mass still to come), and at most factor * its total mass
+        grid = GridSpec(n, L)
+        sweep = BoxSweepConfig({16: 3, 64: 5, 256: 7}[n])   # the deepest sweep
+        rng = np.random.default_rng(8194 + n)
+        r1 = spectral.half(ops.riesz_symbol(grid, 1))
+        r2 = spectral.half(ops.riesz_symbol(grid, 2))
+        parts = {}
+        for kind, v in self.bound_cases(n, rng).items():
+            if kind == "nyquist_row":
+                continue
+            spec = spectral.forward(v - v.mean())
+            energy = sum(p * p for p in spectral.inverse(np.stack([spec, r1 * spec, r2 * spec]), n))
+            _, e, q = norms._spectrum_measures(spec, n)
+            parts[kind] = energy, 2 * math.ldexp(q, 2 * e)
+        kinds = list(parts)
+        for head, tail in zip(kinds, kinds[1:] + kinds[:1]):
+            (energy, mass), (later, later_mass) = parts[head], parts[tail]
+            for m, r in enumerate(sweep.radii(grid), start=1):
+                stride = sweep.stride(grid, m)
+                value = best_center(box_sums(energy + later, grid, r, "ball"), grid, stride)[0]
+                reach = best_center(box_sums(energy, grid, r, "ball"), grid, stride)[0]
+                assert value <= (reach + later_mass) * (1 + norms._BOUND_MARGIN), (n, head, r)
+                assert value <= (mass + later_mass) * (1 + norms._BOUND_MARGIN), (n, head, r)
+
+    def test_exact_tie_keeps_the_larger_radius(self, grid32, params):
+        search = norms._RadiusSweep(grid32, BoxSweepConfig())
+        for i in (2, 0, 1):
+            search.offer(i, np.ones((32, 32)))
+        assert (search.best, search.box.radius) == (1.0, L / 2)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            search.offer(1, np.full((32, 32), np.nan))   # not swallowed by a comparison
+        # zero data: every radius is worth exactly 0 and the smallest finishes first
+        times = np.array([0.25, 0.5, 1.0])
+        zero = Trajectory(times, tuple(RealField.zero(grid32) for _ in times))
+        assert x_norm(zero, params).attaining_box.radius == L / 2
+        assert caloric_minus1_norm(RealField.zero(grid32), params).attaining_box.radius == L / 2
+
+    def test_radius_near_its_bound_is_kept(self, grid32):
+        # Point masses A at node 0 (radius 2) and B = 1.03 A at node 1
+        # (radius 0, and radius 1 with weight 1/2).  Radius 2 finishes first
+        # with A; radius 0's bound B is attained, so it must stay and win.
+        search = norms._RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
+        weights = np.array([[0, 1], [0, 0.5], [1, 0]], float)
+        levels = [1.0, 1.03]
+        zero = np.zeros((32, 17), dtype=complex)
+
+        def rows(g):
+            yield zero
+
+        def energy(g, plane):
+            point = np.zeros((32, 32))
+            point[0, 0] = levels[g]
+            return point
+
+        search.stream(weights, levels, rows, energy, 1)
+        assert search.box == CarlesonBox((0.0, 0.0), L / 2)
+        assert search.best == pytest.approx(1.03 * grid32.cell_area, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_partial_density_raises_and_never_prunes(self, grid32, bad):
+        # Radius 2 finishes first, at node 1, and far ahead.  Node 2, held by
+        # radii 0 and 1, is non-finite, and so is its mass: finite masses
+        # would drop both radii before node 2 and hide it.
+        search = norms._RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
+        weights = np.array([[0, 0, 1, 1, 1, 1], [0, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]], float)
+        levels = [1e6, 1e-6, bad, 1e-6, 1e-6, 1e-6]
+        masses = [level * 32 * 32 for level in levels]
+        zero = np.zeros((32, 17), dtype=complex)
+
+        def rows(g):
+            yield zero
+
+        def energy(g, plane):
+            return np.full((32, 32), levels[g])
+
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="density"):
+            search.stream(weights, masses, rows, energy, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_shared_partial_density_raises_and_never_prunes(self, grid32, bad):
+        # As above with weights of the trajectory form (each radius weighs
+        # the nodes before its last as radius 0 does), so the unfinished
+        # radii hold one partial density: radius 2 finishes at node 1 far
+        # ahead, node 2 is non-finite, and finite masses would drop radii 0
+        # and 1 before it.
+        search = norms._RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
+        weights = np.array([[1, 1e-9, 1, 1], [1, 1e-9, 1, 0], [1, 1, 0, 0]], float)
+        levels = [1e-6, 1e6, bad, 1e-6]
+        masses = [level * 32 * 32 for level in levels]
+        zero = np.zeros((32, 17), dtype=complex)
+
+        def rows(g):
+            yield zero
+
+        def energy(g, plane):
+            return np.full((32, 32), levels[g])
+
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="density"):
+            search.stream(weights, masses, rows, energy, 1)
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_caloric_matches_exhaustive_oracle(self, params, n):
         grid = GridSpec(n, L)
@@ -560,13 +754,18 @@ class TestBesovPruning:
             return RealField(corpus32[0].grid, sum(c * g.values for c, g in zip(weights, corpus32)))
 
         irregular = Trajectory(times, tuple(random_mix() for _ in times))
+        # constant in time and spread over the torus: the largest radius wins,
+        # so no radius may be dropped
+        spread = full_coverage_trajectory(
+            field_from_function(corpus32[0].grid, lambda x1, x2: np.sin(x1)), params, 24)
         for traj in (irregular, caloric_trajectory(corpus32[1], params, times),
-                     self.decoy_trajectory(corpus32[0].grid, params)):
+                     self.decoy_trajectory(corpus32[0].grid, params), spread):
             centered = [s.values - s.values.mean() for s in traj.snapshots]
             spectra = [spectral.forward(v) for v in centered]
             want = exhaustive_parts(traj.times, spectra, centered, traj.grid, params, 0,
                                     BoxSweepConfig())
             assert report_parts(x_norm(traj, params)) == want
+        assert want[3].radius == L / 2
 
     @staticmethod
     def decoy_trajectory(grid, params):
@@ -611,7 +810,8 @@ class TestBesovPruning:
             comp = real(times, spectrum, snapshots, grid, params_, k, sweep)
             want = exhaustive_parts(times, [spectrum(m) for m in range(len(times))],
                                     snapshots, grid, params_, k, sweep)
-            checked.append((comp["besov"], comp["time"], comp["carleson"]) == want)
+            checked.append((comp["besov"], comp["time"], comp["carleson"], comp["box"],
+                            comp["partial"]) == want)
             return comp
 
         monkeypatch.setattr(norms, "_solution_parts", checking)
@@ -643,13 +843,17 @@ class TestBesovPruning:
         monkeypatch.setattr(spectral, "inverse", counting_inverse)
         comp = norms._solution_parts(times, spectrum, None, grid, params, 0, sweep)
         count = len(times)
-        assert asked[:count] == list(range(count))   # the Carleson pass, in order
-        evaluated = asked[count:]
-        assert len(set(evaluated)) == len(evaluated) < count / 2
+        assert asked[:count] == list(range(count))   # the measures, in order
+        streamed = 12                                # of 48 nodes, read-ahead included
+        assert asked[count:count + streamed] == list(range(streamed))   # the Carleson stream
+        evaluated = asked[count + streamed:]
+        assert len(set(evaluated)) == len(evaluated) == 9
         assert comp["time"] in times[evaluated]
         blocks = len(ops.block_levels(grid))
-        # snapshot and two Riesz planes per node, blocks per evaluated node, box sums
-        assert sum(planes) == 3 * count + blocks * len(evaluated) + len(sweep.radii(grid))
+        # snapshot and two Riesz planes for 11 2/3 nodes (the last batch cut
+        # short), box sums of the two finished radii and 4 ball-sum bounds,
+        # then the block planes of the evaluated nodes
+        assert sum(planes) == 35 + 2 + 4 + blocks * len(evaluated)
 
     def test_zero_field_reports_first_time(self, grid32, params):
         times = np.array([0.25, 0.5, 1.0])
@@ -676,6 +880,34 @@ def amplitude_estimators(params):
         "caloric": lambda f: caloric_minus1_norm(f, params).value,
         "morrey2": lambda f: morrey_norm(f, 2, 1.0).value,
     }
+
+
+def trajectory_estimators(params):
+    return {
+        "x": lambda traj: x_norm(traj, params).value,
+        "x_k1": lambda traj: x_k_norm(traj, params, 1).value,
+        "x_k2": lambda traj: x_k_norm(traj, params, 2).value,
+    }
+
+
+@pytest.mark.parametrize("kind", ["x", "x_k1", "x_k2"])
+def test_trajectory_homogeneous_over_all_amplitudes(params, corpus32, kind):
+    est = trajectory_estimators(params)[kind]
+    times = caloric_coverage_times(corpus32[0].grid, params, num_nodes=24)
+    traj = caloric_trajectory(corpus32[0], params, times)
+    base = est(traj)
+    assert base > 0
+    for c in AMPLITUDES:
+        value = est(traj.scaled(c))
+        assert isinstance(value, float) and math.isfinite(value)
+        assert abs(value - c * base) <= 1e-12 * c * base, c
+
+
+def test_carleson_l1_overflowing_density_raises(grid32, params):
+    times = np.array([0.25, 0.5, 1.0])
+    huge = RealField(grid32, np.full((32, 32), 1.7e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        carleson_l1_functional(Trajectory(times, (huge, huge, huge)), params)
 
 
 @pytest.mark.parametrize("kind", ["caloric", "morrey2"])
