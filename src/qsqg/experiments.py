@@ -33,7 +33,6 @@ from .fields import GridSpec, RealField, SpaceParams, Trajectory, field_from_fun
 from . import operators as ops
 from . import spectral
 from .norms import (
-    besov_sum_norm,
     caloric_minus1_norm,
     carleson_l1_functional,
     morrey_norm,
@@ -49,7 +48,7 @@ from .solver import (
     picard_solve,
     reference_solve,
     scaling_transform,
-    _cell_propagators,
+    _duhamel,
 )
 from .sweep import BoxSweepConfig, trajectory_weights
 
@@ -591,13 +590,10 @@ def _dissipative_memory_ratio(traj: Trajectory, params: SpaceParams) -> float:
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
     specs = spectral.forward(np.stack([s.values for s in traj.snapshots]))
     weights, _ = trajectory_weights(traj.times, traj.times[-1], a / b)
-    # the solver's Duhamel recursion with the density frozen at each cell's
-    # left node (the first cell reuses t_1); lam * phi1 = 1 - E per mode
-    steps = np.diff(traj.times, prepend=0.0)
+    # A is the solver's Duhamel recursion with density (-Lap)^b f, frozen at
+    # each cell's left node (the first cell reuses t_1)
     lhs = rhs = 0.0
-    acc = np.zeros_like(specs[0])
-    for m, (decay, phi1) in enumerate(_cell_propagators(lam, steps)):
-        acc = decay * acc + lam * phi1 * specs[max(m - 1, 0)]
+    for m, acc in enumerate(_duhamel(lambda j: lam * specs[j], traj.times, lam)):
         lhs += weights[m] * _l2_sq(acc, grid)
         rhs += weights[m] * _l2_sq(specs[m], grid)
     return lhs / rhs if rhs > 0 else float("nan")

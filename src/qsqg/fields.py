@@ -30,7 +30,6 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -175,19 +174,6 @@ class SpaceParams:
             )
         if a + b - 1 < 0:
             raise ValueError(f"need alpha + beta >= 1, got alpha={a}, beta={b}")
-
-
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """A Fourier multiplier m(xi) plus its value on the zero mode.
-
-    ``evaluator`` maps frequency arrays (xi1, xi2) to complex values and must
-    be finite on every nonzero lattice frequency; the zero mode is always
-    taken from ``zero_mode_value`` instead, so evaluators may be singular at 0.
-    """
-
-    evaluator: Callable[[np.ndarray, np.ndarray], "np.ndarray | complex"]
-    zero_mode_value: complex = 0.0
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -363,7 +349,7 @@ def write_field(f: RealField, path: "str | Path") -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
-def read_field(path: "str | Path", dealias_fraction: float = 2.0 / 3.0) -> RealField:
+def read_field(path: "str | Path") -> RealField:
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != FILE_MAGIC:
@@ -374,4 +360,4 @@ def read_field(path: "str | Path", dealias_fraction: float = 2.0 / 3.0) -> RealF
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for N={n}, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n)
-    return RealField(GridSpec(int(n), float(length), dealias_fraction), values.astype(float))
+    return RealField(GridSpec(int(n), float(length)), values.astype(float))

@@ -60,7 +60,6 @@ class NormReport:
     attaining_level: "int | None" = None
     attaining_time: "float | None" = None
     partial_coverage: bool = False
-    seed: "int | None" = None
     parts: dict = dataclass_field(default_factory=dict)
 
     def to_json_line(self) -> str:
@@ -73,7 +72,6 @@ class NormReport:
             "time": self.attaining_time,
             "partial": self.partial_coverage,
             "config": self.config_hash,
-            "seed": self.seed,
             "parts": self.parts,
         }
         return json.dumps(record, sort_keys=True)
@@ -335,53 +333,29 @@ def besov_sup_norm(f: RealField, s: float) -> NormReport:
 def morrey_norm(f: RealField, p: float, lam: float,
                 sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """sup over swept cubes I of ( l(I)^(-lam) * integral_I |f - f_I|^p )^(1/p)
-    with l(I) = 2r and f_I the cube average.
+    with l(I) = 2r and f_I the cube average, for p = 2, the paper's L^(2,lam)
+    Morrey spaces; any other p raises ValueError.
 
-    For p = 2 the centered field is scaled by a power of two before its box
-    sums are squared, so the value is finite and homogeneous at any finite
-    amplitude, or NonFiniteError is raised."""
-    if p < 1:
-        raise ValueError(f"integrability exponent p must be >= 1, got {p}")
+    The centered field is scaled by a power of two before its box sums are
+    squared, so the value is finite and homogeneous at any finite amplitude,
+    or NonFiniteError is raised."""
+    if p != 2:
+        raise ValueError(f"only the integrability exponent p = 2 is computed, got {p}")
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
-    v = _centered(f)
+    v, scale = _binary_scaled(_centered(f), "centered field")
     area = grid.cell_area
-    radii = sweep.radii(grid)
-
-    if p == 2:
-        v, scale = _binary_scaled(v, "centered field")
-        search = _RadiusSweep(grid, sweep)
-        for i, r in enumerate(radii):
-            count = mask_point_count(grid, r, "cube")
-            s1 = box_sums(v, grid, r, "cube")
-            s2 = box_sums(v * v, grid, r, "cube")
-            osc = np.maximum(s2 - s1 * s1 / count, 0.0)
-            search.offer(i, (2.0 * r) ** (-lam) * area * osc)
-        best, best_box = search.best, search.box
-    else:
-        best = -1.0
-        best_box = None
-        for m, r in enumerate(radii, start=1):
-            stride = sweep.stride(grid, m)
-            edge = 2.0 * r
-            half = int(round(r / grid.spacing))
-            offs = np.arange(-(half - 1), half)
-            for ci in range(0, grid.n, stride):
-                rows = (ci + offs) % grid.n
-                for cj in range(0, grid.n, stride):
-                    cols = (cj + offs) % grid.n
-                    block = v[np.ix_(rows, cols)]
-                    val = edge ** (-lam) * area * float(
-                        (np.abs(block - block.mean()) ** p).sum()
-                    )
-                    if val > best:
-                        best = val
-                        best_box = CarlesonBox((float(grid.coords[ci]), float(grid.coords[cj])), r)
-    value = float(best) ** (1.0 / p)
+    search = _RadiusSweep(grid, sweep)
+    for i, r in enumerate(sweep.radii(grid)):
+        count = mask_point_count(grid, r, "cube")
+        s1 = box_sums(v, grid, r, "cube")
+        s2 = box_sums(v * v, grid, r, "cube")
+        osc = np.maximum(s2 - s1 * s1 / count, 0.0)
+        search.offer(i, (2.0 * r) ** (-lam) * area * osc)
     return NormReport(
-        value=_unscaled(value, scale) if p == 2 else value,
+        value=_unscaled(float(search.best) ** (1.0 / p), scale),
         config_hash=_hash(grid, sweep, f"morrey;p={p!r};lam={lam!r}"),
-        attaining_box=best_box,
+        attaining_box=search.box,
     )
 
 
@@ -408,11 +382,16 @@ def q_norm_direct(f: RealField, params: SpaceParams,
         l(I)^(2a+2b-4) * iint_{I x I} |f(x)-f(y)|^2 / |x-y|^(2a-2b+4) dx dy
 
     over cubes I of edge l(I) = 2r, distances on the torus, diagonal cells
-    excluded (a = alpha, b = beta, two space dimensions)."""
+    excluded (a = alpha, b = beta, two space dimensions).
+
+    The centered field is scaled by 2^-e, e the binary exponent of its
+    largest magnitude, and the value by 2^e, both exact, so the squared
+    differences neither overflow nor underflow at any finite amplitude.
+    Raises NonFiniteError on a non-finite centered field or box value."""
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
-    v = _centered(f)
+    v, scale = _binary_scaled(_centered(f), "centered field")
     kernel_spec = _difference_kernel_spectrum(grid, 2 * a - 2 * b + 4)
     h4 = grid.cell_area ** 2
 
@@ -432,11 +411,13 @@ def q_norm_direct(f: RealField, params: SpaceParams,
                 conv_g = spectral.inverse(spectral.forward(g) * kernel_spec, grid.n)
                 double_sum = 2.0 * float((g * g * conv_mask).sum() - (g * conv_g).sum())
                 val = edge_factor * h4 * max(double_sum, 0.0)
+                if not math.isfinite(val):
+                    raise NonFiniteError(f"box value at radius {r!r} is not finite")
                 if val > best:
                     best = val
                     best_box = CarlesonBox((float(grid.coords[ci]), float(grid.coords[cj])), r)
     return NormReport(
-        value=math.sqrt(max(best, 0.0)),
+        value=_unscaled(math.sqrt(max(best, 0.0)), scale),
         config_hash=_hash(grid, sweep, f"q_direct;a={a!r};b={b!r}"),
         attaining_box=best_box,
     )

@@ -14,21 +14,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SymmetryError
-from .fields import GridSpec, MultiplierSymbol, RealField, SpaceParams
+from .fields import GridSpec, RealField, SpaceParams
 from . import spectral
 
 __all__ = [
-    "apply_multiplier",
     "fractional_laplacian",
     "riesz_transform",
     "heat_semigroup",
     "sqg_velocity",
-    "littlewood_paley_block",
     "block_levels",
     "kernel_fields",
     "partial_derivative",
-    "mixed_derivative",
     "dealias_field",
 ]
 
@@ -85,34 +81,6 @@ def heat_symbol(grid: GridSpec, beta: float, t: float) -> np.ndarray:
 
 # -- public operators --------------------------------------------------------
 
-def apply_multiplier(f: RealField, m: MultiplierSymbol) -> RealField:
-    """Apply a user-supplied Fourier multiplier to a real field.
-
-    The zero mode of the output is ``m.zero_mode_value`` times the zero mode
-    of the input.  The evaluator must be finite on every nonzero lattice
-    frequency and conjugate-symmetric, m(-xi) = conj(m(xi)); violations raise
-    ValueError / SymmetryError respectively.
-    """
-    grid = f.grid
-    xi1, xi2 = grid.xi
-    shape = xi1.shape
-    with np.errstate(all="ignore"):
-        s = np.broadcast_to(np.asarray(m.evaluator(xi1, xi2), dtype=complex), shape).copy()
-        s_neg = np.broadcast_to(np.asarray(m.evaluator(-xi1, -xi2), dtype=complex), shape).copy()
-    s[0, 0] = complex(m.zero_mode_value)
-    s_neg[0, 0] = np.conj(complex(m.zero_mode_value))
-    if not np.isfinite(s.view(float)).all():
-        raise ValueError("multiplier symbol is not finite on a nonzero lattice frequency")
-    scale = max(1.0, float(np.abs(s).max()))
-    defect = float(np.abs(s_neg - np.conj(s)).max())
-    if defect > 1e-12 * scale:
-        raise SymmetryError(
-            f"symbol violates m(-xi) = conj(m(xi)) (defect {defect:.3e}); "
-            "the physical result would not be real"
-        )
-    return apply_lattice_symbol(f, grid.hermitian_part(s))
-
-
 def fractional_laplacian(f: RealField, gamma: float) -> RealField:
     """(-Laplace)^gamma via the symbol |xi|^(2 gamma).
 
@@ -159,13 +127,6 @@ def partial_derivative(f: RealField, axis: int, order: int = 1) -> RealField:
     return apply_lattice_symbol(f, derivative_symbol(f.grid, axis, order))
 
 
-def mixed_derivative(f: RealField, order1: int, order2: int) -> RealField:
-    """d^(order1)/dx1 d^(order2)/dx2 applied spectrally."""
-    if order1 == order2 == 0:
-        return f
-    return apply_lattice_symbol(f, mixed_derivative_symbol(f.grid, order1, order2))
-
-
 def dealias_field(f: RealField) -> RealField:
     """Zero all modes with |k_j| beyond the grid's dealias fraction."""
     spec = spectral.forward(f.values)
@@ -190,26 +151,17 @@ def _annulus_mask(grid: GridSpec, level: int) -> np.ndarray:
     return m
 
 
-def littlewood_paley_block(f: RealField, level: int) -> RealField:
-    """Restrict f to the sharp frequency annulus 2^level <= |xi| < 2^(level+1)."""
-    spec = spectral.forward(f.values)
-    out = np.where(spectral.half(_annulus_mask(f.grid, level)), spec, 0.0)
-    return RealField(f.grid, spectral.inverse(out, f.grid.n))
-
-
 # -- convolution kernels of the named operators -------------------------------
 
 def kernel_fields(
-    t: float, params: SpaceParams, grid: GridSpec, axis: int = 1
+    t: float, params: SpaceParams, grid: GridSpec
 ) -> tuple[RealField, tuple[RealField, RealField], RealField]:
     """Physical kernels at time t: the heat kernel K_t (unit mass), its
     gradient (d1 K_t, d2 K_t), and the Riesz-smoothed kernel with symbol
-    (i xi_axis / |xi|) exp(-t |xi|^(2 beta)).
+    (i xi_1 / |xi|) exp(-t |xi|^(2 beta)).
     """
     if t <= 0:
         raise ValueError(f"kernel time must be positive, got {t}")
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
     decay = heat_symbol(grid, params.beta, t)
     area = grid.cell_area
 
@@ -221,5 +173,5 @@ def kernel_fields(
         render(derivative_symbol(grid, 1) * decay),
         render(derivative_symbol(grid, 2) * decay),
     )
-    riesz_kernel = render(riesz_symbol(grid, axis) * decay)
+    riesz_kernel = render(riesz_symbol(grid, 1) * decay)
     return heat, grad, riesz_kernel

@@ -43,13 +43,11 @@ __all__ = [
     "SolverConfig",
     "PicardReport",
     "nonlinear_density",
-    "nonlinearity",
     "linear_flow",
     "duhamel_bilinear",
     "picard_solve",
     "reference_solve",
     "scaling_transform",
-    "scale_trajectory",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -118,26 +116,22 @@ class PicardReport:
 
 # -- nonlinearity --------------------------------------------------------------
 
-def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec,
-             dealiased: bool = True) -> np.ndarray:
+def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum of d1(v R2 u) - d2(v R1 u) from the half spectra of u
-    and v: one batched inverse of (v, R2 u, R1 u), one batched forward of
-    the two products."""
-    keep = spectral.half(grid.dealias_mask) if dealiased else None
-    if keep is not None:
-        spec_u = np.where(keep, spec_u, 0.0)
-        spec_v = np.where(keep, spec_v, 0.0)
+    and v, factors and products dealiased: one batched inverse of
+    (v, R2 u, R1 u), one batched forward of the two products."""
+    keep = spectral.half(grid.dealias_mask)
+    spec_u = np.where(keep, spec_u, 0.0)
+    spec_v = np.where(keep, spec_v, 0.0)
     r1 = spectral.half(ops.riesz_symbol(grid, 1))
     r2 = spectral.half(ops.riesz_symbol(grid, 2))
     v, r2u, r1u = spectral.inverse(np.stack([spec_v, r2 * spec_u, r1 * spec_u]), grid.n)
-    flux = spectral.forward(np.stack([v * r2u, v * r1u]))
-    if keep is not None:
-        flux = np.where(keep, flux, 0.0)
+    flux = np.where(keep, spectral.forward(np.stack([v * r2u, v * r1u])), 0.0)
     return (spectral.half(ops.derivative_symbol(grid, 1)) * flux[0]
             - spectral.half(ops.derivative_symbol(grid, 2)) * flux[1])
 
 
-def nonlinear_density(u: RealField, v: RealField, dealiased: bool = True) -> RealField:
+def nonlinear_density(u: RealField, v: RealField) -> RealField:
     """Divergence-form density d1(v R2 u) - d2(v R1 u) with 2/3-rule products.
 
     Factors are truncated to the grid's dealias band before the pointwise
@@ -152,12 +146,7 @@ def nonlinear_density(u: RealField, v: RealField, dealiased: bool = True) -> Rea
         spec_u = spec_v = spectral.forward(u.values)
     else:
         spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
-    return RealField(grid, spectral.inverse(_density(spec_u, spec_v, grid, dealiased), grid.n))
-
-
-def nonlinearity(theta: RealField, dealiased: bool = True) -> RealField:
-    """Quadratic transport term of the evolution, nonlinear_density(theta, theta)."""
-    return nonlinear_density(theta, theta, dealiased)
+    return RealField(grid, spectral.inverse(_density(spec_u, spec_v, grid), grid.n))
 
 
 # -- flows ---------------------------------------------------------------------
@@ -210,8 +199,6 @@ def duhamel_bilinear(
     U: Trajectory,
     V: Trajectory,
     params: SpaceParams,
-    density_fn=None,
-    dealiased: bool = True,
 ) -> Trajectory:
     """B(U, V) on the common time grid of U and V.
 
@@ -227,21 +214,16 @@ def duhamel_bilinear(
     - e^(-(t_m - s_(i-1))|xi|^(2b))) / |xi|^(2b) in O(M) exponentials instead
     of O(M^2).  Each snapshot pair is transformed when its density is made,
     and each node's sum goes through the chunked inverse as it is reached.
-
-    ``density_fn(u_snap, v_snap) -> RealField`` replaces the transport density;
-    it exists so tests can isolate the quadrature from the nonlinearity.
     """
     U._check(V)
     grid = U.grid
 
     def density_at(j):
         u, v = U.snapshots[j], V.snapshots[j]
-        if density_fn is not None:
-            return spectral.forward(density_fn(u, v).values)
         u.require_mean_zero("duhamel_bilinear")
         spec_u = spectral.forward(u.values)
         spec_v = spec_u if v is u else spectral.forward(v.values)
-        return _density(spec_u, spec_v, grid, dealiased)
+        return _density(spec_u, spec_v, grid)
 
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
     return _trajectory(U.times, _duhamel(density_at, U.times, lam), grid)
@@ -373,31 +355,6 @@ def scaling_transform(theta0: RealField, lam: int, params: SpaceParams) -> RealF
     idx = (lam * np.arange(theta0.grid.n)) % theta0.grid.n
     vals = theta0.values[np.ix_(idx, idx)] * float(lam) ** (2 * params.beta - 1)
     return RealField(theta0.grid, vals)
-
-
-def scale_trajectory(traj: Trajectory, lam: int, params: SpaceParams) -> Trajectory:
-    """Critical rescaling of a trajectory onto its own time grid:
-    snapshot(t) = lam^(2b-1) theta(lam^(2b) t, lam x), the time lookup linear
-    between nodes and clamped to the recorded range at either end."""
-    grid = traj.grid
-    if lam < 1 or grid.n % lam:
-        raise ValueError(f"scaling factor must divide N={grid.n}, got {lam}")
-    idx = (lam * np.arange(grid.n)) % grid.n
-    amp = float(lam) ** (2 * params.beta - 1)
-    t_src = traj.times
-    snaps = []
-    for t in traj.times:
-        tau = lam ** (2 * params.beta) * t
-        if tau <= t_src[0]:
-            vals = traj.snapshots[0].values
-        elif tau >= t_src[-1]:
-            vals = traj.snapshots[-1].values
-        else:
-            j = int(np.searchsorted(t_src, tau))
-            w = (tau - t_src[j - 1]) / (t_src[j] - t_src[j - 1])
-            vals = (1 - w) * traj.snapshots[j - 1].values + w * traj.snapshots[j].values
-        snaps.append(RealField(grid, amp * vals[np.ix_(idx, idx)]))
-    return Trajectory(traj.times, tuple(snaps))
 
 
 # -- trajectory persistence ------------------------------------------------------

@@ -133,10 +133,6 @@ def box_sums(values: np.ndarray, grid: GridSpec, radius: float, kind: str) -> np
     return spectral.inverse(spec, grid.n)
 
 
-def sweep_centers(grid: GridSpec, stride: int) -> np.ndarray:
-    return grid.coords[::stride]
-
-
 def best_center(vals: np.ndarray, grid: GridSpec, stride: int) -> tuple[float, tuple[float, float]]:
     """Max over the center sublattice, first attaining center in row-major
     (lexicographic) order for deterministic reports."""

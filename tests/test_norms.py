@@ -69,7 +69,6 @@ class TestAxioms:
             lambda f: besov_sum_norm(f).value,
             lambda f: besov_sup_norm(f, 1 - 2 * params.beta).value,
             lambda f: morrey_norm(f, 2, 1.0).value,
-            lambda f: morrey_norm(f, 3, 1.0).value,
             lambda f: q_norm_direct(f, params).value,
             lambda f: q_norm_semigroup(f, params).value,
             lambda f: morrey_semigroup_functional(f, 0.5, params).value,
@@ -140,7 +139,7 @@ class TestMorrey:
                     best = max(best, val)
         return best ** (1 / p)
 
-    @pytest.mark.parametrize("p,lam", [(2, 1.0), (2, 2.0), (3, 1.0)])
+    @pytest.mark.parametrize("p,lam", [(2, 1.0), (2, 2.0)])
     def test_matches_brute_force(self, smooth32, p, lam):
         sweep = BoxSweepConfig()
         got = morrey_norm(smooth32, p, lam, sweep).value
@@ -148,15 +147,17 @@ class TestMorrey:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_fast_path_equals_general_path(self, corpus32):
-        # exercise p = 2 via the generic loop by perturbing p infinitesimally
+        # the FFT box sums against the per-cube loop
         for f in corpus32[:2]:
             fast = morrey_norm(f, 2, 1.5).value
             slow = self.brute_force(f, 2, 1.5, BoxSweepConfig())
             assert fast == pytest.approx(slow, rel=1e-10)
 
     def test_rejects_p_below_one(self, smooth32):
-        with pytest.raises(ValueError):
-            morrey_norm(smooth32, 0.5, 1.0)
+        # p < 1 is no norm, and only p = 2 is computed
+        for p in (0.5, 1, 3):
+            with pytest.raises(ValueError):
+                morrey_norm(smooth32, p, 1.0)
 
 
 class TestQNormDirect:
@@ -230,7 +231,6 @@ class TestSweepMonotonicity:
         small, big = BoxSweepConfig(3), BoxSweepConfig(4)
         pairs = [
             lambda s: morrey_norm(smooth32, 2, 1.0, s).value,
-            lambda s: morrey_norm(smooth32, 3, 1.0, s).value,
             lambda s: q_norm_direct(smooth32, params, s).value,
             lambda s: q_norm_semigroup(smooth32, params, s).value,
             lambda s: morrey_semigroup_functional(smooth32, 0.5, params, s).value,
@@ -879,6 +879,7 @@ def amplitude_estimators(params):
     return {
         "caloric": lambda f: caloric_minus1_norm(f, params).value,
         "morrey2": lambda f: morrey_norm(f, 2, 1.0).value,
+        "direct": lambda f: q_norm_direct(f, params).value,
     }
 
 
@@ -910,7 +911,7 @@ def test_carleson_l1_overflowing_density_raises(grid32, params):
         carleson_l1_functional(Trajectory(times, (huge, huge, huge)), params)
 
 
-@pytest.mark.parametrize("kind", ["caloric", "morrey2"])
+@pytest.mark.parametrize("kind", ["caloric", "morrey2", "direct"])
 def test_homogeneous_over_all_amplitudes(params, corpus32, kind):
     est = amplitude_estimators(params)[kind]
     f = corpus32[0]
@@ -922,7 +923,7 @@ def test_homogeneous_over_all_amplitudes(params, corpus32, kind):
         assert abs(value - c * base) <= 1e-12 * c * base, c
 
 
-@pytest.mark.parametrize("kind", ["caloric", "morrey2"])
+@pytest.mark.parametrize("kind", ["caloric", "morrey2", "direct"])
 def test_non_finite_input_raises(params, grid32, kind):
     est = amplitude_estimators(params)[kind]
     bad = RealField.zero(grid32)

@@ -3,25 +3,26 @@ import pytest
 
 from qsqg import (
     GridSpec,
-    MultiplierSymbol,
     RealField,
     SpaceParams,
-    SymmetryError,
-    apply_multiplier,
     block_levels,
     dealias_field,
     field_from_function,
     fractional_laplacian,
     heat_semigroup,
     kernel_fields,
-    littlewood_paley_block,
-    mixed_derivative,
     partial_derivative,
     riesz_transform,
     sqg_velocity,
     to_spectral,
 )
-from qsqg.operators import heat_symbol
+from qsqg.operators import (
+    _annulus_mask,
+    apply_lattice_symbol,
+    dissipation_symbol,
+    heat_symbol,
+    mixed_derivative_symbol,
+)
 
 L = 2 * np.pi
 
@@ -31,40 +32,35 @@ def max_err(f, g):
 
 
 class TestApplyMultiplier:
+    """``apply_lattice_symbol``, the one multiplier engine behind every operator."""
+
     def test_identity_symbol(self, smooth32):
-        one = MultiplierSymbol(lambda x1, x2: np.ones_like(x1), zero_mode_value=1.0)
-        out = apply_multiplier(smooth32, one)
+        out = apply_lattice_symbol(smooth32, np.ones((32, 32)))
         assert max_err(out, smooth32) <= 1e-13
 
     def test_odd_imaginary_symbol_is_accepted(self, smooth32):
-        # i xi_1 is Hermitian (conj at -xi); must pass the symmetry gate
-        d1 = MultiplierSymbol(lambda x1, x2: 1j * x1)
-        out = apply_multiplier(smooth32, d1)
-        ref = partial_derivative(smooth32, 1)
-        assert max_err(out, ref) <= 1e-12
+        # i xi_1 is Hermitian (conj at -xi) off the unpaired Nyquist row: the
+        # projection keeps it there and zeroes only that row
+        grid = smooth32.grid
+        raw = 1j * grid.xi[0]
+        kept = grid.hermitian_part(raw)
+        nyquist = grid.n // 2
+        assert np.array_equal(np.delete(kept, nyquist, axis=0), np.delete(raw, nyquist, axis=0))
+        assert not kept[nyquist].any()
+        assert max_err(apply_lattice_symbol(smooth32, kept), partial_derivative(smooth32, 1)) <= 1e-12
 
     def test_homogeneous_symbol_with_zero_mode_override(self, smooth32):
-        inv = MultiplierSymbol(lambda x1, x2: (x1**2 + x2**2) ** -0.5)
-        out = apply_multiplier(smooth32, inv)
+        inv = dissipation_symbol(smooth32.grid, -1.0)   # |xi|^-1, zero mode 0
+        out = apply_lattice_symbol(smooth32, inv)
         # |xi|^-1 sin(x1) = sin(x1)
         f = field_from_function(smooth32.grid, lambda a, b: np.sin(a))
-        assert max_err(apply_multiplier(f, inv), f) <= 1e-12
+        assert max_err(apply_lattice_symbol(f, inv), f) <= 1e-12
         assert abs(out.mean()) <= 1e-12
 
-    def test_rejects_non_hermitian_symbol(self, smooth32):
-        bad = MultiplierSymbol(lambda x1, x2: x1)  # real and odd: s(-xi) != conj(s(xi))
-        with pytest.raises(SymmetryError):
-            apply_multiplier(smooth32, bad)
-
-    def test_rejects_non_finite_symbol(self, smooth32):
-        nan_off_axis = MultiplierSymbol(lambda x1, x2: np.sqrt(x1))  # nan at xi1 < 0
-        with pytest.raises(ValueError):
-            apply_multiplier(smooth32, nan_off_axis)
-
     def test_composition_of_multipliers(self, smooth32):
-        # (i xi1)(i xi2) applied in either order equals the mixed derivative
-        a = apply_multiplier(partial_derivative(smooth32, 1), MultiplierSymbol(lambda x1, x2: 1j * x2))
-        b = mixed_derivative(smooth32, 1, 1)
+        # (i xi1)(i xi2) applied as one symbol equals the two derivatives in turn
+        a = apply_lattice_symbol(smooth32, mixed_derivative_symbol(smooth32.grid, 1, 1))
+        b = partial_derivative(partial_derivative(smooth32, 1), 2)
         assert max_err(a, b) <= 1e-12
 
 
@@ -168,23 +164,21 @@ class TestDealias:
 
 
 class TestLittlewoodPaley:
+    """The dyadic annuli behind the block norms and their Wiener bound."""
+
     def test_blocks_partition_mean_free_part(self, smooth32):
-        total = RealField.zero(smooth32.grid)
-        for level in block_levels(smooth32.grid):
-            total = total + littlewood_paley_block(smooth32, level)
-        centered = smooth32 - RealField(
-            smooth32.grid, np.full_like(smooth32.values, smooth32.mean())
-        )
-        assert max_err(total, centered) <= 1e-12
+        # every nonzero mode lies in exactly one annulus, the zero mode in none
+        grid = smooth32.grid
+        count = sum(_annulus_mask(grid, level).astype(int) for level in block_levels(grid))
+        want = np.ones((grid.n, grid.n), dtype=int)
+        want[0, 0] = 0
+        assert np.array_equal(count, want)
 
     def test_single_mode_lands_in_its_annulus(self, grid32):
-        f = field_from_function(grid32, lambda x1, x2: np.cos(2 * x1))
+        # cos(2 x1) holds the modes (2, 0) and (-2, 0)
         for level in block_levels(grid32):
-            block = littlewood_paley_block(f, level)
-            if level == 1:  # 2 <= |xi| < 4
-                assert max_err(block, f) <= 1e-13
-            else:
-                assert block.max_abs() <= 1e-13
+            mask = _annulus_mask(grid32, level)
+            assert mask[2, 0] == mask[-2, 0] == (level == 1)  # 2 <= |xi| < 4
 
 
 class TestKernels:
@@ -217,6 +211,6 @@ class TestKernels:
         assert weighted.max() > 0
 
     def test_riesz_smoothed_kernel_antisymmetric(self, grid32, params):
-        _, _, kj = kernel_fields(1.0, params, grid32, axis=1)
+        _, _, kj = kernel_fields(1.0, params, grid32)
         flipped = np.roll(kj.values[::-1, :], 1, axis=0)  # x1 -> -x1 on the torus
         np.testing.assert_allclose(flipped, -kj.values, atol=1e-12)

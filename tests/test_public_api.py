@@ -1,0 +1,40 @@
+"""The package's public names resolve, and so do the functions the benchmark
+traces, so a stale ``__all__`` entry or a deleted traced name fails here
+rather than only in the benchmark run."""
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import qsqg
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(qsqg.__path__))
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def layer_functions() -> dict:
+    """``LAYER_FUNCTIONS`` of perfbench/spans.py, read from its source so that
+    the benchmark's own imports are not needed."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYER_FUNCTIONS in {SPANS}")
+
+
+@pytest.mark.parametrize("name", ["qsqg"] + [f"qsqg.{m}" for m in SUBMODULES])
+def test_all_entries_resolve(name):
+    module = importlib.import_module(name)
+    missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_traced_layer_functions_exist():
+    missing = [f"qsqg.{layer}.{fname}"
+               for layer, names in layer_functions().items()
+               for fname in names
+               if not callable(getattr(importlib.import_module(f"qsqg.{layer}"), fname, None))]
+    assert not missing, f"perfbench traces functions that do not exist: {missing}"

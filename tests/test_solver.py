@@ -19,17 +19,16 @@ from qsqg import (
     linear_flow,
     load_trajectory,
     nonlinear_density,
-    nonlinearity,
     partial_derivative,
     picard_solve,
     reference_solve,
     riesz_transform,
     save_trajectory,
-    scale_trajectory,
     scaling_transform,
     sqg_velocity,
     x_norm,
 )
+from qsqg import operators as ops
 from qsqg import solver, spectral
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
@@ -61,7 +60,7 @@ class TestTimeGrid:
 class TestNonlinearity:
     def test_two_mode_closed_form(self, grid32):
         theta = field_from_function(grid32, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
-        got = nonlinearity(theta)
+        got = nonlinear_density(theta, theta)
         want = field_from_function(grid32, lambda x1, x2: np.cos(x1) * np.sin(2 * x2))
         assert np.abs(got.values - want.values).max() <= 1e-12
 
@@ -108,7 +107,7 @@ class TestNonlinearity:
             density[(k1, k2)] = density.get((k1, k2), 0.0) - 1j * k2 * a
 
         oracle = render(density)
-        got = nonlinearity(theta)
+        got = nonlinear_density(theta, theta)
         assert np.abs(got.values - oracle).max() <= 1e-12
 
     def test_equivalent_to_advective_form(self, grid32):
@@ -123,19 +122,19 @@ class TestNonlinearity:
             -(u1.values * partial_derivative(theta, 1).values
               + u2.values * partial_derivative(theta, 2).values),
         )
-        got = nonlinearity(theta)
+        got = nonlinear_density(theta, theta)
         assert np.abs(got.values - advective.values).max() <= 1e-12
 
     def test_mean_zero_to_roundoff(self, smooth32):
         # divergence form kills the zero mode; the inverse transform then
         # leaves the physical mean at roundoff scale, not bitwise zero
-        out = nonlinearity(smooth32)
+        out = nonlinear_density(smooth32, smooth32)
         assert abs(out.values.mean()) <= 1e-15 * max(1.0, out.max_abs())
 
     def test_requires_mean_zero_input(self, grid16):
         lump = RealField(grid16, np.ones((16, 16)))
         with pytest.raises(ValueError):
-            nonlinearity(lump)
+            nonlinear_density(lump, lump)
 
     def test_spectral_core_matches_public_density(self, grid32):
         u, v = band_limited_corpus(grid32, count=2, max_mode=6, seed=5)
@@ -168,14 +167,21 @@ class TestNonlinearity:
         assert calls == {"forward": 1, "inverse": 1}
 
 
+def duhamel_with_density(density, times, grid, params):
+    """The solver's Duhamel recursion with the density at node j replaced by
+    the field ``density(j)``, which isolates the quadrature from the
+    nonlinearity."""
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
+    spectra = solver._duhamel(lambda j: spectral.forward(density(j).values), times, lam)
+    return solver._trajectory(times, spectra, grid)
+
+
 class TestDuhamel:
     def test_stationary_density_closed_form(self, grid32, params):
         tg = TimeGrid(1.0, 24)
         amp = 0.37
         dens = field_from_function(grid32, lambda x1, x2: amp * np.sin(x1))
-        theta0 = field_from_function(grid32, lambda x1, x2: np.sin(x1))
-        base = linear_flow(theta0, tg, params)
-        out = duhamel_bilinear(base, base, params, density_fn=lambda u, v: dens)
+        out = duhamel_with_density(lambda j: dens, tg.times, grid32, params)
         x1 = grid32.coords[:, None]
         for t, snap in zip(out.times, out.snapshots):
             target = amp * (1 - np.exp(-t)) * np.sin(x1) * np.ones((1, grid32.n))
@@ -203,7 +209,7 @@ class TestDuhamel:
         traj = Trajectory(tg.times, tuple(fields))
         # the density at each node is that node's snapshot, so every cell
         # integrates a different field
-        got = duhamel_bilinear(traj, traj, params, density_fn=lambda u, v: u)
+        got = duhamel_with_density(lambda j: fields[j], tg.times, grid32, params)
 
         k = np.fft.fftfreq(grid32.n, 1.0 / grid32.n)
         k1, k2 = np.meshgrid(k, k, indexing="ij")
@@ -356,21 +362,6 @@ class TestScaling:
                 / besov_sup_norm(f, s).value
             )
             assert 0.8 <= ratio <= 1.25
-
-    def test_trajectory_time_reindexing_exact_on_linear_data(self, params):
-        grid = GridSpec(64, L)
-        g = band_limited_corpus(grid, count=1, max_mode=7, seed=4)[0]
-        times = np.linspace(0.1, 1.0, 10)
-        traj = Trajectory(times, tuple(RealField(grid, t * g.values) for t in times))
-        lam = 2
-        scaled = scale_trajectory(traj, lam, params)
-        amp = lam ** (2 * params.beta - 1)
-        sub = scaling_transform(g, lam, params).values / amp
-        rate = lam ** (2 * params.beta)
-        for t, snap in zip(scaled.times, scaled.snapshots):
-            inner = min(max(rate * t, times[0]), times[-1])  # interp clamps ends
-            target = amp * inner * sub
-            assert np.abs(snap.values - target).max() <= 1e-12
 
 
 class TestSerialization:

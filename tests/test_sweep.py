@@ -10,7 +10,6 @@ from qsqg.sweep import (
     linear_weight,
     mask_point_count,
     power_weight,
-    sweep_centers,
     trajectory_weights,
 )
 
@@ -69,10 +68,6 @@ class TestBoxSums:
     def test_point_count(self, grid16):
         # cube of half-edge L/4 on N=16: offsets -3..3 per axis
         assert mask_point_count(grid16, L / 4, "cube") == 49
-
-    def test_centers(self, grid16):
-        centers = sweep_centers(grid16, 4)
-        np.testing.assert_allclose(centers, grid16.coords[::4])
 
 
 class TestBestCenter:
