@@ -317,7 +317,7 @@ class Trajectory:
     def _check(self, other: "Trajectory") -> None:
         if self.grid != other.grid:
             raise GridMismatchError("trajectories live on different grids")
-        if len(self) != len(other) or not np.allclose(self.times, other.times):
+        if not np.array_equal(self.times, other.times):
             raise ValueError("trajectories have different time grids")
 
     def __add__(self, other: "Trajectory") -> "Trajectory":

@@ -395,31 +395,25 @@ def q_norm_direct(f: RealField, params: SpaceParams,
     kernel_spec = _difference_kernel_spectrum(grid, 2 * a - 2 * b + 4)
     h4 = grid.cell_area ** 2
 
-    best = -1.0
-    best_box = None
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        stride = sweep.stride(grid, m)
+    search = _RadiusSweep(grid, sweep)
+    for i, (r, stride) in enumerate(zip(search.radii, search.strides)):
         half = int(round(r / grid.spacing))
         offs = np.arange(-(half - 1), half)
         mask0 = np.zeros((grid.n, grid.n))
         mask0[np.ix_(offs % grid.n, offs % grid.n)] = 1.0
         conv_mask = spectral.inverse(spectral.forward(mask0) * kernel_spec, grid.n)
-        edge_factor = (2.0 * r) ** (2 * a + 2 * b - 4)
+        double_sums = np.zeros((grid.n, grid.n))
         for ci in range(0, grid.n, stride):
             for cj in range(0, grid.n, stride):
                 g = np.roll(v, (-ci, -cj), axis=(0, 1)) * mask0
                 conv_g = spectral.inverse(spectral.forward(g) * kernel_spec, grid.n)
-                double_sum = 2.0 * float((g * g * conv_mask).sum() - (g * conv_g).sum())
-                val = edge_factor * h4 * max(double_sum, 0.0)
-                if not math.isfinite(val):
-                    raise NonFiniteError(f"box value at radius {r!r} is not finite")
-                if val > best:
-                    best = val
-                    best_box = CarlesonBox((float(grid.coords[ci]), float(grid.coords[cj])), r)
+                double_sums[ci, cj] = 2.0 * float((g * g * conv_mask).sum() - (g * conv_g).sum())
+        edge_factor = (2.0 * r) ** (2 * a + 2 * b - 4)
+        search.offer(i, edge_factor * h4 * np.maximum(double_sums, 0.0))
     return NormReport(
-        value=_unscaled(math.sqrt(max(best, 0.0)), scale),
+        value=_unscaled(math.sqrt(max(search.best, 0.0)), scale),
         config_hash=_hash(grid, sweep, f"q_direct;a={a!r};b={b!r}"),
-        attaining_box=best_box,
+        attaining_box=search.box,
     )
 
 
@@ -622,33 +616,20 @@ def _caloric_measures(spec: np.ndarray, lam: np.ndarray, times,
     return measures
 
 
-def _plane_measures(v: np.ndarray) -> tuple[float, int, float]:
-    """(max |v|, e, q) with e the binary exponent of max |v| and q * 4^e the
-    sum of squares of v, which is scaled in place."""
-    peak = float(np.abs(v).max())
-    scale = _binary_exponent(peak)
-    v *= math.ldexp(1.0, -scale)
-    return peak, scale, float(np.vdot(v, v))
-
-
-def _carleson_pass(times, spectrum, snapshot, grid, params, k, sweep, scale, masses, l1):
+def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
     """Carleson part, its box and the partial-coverage flag, from planes
     scaled by 2^-scale: the Riesz symbols carry the factor, so each Riesz
     row is one product, and each snapshot plane is scaled in place.
 
-    The streamed nodes' Riesz planes, and their snapshot planes too when
-    ``snapshot`` is None, go through one chunked inverse and are reduced as
-    they arrive: the energies |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b),
-    go into one Carleson density per swept radius, with exact
-    trajectory-cell weights for t^(-alpha/beta).  Cells clip only at a
-    radius's last node, so the unfinished radii share one partial density
-    (``_RadiusSweep.stream``).
-    ``masses[m]`` bounds node m's energy total in the same scaled units;
-    radii that can no longer win are dropped, and nodes that only they hold
-    are not streamed (``_RadiusSweep.stream``).  With ``snapshot`` given,
-    each streamed node's ``_block_sum_bound`` goes into l1[m]."""
+    Each streamed node's snapshot and two Riesz planes go through one
+    chunked inverse and are reduced as they arrive: the energies
+    |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b), go into one Carleson density
+    per swept radius, with exact trajectory-cell weights for t^(-alpha/beta).
+    Cells clip only at a radius's last node, so the unfinished radii share
+    one partial density.  ``masses[m]`` bounds node m's energy total in the
+    same scaled units; radii that can no longer win are dropped, and nodes
+    that only they hold are not streamed (``_RadiusSweep.stream``)."""
     a, b = params.alpha, params.beta
-    n = grid.n
     carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
     factor = math.ldexp(1.0, -scale)
     r1 = factor * spectral.half(ops.riesz_symbol(grid, 1))
@@ -658,16 +639,12 @@ def _carleson_pass(times, spectrum, snapshot, grid, params, k, sweep, scale, mas
 
     def rows(m):
         spec = spectrum(m)
-        if snapshot is None:
-            yield spec
-        else:
-            l1[m] = _block_sum_bound(spec, n)
+        yield spec
         yield r1 * spec
         yield r2 * spec
 
-    def energy(m, *planes):
+    def energy(m, v, p1, p2):
         # e is a fresh array: a view would keep the planes' whole batch alive
-        v, p1, p2 = planes if snapshot is None else (snapshot(m),) + planes
         v *= factor
         e = v * v
         e += np.square(p1, out=p1)
@@ -676,8 +653,7 @@ def _carleson_pass(times, spectrum, snapshot, grid, params, k, sweep, scale, mas
         return e
 
     search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
-    search.stream(np.array([w for w, _ in cells]), masses, rows, energy,
-                  3 if snapshot is None else 2)
+    search.stream(np.array([w for w, _ in cells]), masses, rows, energy, 3)
     carleson = _unscaled(math.sqrt(max(search.best, 0.0)), scale)
     return carleson, search.box, any(flag for _, flag in cells)
 
@@ -685,7 +661,6 @@ def _carleson_pass(times, spectrum, snapshot, grid, params, k, sweep, scale, mas
 def _solution_parts(
     times: np.ndarray,
     spectrum,
-    snapshot,
     grid: GridSpec,
     params: SpaceParams,
     k: int,
@@ -693,29 +668,23 @@ def _solution_parts(
     measures=None,
 ) -> dict:
     """Block-sup part plus Carleson part of the trajectory whose centered
-    snapshot at times[m] has half spectrum ``spectrum(m)``.
+    snapshot at times[m] has half spectrum ``spectrum(m)``.  Three steps:
 
-    ``snapshot(m)`` gives the matching physical values, or ``snapshot`` is
-    None, in which case each snapshot comes out of the batched inverse as
-    well (an identity row ahead of its Riesz rows).  Three steps:
-
-    * Measures, before any plane.  Without ``snapshot``, one |f^| pass per
-      node gives its Wiener bound ``_block_sum_bound`` and its sum of
-      squares (``_spectrum_measures``), unless the caller passes them as
-      ``measures``; with it, max |f| and the sum of squares come from the
-      snapshot, so no forward transform is added.  The energy total of node
-      m is at most 2 t_m^(k/b) times its sum of squares, since
-      |R1|^2 + |R2|^2 <= 1.  One binary exponent e (``_binary_exponent``)
-      of the largest Wiener bound (or max |f|) is fixed here: the Carleson
-      planes are scaled by 2^-e and the Carleson part by 2^e, both exact,
-      so its squares neither overflow nor underflow at any finite
-      amplitude.  A non-finite node raises NonFiniteError.
+    * Measures, before any plane.  One |f^| pass per node gives its Wiener
+      bound ``_block_sum_bound`` and its sum of squares
+      (``_spectrum_measures``), unless the caller passes them as
+      ``measures``.  The energy total of node m is at most 2 t_m^(k/b)
+      times its sum of squares, since |R1|^2 + |R2|^2 <= 1.  One binary
+      exponent e (``_binary_exponent``) of the largest Wiener bound is fixed
+      here: the Carleson planes are scaled by 2^-e and the Carleson part by
+      2^e, both exact, so its squares neither overflow nor underflow at any
+      finite amplitude.  A non-finite node raises NonFiniteError.
     * Carleson pass (``_carleson_pass``): streamed nodes in ascending time,
+      each an identity row and two Riesz rows of one chunked inverse,
       reduced as they arrive; radii whose bound cannot beat the best
       finished one are dropped, and streaming stops once no unfinished
       radius holds the next node.  The value and box are those of the
-      exhaustive sweep, bit for bit.  With ``snapshot``, a node the stream
-      did not reach gets its Wiener bound from ``spectrum(m)`` afterwards.
+      exhaustive sweep, bit for bit.
     * Besov pass.  With w = (2b - 1 + k)/(2b), nodes are visited by
       descending bound t^w W >= t^w sum_l sup |P_l f|, ties in ascending
       index, and a node's block planes are made (``spectrum(m)`` is called
@@ -725,26 +694,18 @@ def _solution_parts(
       wins.  The value and its first attaining time are therefore those of
       the exhaustive loop over all nodes, bit for bit.
 
-    Neither the spectra nor the planes are held for the whole trajectory."""
+    No plane is held for the whole trajectory."""
     b = params.beta
-    n = grid.n
-    if snapshot is None:
-        if measures is None:
-            measures = [_spectrum_measures(spectrum(m), n) for m in range(len(times))]
-        l1 = np.array([bound for bound, _, _ in measures])
-    else:
-        measures = [_plane_measures(snapshot(m)) for m in range(len(times))]
-        l1 = np.full(len(times), np.nan)
-    peaks = np.array([peak for peak, _, _ in measures])
-    if not np.isfinite(peaks).all():
+    if measures is None:
+        measures = [_spectrum_measures(spectrum(m), grid.n) for m in range(len(times))]
+    l1 = np.array([bound for bound, _, _ in measures])
+    if not np.isfinite(l1).all():
         raise NonFiniteError("a trajectory node is not finite")
-    scale = _binary_exponent(peaks.max())
+    scale = _binary_exponent(l1.max())
     masses = 2 * times ** (k / b) * np.array(
         [math.ldexp(q, 2 * (e - scale)) for _, e, q in measures])
     carleson, box, partial = _carleson_pass(
-        times, spectrum, snapshot, grid, params, k, sweep, scale, masses, l1)
-    for m in np.flatnonzero(np.isnan(l1)):
-        l1[m] = _block_sum_bound(spectrum(m), n)
+        times, spectrum, grid, params, k, sweep, scale, masses)
     sup_weight = (2 * b - 1 + k) / (2 * b)
     bounds = times ** sup_weight * l1
     if not np.isfinite(bounds).all():
@@ -769,14 +730,24 @@ def _solution_parts(
     }
 
 
-def _x_parts(traj: Trajectory, params: SpaceParams, sweep: BoxSweepConfig) -> dict:
-    """``_solution_parts`` of x_norm: node m's snapshot is centered snapshot
-    m and its spectrum that snapshot's forward transform."""
-    def snapshot(m):
-        return _centered(traj.snapshots[m])
-
-    return _solution_parts(traj.times, lambda m: spectral.forward(snapshot(m)), snapshot,
-                           traj.grid, params, 0, sweep)
+def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
+               sweep: BoxSweepConfig) -> tuple[dict, tuple[int, int]]:
+    """The largest ``_solution_parts`` value over the multi-indices |a| = k
+    of t^(k/(2b)) d^a f, with its parts and orders (a1, a2); on an exact tie
+    the larger a1 wins.  Every centered snapshot is forward-transformed once
+    and its half spectrum held (1 MiB at N = 64, M = 32); each multi-index
+    applies its symbol, exactly 1 when k = 0, to those spectra."""
+    grid = traj.grid
+    spectra = [spectral.forward(_centered(s)) for s in traj.snapshots]
+    best, best_value, orders = None, None, None
+    for a1 in range(k, -1, -1):
+        symbol = spectral.half(ops.mixed_derivative_symbol(grid, a1, k - a1))
+        comp = _solution_parts(traj.times, lambda m: symbol * spectra[m],
+                               grid, params, k, sweep)
+        value = comp["besov"] + comp["carleson"]
+        if best is None or value > best_value:
+            best, best_value, orders = comp, value, (a1, k - a1)
+    return best, orders
 
 
 def _solution_report(comp: dict, config_hash: str) -> NormReport:
@@ -798,21 +769,15 @@ def x_norm(traj: Trajectory, params: SpaceParams,
       + sqrt( sup over boxes of r^(2a+2b-4) *
               iint (|f|^2 + |R1 f|^2 + |R2 f|^2) t^(-a/b) dy dt )
 
-    Computed in two passes (see ``_solution_parts``).  The Carleson pass
-    streams snapshots and Riesz planes in time order and stops once no
-    radius that could still beat the best finished one needs the next node;
-    each radius's bound is its partial ball sums plus the Parseval energy
-    (2 sum f^2, no extra transform) of the nodes still to come.  The Besov
-    pass makes block planes only at nodes, taken by descending Wiener bound
-    (ties: earliest first), whose bound widened by a 1e-9 roundoff margin
-    still reaches the running maximum.  The value, box, coverage flag and
-    first attaining time equal those of an exhaustive loop bit for bit.
-    The Carleson planes are scaled by one power of two for the whole
-    trajectory, so the value is finite and homogeneous at any finite
-    amplitude, or NonFiniteError is raised.
+    ``x_k_norm``'s k = 0 case under its own hash tag and without orders:
+    each centered snapshot is forward-transformed once, and the pruned
+    Carleson and Besov passes of ``_solution_parts`` read the held half
+    spectra.  The value, box, coverage flag and first attaining time equal
+    those of an exhaustive loop bit for bit; the value is finite and
+    homogeneous at any finite amplitude, or NonFiniteError is raised.
     """
     sweep = _sweep_for(traj.grid, sweep)
-    comp = _x_parts(traj, params, sweep)
+    comp, _ = _x_k_parts(traj, params, 0, sweep)
     return _solution_report(
         comp, _hash(traj.grid, sweep, f"x;a={params.alpha!r};b={params.beta!r}"))
 
@@ -821,41 +786,20 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
              sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """Derivative-weighted solution norm: the x_norm structure applied to
     t^(k/(2b)) d^a u for every multi-index |a| = k, block part weighted by
-    t^((2b-1+k)/(2b)), maximum over the k+1 multi-indices reported.
+    t^((2b-1+k)/(2b)), maximum over the k+1 multi-indices reported with its
+    orders in ``parts["orders"]``.
 
-    k = 0 reduces exactly to x_norm.  For k >= 1 every snapshot is
-    forward-transformed once and its half spectrum held; each multi-index
-    applies its symbol to those spectra."""
+    Every snapshot is forward-transformed once and its half spectrum held;
+    each multi-index applies its symbol to those spectra (``_x_k_parts``).
+    k = 0 has x_norm's value, box and time."""
     if k < 0:
         raise ValueError(f"derivative order k must be >= 0, got {k}")
-    grid = traj.grid
-    sweep = _sweep_for(grid, sweep)
-    spectra = [spectral.forward(_centered(s)) for s in traj.snapshots] if k else None
-    best = None
-    best_orders = None
-    for a1 in range(k, -1, -1):
-        if k == 0:
-            comp = _x_parts(traj, params, sweep)
-        else:
-            symbol = spectral.half(ops.mixed_derivative_symbol(grid, a1, k - a1))
-            comp = _solution_parts(traj.times, lambda m: symbol * spectra[m], None,
-                                   grid, params, k, sweep)
-        comp["value"] = comp["besov"] + comp["carleson"]
-        if best is None or comp["value"] > best["value"]:
-            best, best_orders = comp, (a1, k - a1)
-    return NormReport(
-        value=best["value"],
-        config_hash=_hash(grid, sweep,
-                          f"xk;k={k};a={params.alpha!r};b={params.beta!r}"),
-        attaining_box=best["box"],
-        attaining_time=best["time"],
-        partial_coverage=best["partial"],
-        parts={
-            "besov": best["besov"],
-            "carleson": best["carleson"],
-            "orders": list(best_orders),
-        },
-    )
+    sweep = _sweep_for(traj.grid, sweep)
+    comp, orders = _x_k_parts(traj, params, k, sweep)
+    report = _solution_report(comp, _hash(
+        traj.grid, sweep, f"xk;k={k};a={params.alpha!r};b={params.beta!r}"))
+    report.parts["orders"] = list(orders)
+    return report
 
 
 def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
@@ -922,7 +866,7 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     v, scale = _binary_scaled(_centered(u0), "centered data")
     spec = spectral.forward(v)
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    comp = _solution_parts(times, lambda m: np.exp(-times[m] * lam) * spec, None,
+    comp = _solution_parts(times, lambda m: np.exp(-times[m] * lam) * spec,
                            grid, params, 0, sweep, _caloric_measures(spec, lam, times, grid.n))
     comp["besov"] = _unscaled(comp["besov"], scale)
     comp["carleson"] = _unscaled(comp["carleson"], scale)

@@ -236,12 +236,13 @@ def picard_solve(
     measuring iterates and increments in the trajectory norm.
 
     Iterates stay (M, N, N/2+1) half-spectrum stacks: B is summed on them
-    directly and the norms read them node by node through the two passes of
-    ``x_norm`` (``norms._solution_parts``): the increment's node m is
-    nxt[m] - cur[m], made once for its Wiener bound and energy, again if the
-    Carleson stream reaches it, and again only at the few nodes whose
-    block-sum bound can still set the sup.  The only way back to physical
-    space is the returned trajectory.  Stops when the increment drops below
+    directly, and each norm is ``x_norm``'s two passes
+    (``norms._solution_parts``) read node by node from the stack, with no
+    forward transform: the increment's node m is nxt[m] - cur[m], made once
+    for its Wiener bound and energy, again if the Carleson stream reaches
+    it, and again only at the few nodes whose block-sum bound can still set
+    the sup.  The only way back to physical space is the returned
+    trajectory.  Stops when the increment drops below
     picard_tol * (norm + 1) or after max_iter sweeps; non-convergence is
     reported.  An iterate with a non-finite value, or whose norm is not
     finite, raises DivergenceError with the iteration index."""
@@ -260,7 +261,7 @@ def picard_solve(
         """x_norm value of the trajectory whose node m has the mean-zero half
         spectrum spectrum(m)."""
         try:
-            comp = norms._solution_parts(times, spectrum, None, grid, params, 0, sweep)
+            comp = norms._solution_parts(times, spectrum, grid, params, 0, sweep)
         except NonFiniteError as err:
             raise DivergenceError(f"picard iterate {it} has a non-finite norm",
                                   iteration=it) from err
@@ -387,10 +388,15 @@ def save_trajectory(traj: Trajectory, directory: "str | Path",
 
 
 def load_trajectory(directory: "str | Path") -> tuple[Trajectory, SpaceParams]:
+    """Read what ``save_trajectory`` wrote.  Raises ValueError on a foreign
+    manifest or on field files whose grid is not the manifest's."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("format") != "qsqg-trajectory-1":
         raise ValueError(f"{directory} does not hold a trajectory manifest")
     snaps = tuple(read_field(directory / name) for name in manifest["files"])
+    grid = GridSpec(manifest["side_points"], manifest["domain_length"])
+    if any(s.grid != grid for s in snaps):
+        raise ValueError(f"{directory}: field grids differ from the manifest's {grid}")
     params = SpaceParams(manifest["alpha"], manifest["beta"])
     return Trajectory(np.asarray(manifest["times"]), snaps), params

@@ -178,6 +178,16 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([1.0, 2.0]), (f,))
 
+    def test_algebra_requires_equal_times(self, grid16):
+        f = field_from_function(grid16, lambda x1, x2: np.sin(x1))
+        traj = Trajectory(np.array([0.5, 1.0]), (f, f))
+        for other in (Trajectory(traj.times * (1 + 1e-9), (f, f)),
+                      Trajectory(np.array([0.5]), (f,))):
+            with pytest.raises(ValueError):
+                traj - other
+            with pytest.raises(ValueError):
+                traj + other
+
     def test_algebra(self, grid16):
         f = field_from_function(grid16, lambda x1, x2: np.sin(x1))
         t = np.array([0.5, 1.0])

@@ -28,7 +28,7 @@ from qsqg import (
 from qsqg import norms
 from qsqg import operators as ops
 from qsqg import spectral
-from qsqg.experiments import ExperimentConfig, deepest_sweep
+from qsqg.experiments import ExperimentConfig, deepest_sweep, wellposedness_data
 from qsqg.norms import caloric_coverage_times
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 from qsqg.sweep import (
@@ -806,10 +806,10 @@ class TestBesovPruning:
         real = norms._solution_parts
         checked = []
 
-        def checking(times, spectrum, snapshots, grid, params_, k, sweep):
-            comp = real(times, spectrum, snapshots, grid, params_, k, sweep)
+        def checking(times, spectrum, grid, params_, k, sweep):
+            comp = real(times, spectrum, grid, params_, k, sweep)
             want = exhaustive_parts(times, [spectrum(m) for m in range(len(times))],
-                                    snapshots, grid, params_, k, sweep)
+                                    None, grid, params_, k, sweep)
             checked.append((comp["besov"], comp["time"], comp["carleson"], comp["box"],
                             comp["partial"]) == want)
             return comp
@@ -841,7 +841,7 @@ class TestBesovPruning:
             return inverse(spec, n)
 
         monkeypatch.setattr(spectral, "inverse", counting_inverse)
-        comp = norms._solution_parts(times, spectrum, None, grid, params, 0, sweep)
+        comp = norms._solution_parts(times, spectrum, grid, params, 0, sweep)
         count = len(times)
         assert asked[:count] == list(range(count))   # the measures, in order
         streamed = 12                                # of 48 nodes, read-ahead included
@@ -862,6 +862,29 @@ class TestBesovPruning:
         report = caloric_minus1_norm(RealField.zero(grid32), params)
         assert report.attaining_time == caloric_coverage_times(grid32, params)[0]
 
+    def test_x_norm_transforms_each_snapshot_once(self, monkeypatch):
+        # one forward transform per snapshot plus one per box sum: the
+        # Carleson and Besov passes read the held half spectra
+        cfg = ExperimentConfig()
+        traj, _ = picard_solve(1e-3 * wellposedness_data(cfg.grid), cfg.params,
+                               cfg.solver_config())
+        x_norm(traj, cfg.params, cfg.sweep)   # fills the mask-spectrum caches
+        forwards, sums = [], []
+        forward, real_box_sums = spectral.forward, norms.box_sums
+
+        def counting_forward(values):
+            forwards.append(values.shape)
+            return forward(values)
+
+        def counting_box_sums(*args):
+            sums.append(args[2])
+            return real_box_sums(*args)
+
+        monkeypatch.setattr(spectral, "forward", counting_forward)
+        monkeypatch.setattr(norms, "box_sums", counting_box_sums)
+        x_norm(traj, cfg.params, cfg.sweep)
+        assert len(forwards) == len(traj) + len(sums) == 34
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_raises(self, smooth32, params, bad):
         times = np.array([0.25, 0.5, 1.0])
@@ -871,7 +894,7 @@ class TestBesovPruning:
             return good * bad if m == 1 else good
 
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            norms._solution_parts(times, spectrum, None, smooth32.grid, params, 0,
+            norms._solution_parts(times, spectrum, smooth32.grid, params, 0,
                                   BoxSweepConfig())
 
 
@@ -888,10 +911,11 @@ def trajectory_estimators(params):
         "x": lambda traj: x_norm(traj, params).value,
         "x_k1": lambda traj: x_k_norm(traj, params, 1).value,
         "x_k2": lambda traj: x_k_norm(traj, params, 2).value,
+        "carleson_l1": lambda traj: carleson_l1_functional(traj, params).value,
     }
 
 
-@pytest.mark.parametrize("kind", ["x", "x_k1", "x_k2"])
+@pytest.mark.parametrize("kind", ["x", "x_k1", "x_k2", "carleson_l1"])
 def test_trajectory_homogeneous_over_all_amplitudes(params, corpus32, kind):
     est = trajectory_estimators(params)[kind]
     times = caloric_coverage_times(corpus32[0].grid, params, num_nodes=24)

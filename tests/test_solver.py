@@ -376,6 +376,17 @@ class TestSerialization:
             assert np.array_equal(a.values, b.values)
         assert (tmp_path / "run" / "picard.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("side_points", 64), ("domain_length", 1.0)])
+    def test_rejects_manifest_grid_mismatch(self, grid32, params, tmp_path, key, value):
+        f = field_from_function(grid32, lambda x1, x2: np.sin(x1))
+        save_trajectory(Trajectory(np.array([0.5, 1.0]), (f, f)), tmp_path / "run", params)
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest"):
+            load_trajectory(tmp_path / "run")
+
     def test_rejects_foreign_manifest(self, grid32, params, tmp_path):
         d = tmp_path / "run"
         d.mkdir()
