@@ -1,8 +1,9 @@
 """Command-line front end for the experiment suite.
 
 ``qsqg <experiment> [flags]`` runs one experiment (or ``all``), prints a
-short console summary including wall-clock time, and persists deterministic
-artifacts under --out.  Exit status is 0 exactly when every hard check
+short console summary, and persists deterministic artifacts under --out.
+The wall-clock time and the QSQG_THREADS worker cap are printed only, never
+written to the artifacts.  Exit status is 0 exactly when every hard check
 passed; soft thresholds only print warnings.
 """
 from __future__ import annotations
@@ -11,12 +12,13 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from .corpus import DEFAULT_SEED
 from .fields import GridSpec, SpaceParams
 from .sweep import BoxSweepConfig
-from .experiments import RUNNERS, ExperimentConfig, persist
+from .experiments import RUNNERS, ExperimentConfig, persist, thread_budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,9 +85,11 @@ def main(argv: "list[str] | None" = None) -> int:
 
     failed = False
     for name in names:
+        start = time.monotonic()
         report = RUNNERS[name](cfg)
+        wall = time.monotonic() - start
         path = persist(report, args.out)
-        print(f"[{name}] wall time {report.wall_seconds:.2f}s, "
+        print(f"[{name}] wall time {wall:.2f}s at {thread_budget()} thread(s), "
               f"artifacts in {path}")
         for key, value in report.summary.items():
             print(f"[{name}]   {key} = {value}")

@@ -17,7 +17,6 @@ import dataclasses
 import json
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -87,11 +86,6 @@ class ExperimentConfig:
             TimeGrid(self.horizon, self.solver_nodes), sweep=self.sweep
         )
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["threads_cap"] = thread_budget()
-        return d
-
 
 @dataclass
 class ExperimentReport:
@@ -103,7 +97,6 @@ class ExperimentReport:
     plot_data: dict[str, list[tuple[float, float]]] = dataclass_field(default_factory=dict)
     hard_failures: list[str] = dataclass_field(default_factory=list)
     warnings: list[str] = dataclass_field(default_factory=list)
-    wall_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -126,7 +119,7 @@ def persist(report: ExperimentReport, out_dir: "str | Path") -> Path:
     base = Path(out_dir) / report.name
     base.mkdir(parents=True, exist_ok=True)
     (base / "config.json").write_text(
-        json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(dataclasses.asdict(report.config), indent=2, sort_keys=True) + "\n"
     )
     lines = [",".join(report.columns)]
     lines += [",".join(_fmt(v) for v in row) for row in report.rows]
@@ -154,12 +147,6 @@ def _ratio(num: float, den: float) -> "float | None":
     return num / den if den > 0 else None
 
 
-def _drift(fine: float, coarse: float) -> "float | None":
-    if coarse > 0:
-        return abs(fine - coarse) / coarse
-    return None
-
-
 # -- experiment 1: Riesz transform boundedness ---------------------------------
 
 class RieszRow(NamedTuple):
@@ -173,22 +160,16 @@ class RieszRow(NamedTuple):
     ratio: "float | None"
 
 
-def run_riesz_boundedness(cfg: ExperimentConfig, fields=None) -> ExperimentReport:
+def run_riesz_boundedness(cfg: ExperimentConfig) -> ExperimentReport:
     """Semigroup-characterization norm of R_j f against that of f over the
     corpus, at the base grid and its refinement; drift of the max ratio is a
-    soft threshold.  ``fields`` overrides the corpus (same list rendered at
-    both resolutions is then the caller's job, so it is used verbatim)."""
-    t0 = time.monotonic()
+    soft threshold."""
     rows = []
     max_ratio: dict[tuple[int, int], float] = {}
     grids = [cfg.grid, GridSpec(2 * cfg.grid.n, cfg.grid.length)]
     band = cfg.grid.n // 6
     for grid in grids:
-        if fields is not None:
-            # explicit fields apply to the base grid only; skip the refinement
-            corpus = list(fields) if grid is cfg.grid else []
-        else:
-            corpus = band_limited_corpus(grid, cfg.corpus_size, band, cfg.seed)
+        corpus = band_limited_corpus(grid, cfg.corpus_size, band, cfg.seed)
 
         def case(item):
             fid, f = item
@@ -232,10 +213,7 @@ def run_riesz_boundedness(cfg: ExperimentConfig, fields=None) -> ExperimentRepor
         ]
         for j in (1, 2)
     }
-    return ExperimentReport(
-        "riesz", cfg, RieszRow._fields,
-        rows, summary, plot, hard, warn, time.monotonic() - t0,
-    )
+    return ExperimentReport("riesz", cfg, RieszRow._fields, rows, summary, plot, hard, warn)
 
 
 # -- experiment 2: space identity and norm equivalences -------------------------
@@ -270,7 +248,6 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
     admissible pairs (hard at 1e-8); (b) equivalence interval between the
     cube-oscillation norm of the lifted field and the semigroup norm over the
     corpus at N and 2N (soft: width <= 20x, drift < 15%)."""
-    t0 = time.monotonic()
     rows = []
     hard, warn = [], []
     summary: dict = {"seed": cfg.seed}
@@ -323,10 +300,7 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
         (float(r.value_or_morrey), float(r.err_or_ratio)) for r in rows
         if r.case == "equivalence" and r.a_or_n == cfg.grid.n and r.err_or_ratio is not None
     ]}
-    return ExperimentReport(
-        "identity", cfg, IdentityRow._fields,
-        rows, summary, plot, hard, warn, time.monotonic() - t0,
-    )
+    return ExperimentReport("identity", cfg, IdentityRow._fields, rows, summary, plot, hard, warn)
 
 
 # -- experiment 3: scaling invariance -------------------------------------------
@@ -336,7 +310,7 @@ def deepest_sweep(grid: GridSpec, like: BoxSweepConfig, cap: int = 5) -> BoxSwee
     m = 3
     while m < cap and grid.n % 2 ** (m + 2) == 0:
         m += 1
-    return BoxSweepConfig(m, like.time_nodes, like.time_ratio)
+    return BoxSweepConfig(m, like.time_nodes)
 
 
 class ScalingRow(NamedTuple):
@@ -356,7 +330,6 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     Corpus band N/8 - 1 keeps lam = 4 below Nyquist.  The sweep is deepened
     to the grid's limit so the attaining box of a rescaled field stays
     inside the scanned radius range for lam = 2."""
-    t0 = time.monotonic()
     band = max(2, cfg.grid.n // 8 - 1)
     corpus = band_limited_corpus(cfg.grid, cfg.corpus_size, band, cfg.seed)
     sweep = deepest_sweep(cfg.grid, cfg.sweep)
@@ -403,10 +376,7 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
 
     plot = {"critical_ratio_lam2": [(float(r.field_id), float(r.ratio)) for r in rows
                                     if r.kind == "critical" and r.lam == 2 and r.ratio is not None]}
-    return ExperimentReport(
-        "scaling", cfg, ScalingRow._fields,
-        rows, summary, plot, hard, warn, time.monotonic() - t0,
-    )
+    return ExperimentReport("scaling", cfg, ScalingRow._fields, rows, summary, plot, hard, warn)
 
 
 # -- experiment 4: well-posedness sweep ------------------------------------------
@@ -442,7 +412,6 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     as data, not errors; a run reported converged with a contraction ratio
     >= 1 is warned about, since the fixed point it found is not certified,
     and so is one whose reference_rel_err exceeds REFERENCE_ERR_WARN."""
-    t0 = time.monotonic()
     shape = wellposedness_data(cfg.grid)
     solver_cfg = cfg.solver_config()
     epsilons = [10.0 ** k for k in range(-4, 2)]
@@ -501,8 +470,7 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     plot = {"contraction_vs_eps": [(r.epsilon, r.contraction_ratio) for r in rows
                                    if r.contraction_ratio is not None]}
     return ExperimentReport(
-        "wellposed", cfg, WellposedRow._fields,
-        rows, summary, plot, hard, warn, time.monotonic() - t0,
+        "wellposed", cfg, WellposedRow._fields, rows, summary, plot, hard, warn,
     )
 
 
@@ -512,7 +480,6 @@ def run_regularity_decay(cfg: ExperimentConfig) -> ExperimentReport:
     """Derivative-weighted solution norms k = 0, 1, 2 of a converged small
     solution (hard: finite; soft: growth factor per extra derivative < 50),
     plus the closed-form single-mode block check (hard at 1e-3)."""
-    t0 = time.monotonic()
     rows = []
     hard, warn = [], []
 
@@ -551,7 +518,7 @@ def run_regularity_decay(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         "regularity", cfg,
         ("case", "k", "value", "besov_part", "carleson_or_target", "growth_or_err"),
-        rows, summary, plot, hard, warn, time.monotonic() - t0,
+        rows, summary, plot, hard, warn,
     )
 
 
@@ -631,7 +598,6 @@ def run_lemma_checks(cfg: ExperimentConfig) -> ExperimentReport:
     drift under time refinement (hard < 10%); (b) empirical smoothing
     constants b(k), k in {0,1} (measured outputs); (c) kernel decay maxima at
     N and 2N (soft drift < 20% here, hard in the acceptance suite)."""
-    t0 = time.monotonic()
     rows = []
     hard, warn = [], []
     tg = TimeGrid(cfg.horizon, cfg.solver_nodes)
@@ -688,7 +654,7 @@ def run_lemma_checks(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         "lemmas", cfg,
         ("case", "index", "v1", "v2", "v3", "v4"),
-        rows, summary, plot, hard, warn, time.monotonic() - t0,
+        rows, summary, plot, hard, warn,
     )
 
 

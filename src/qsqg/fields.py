@@ -40,18 +40,17 @@ FILE_MAGIC = b"QSF1"
 # |mean| above this (relative to the field scale) fails a mean-zero precondition
 MEAN_TOL = 1e-10
 
+# Kept fraction of the one-sided spectrum when a pointwise product is
+# dealiased: the 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971).
+DEALIAS_FRACTION = 2.0 / 3.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform N x N grid on the torus [0, L)^2.
-
-    ``dealias_fraction`` is the kept fraction of the one-sided spectrum when a
-    pointwise product is dealiased (2/3 rule by default).
-    """
+    """Uniform N x N grid on the torus [0, L)^2."""
 
     side_points: int
     domain_length: float
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         n = self.side_points
@@ -59,8 +58,6 @@ class GridSpec:
             raise ValueError(f"side_points must be an even integer >= 8, got {n!r}")
         if not self.domain_length > 0:
             raise ValueError("domain_length must be positive")
-        if not 0 < self.dealias_fraction <= 1:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @property
     def n(self) -> int:
@@ -131,8 +128,8 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask: |k_j| <= dealias_fraction * N/2 on both axes."""
-        cut = self.dealias_fraction * self.n / 2
+        """Boolean keep-mask: |k_j| <= DEALIAS_FRACTION * N/2 on both axes."""
+        cut = DEALIAS_FRACTION * self.n / 2
         k = np.abs(self.wavenumbers)
         keep1, keep2 = np.meshgrid(k <= cut, k <= cut, indexing="ij")
         m = keep1 & keep2
@@ -278,15 +275,6 @@ def to_physical(s: SpectralField) -> RealField:
     return RealField(s.grid, values)
 
 
-def check_times(times: np.ndarray) -> None:
-    """Reject a time grid that is not a non-empty, strictly increasing,
-    positive 1-d sequence."""
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if not (times[0] > 0 and np.all(np.diff(times) > 0)):
-        raise ValueError("times must be strictly increasing and positive")
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots of a field at strictly increasing positive times."""
@@ -300,7 +288,10 @@ class Trajectory:
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
         if t.ndim == 1 and len(t) != len(self.snapshots):
             raise ValueError("times and snapshots must be matching sequences")
-        check_times(t)
+        if t.ndim != 1 or len(t) == 0:
+            raise ValueError("times must be a non-empty 1-d sequence")
+        if not (t[0] > 0 and np.all(np.diff(t) > 0)):
+            raise ValueError("times must be strictly increasing and positive")
         g = self.snapshots[0].grid
         for s in self.snapshots[1:]:
             if s.grid != g:

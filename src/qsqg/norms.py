@@ -10,8 +10,6 @@ of the continuum quantities; enlarging the sweep never decreases a report.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
@@ -20,10 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonFiniteError
-from .fields import GridSpec, RealField, SpaceParams, Trajectory, check_times
+from .fields import GridSpec, RealField, SpaceParams, Trajectory
 from . import operators as ops
 from . import spectral
 from .sweep import (
+    TIME_RATIO,
     BoxSweepConfig,
     CarlesonBox,
     best_center,
@@ -55,32 +54,11 @@ class NormReport:
     """Value of one estimator plus where and how it was attained."""
 
     value: float
-    config_hash: str
     attaining_box: "CarlesonBox | None" = None
     attaining_level: "int | None" = None
     attaining_time: "float | None" = None
     partial_coverage: bool = False
     parts: dict = dataclass_field(default_factory=dict)
-
-    def to_json_line(self) -> str:
-        box = self.attaining_box
-        record = {
-            "value": self.value,
-            "center": list(box.center) if box else None,
-            "radius": box.radius if box else None,
-            "level": self.attaining_level,
-            "time": self.attaining_time,
-            "partial": self.partial_coverage,
-            "config": self.config_hash,
-            "parts": self.parts,
-        }
-        return json.dumps(record, sort_keys=True)
-
-
-def _hash(grid: GridSpec, sweep: "BoxSweepConfig | None", tag: str) -> str:
-    text = f"{grid.n};{grid.length!r};{grid.dealias_fraction!r};" \
-           f"{sweep.label() if sweep else 'nosweep'};{tag}"
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _sweep_for(grid: GridSpec, sweep: "BoxSweepConfig | None") -> BoxSweepConfig:
@@ -311,7 +289,6 @@ def besov_sum_norm(f: RealField) -> NormReport:
     i = int(np.argmax(sups))
     return NormReport(
         value=float(sups.sum()),
-        config_hash=_hash(f.grid, None, "besov_sum"),
         attaining_level=levels[i],
     )
 
@@ -323,7 +300,6 @@ def besov_sup_norm(f: RealField, s: float) -> NormReport:
     i = int(np.argmax(weighted))
     return NormReport(
         value=float(weighted[i]),
-        config_hash=_hash(f.grid, None, f"besov_sup;s={s!r}"),
         attaining_level=levels[i],
     )
 
@@ -354,7 +330,6 @@ def morrey_norm(f: RealField, p: float, lam: float,
         search.offer(i, (2.0 * r) ** (-lam) * area * osc)
     return NormReport(
         value=_unscaled(float(search.best) ** (1.0 / p), scale),
-        config_hash=_hash(grid, sweep, f"morrey;p={p!r};lam={lam!r}"),
         attaining_box=search.box,
     )
 
@@ -412,7 +387,6 @@ def q_norm_direct(f: RealField, params: SpaceParams,
         search.offer(i, edge_factor * h4 * np.maximum(double_sums, 0.0))
     return NormReport(
         value=_unscaled(math.sqrt(max(search.best, 0.0)), scale),
-        config_hash=_hash(grid, sweep, f"q_direct;a={a!r};b={b!r}"),
         attaining_box=search.box,
     )
 
@@ -497,25 +471,23 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
             |grad e^(-t(-Lap)^b) f|^2 t^(-a/b) dy dt
 
     with the time integral on the top-anchored geometric ladder.  Ladders of
-    successive radii are the same nodes shifted by 2b log 2 / log(ratio)
-    steps; when that is an integer (b = 3/4 at the default ratio 2^(1/4))
-    the shared nodes are made once (see ``_ladder_sweep``).  Once a radius
-    is finished, radii whose energy bound cannot beat it are dropped and
-    the nodes only they hold never made; the value and box are the
-    exhaustive sweep's, bit for bit.  Finite and homogeneous at any finite
-    amplitude, or NonFiniteError."""
+    successive radii are the same nodes shifted by 2b log 2 / log(TIME_RATIO)
+    steps; when that is an integer (b = 3/4) the shared nodes are made once
+    (see ``_ladder_sweep``).  Once a radius is finished, radii whose energy
+    bound cannot beat it are dropped and the nodes only they hold never
+    made; the value and box are the exhaustive sweep's, bit for bit.  Finite
+    and homogeneous at any finite amplitude, or NonFiniteError."""
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
 
     def ladder(r):
-        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
+        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, TIME_RATIO)
         return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
 
     value, box = _ladder_sweep(f, b, sweep, ladder)
     return NormReport(
         value=value,
-        config_hash=_hash(grid, sweep, f"q_semigroup;a={a!r};b={b!r}"),
         attaining_box=box,
     )
 
@@ -529,8 +501,8 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
 
     the box functional equivalent to the cube oscillation norm of index
     lam = 2 - 2 gamma (0 < gamma < 1).  The ladder in t of radius r/2 is that
-    of radius r shifted by log 2 / log(ratio) steps, 4 at the default ratio
-    for every b, and shared nodes are made once (see ``_ladder_sweep``).
+    of radius r shifted by log 2 / log(TIME_RATIO) = 4 steps for every b,
+    and shared nodes are made once (see ``_ladder_sweep``).
     Radii that cannot beat a finished one are dropped, as in
     ``q_norm_semigroup``, with the exhaustive sweep's value and box.
     Finite and homogeneous at any finite amplitude, or NonFiniteError."""
@@ -541,13 +513,12 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
     b = params.beta
 
     def ladder(r):
-        lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
+        lows, highs, mids = geometric_ladder(r, sweep.time_nodes, TIME_RATIO)
         return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
 
     value, box = _ladder_sweep(f, b, sweep, ladder)
     return NormReport(
         value=value,
-        config_hash=_hash(grid, sweep, f"morrey_semigroup;g={gamma!r};b={params.beta!r}"),
         attaining_box=box,
     )
 
@@ -750,10 +721,9 @@ def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
     return best, orders
 
 
-def _solution_report(comp: dict, config_hash: str) -> NormReport:
+def _solution_report(comp: dict) -> NormReport:
     return NormReport(
         value=comp["besov"] + comp["carleson"],
-        config_hash=config_hash,
         attaining_box=comp["box"],
         attaining_time=comp["time"],
         partial_coverage=comp["partial"],
@@ -769,7 +739,7 @@ def x_norm(traj: Trajectory, params: SpaceParams,
       + sqrt( sup over boxes of r^(2a+2b-4) *
               iint (|f|^2 + |R1 f|^2 + |R2 f|^2) t^(-a/b) dy dt )
 
-    ``x_k_norm``'s k = 0 case under its own hash tag and without orders:
+    ``x_k_norm``'s k = 0 case without orders:
     each centered snapshot is forward-transformed once, and the pruned
     Carleson and Besov passes of ``_solution_parts`` read the held half
     spectra.  The value, box, coverage flag and first attaining time equal
@@ -778,8 +748,7 @@ def x_norm(traj: Trajectory, params: SpaceParams,
     """
     sweep = _sweep_for(traj.grid, sweep)
     comp, _ = _x_k_parts(traj, params, 0, sweep)
-    return _solution_report(
-        comp, _hash(traj.grid, sweep, f"x;a={params.alpha!r};b={params.beta!r}"))
+    return _solution_report(comp)
 
 
 def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
@@ -796,8 +765,7 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
         raise ValueError(f"derivative order k must be >= 0, got {k}")
     sweep = _sweep_for(traj.grid, sweep)
     comp, orders = _x_k_parts(traj, params, k, sweep)
-    report = _solution_report(comp, _hash(
-        traj.grid, sweep, f"xk;k={k};a={params.alpha!r};b={params.beta!r}"))
+    report = _solution_report(comp)
     report.parts["orders"] = list(orders)
     return report
 
@@ -825,7 +793,6 @@ def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
         search.finish(i, density)
     return NormReport(
         value=float(max(search.best, 0.0)),
-        config_hash=_hash(grid, sweep, f"carleson_l1;a={a!r};b={b!r}"),
         attaining_box=search.box,
         partial_coverage=partial,
     )
@@ -840,10 +807,9 @@ def caloric_coverage_times(grid: GridSpec, params: SpaceParams,
 
 
 def caloric_minus1_norm(u0: RealField, params: SpaceParams,
-                        sweep: "BoxSweepConfig | None" = None,
-                        times: "np.ndarray | None" = None) -> NormReport:
+                        sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """x_norm of the caloric extension t -> exp(-t(-Lap)^beta) u0, sampled on
-    a graded grid covering the largest swept box by default.
+    the graded grid ``caloric_coverage_times`` covering the largest swept box.
 
     This is the data-size functional of the well-posedness theory: finite
     smallness of it is what the contraction argument consumes.  The
@@ -859,10 +825,7 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     non-finite data or a value that overflows."""
     grid = u0.grid
     sweep = _sweep_for(grid, sweep)
-    if times is None:
-        times = caloric_coverage_times(grid, params)
-    times = np.asarray(times, dtype=float)
-    check_times(times)
+    times = caloric_coverage_times(grid, params)
     v, scale = _binary_scaled(_centered(u0), "centered data")
     spec = spectral.forward(v)
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
@@ -870,8 +833,7 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
                            grid, params, 0, sweep, _caloric_measures(spec, lam, times, grid.n))
     comp["besov"] = _unscaled(comp["besov"], scale)
     comp["carleson"] = _unscaled(comp["carleson"], scale)
-    report = _solution_report(comp, _hash(
-        grid, sweep, f"caloric;a={params.alpha!r};b={params.beta!r};M={len(times)}"))
+    report = _solution_report(comp)
     if not math.isfinite(report.value):
         raise NonFiniteError("value overflows")
     return report

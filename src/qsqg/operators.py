@@ -48,8 +48,8 @@ def dissipation_symbol(grid: GridSpec, power: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def derivative_symbol(grid: GridSpec, axis: int, order: int = 1) -> np.ndarray:
-    s = (1j * grid.xi[axis - 1]) ** order
+def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
+    s = 1j * grid.xi[axis - 1]
     s = grid.hermitian_part(s)
     s.setflags(write=False)
     return s
@@ -119,16 +119,14 @@ def sqg_velocity(theta: RealField) -> tuple[RealField, RealField]:
     return -u1, u2
 
 
-def partial_derivative(f: RealField, axis: int, order: int = 1) -> RealField:
+def partial_derivative(f: RealField, axis: int) -> RealField:
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    if order == 0:
-        return f
-    return apply_lattice_symbol(f, derivative_symbol(f.grid, axis, order))
+    return apply_lattice_symbol(f, derivative_symbol(f.grid, axis))
 
 
 def dealias_field(f: RealField) -> RealField:
-    """Zero all modes with |k_j| beyond the grid's dealias fraction."""
+    """Zero all modes outside the grid's 2/3-rule ``dealias_mask``."""
     spec = spectral.forward(f.values)
     spec[~spectral.half(f.grid.dealias_mask)] = 0.0
     return RealField(f.grid, spectral.inverse(spec, f.grid.n))

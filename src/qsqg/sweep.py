@@ -62,26 +62,30 @@ class CarlesonBox:
             raise ValueError("box radius must be positive")
 
 
+# Ratio of successive nodes of the semigroup estimators' time ladders.  A
+# radius halving is then a whole number of ladder steps (4 for the Morrey
+# functional; 8 beta for the Q-norm, 6 at beta = 3/4), so dyadic radii share
+# nodes.
+TIME_RATIO = 2.0 ** 0.25
+
+
 @dataclass(frozen=True)
 class BoxSweepConfig:
     """Sweep sizes: dyadic radii L/2 .. L/2^num_radii, geometric time ladder.
 
-    ``time_nodes`` and ``time_ratio`` shape the ladder used by the
+    ``time_nodes`` nodes of ratio ``TIME_RATIO`` make the ladder used by the
     semigroup-characterization estimators; trajectory-based estimators take
     their time resolution from the data instead.
     """
 
     num_radii: int = 3
     time_nodes: int = 16
-    time_ratio: float = 2.0 ** 0.25
 
     def __post_init__(self):
         if self.num_radii < 3:
             raise ValueError("need at least three sweep radii")
         if self.time_nodes < 16:
             raise ValueError("need at least 16 time nodes")
-        if not self.time_ratio > 1:
-            raise ValueError("time_ratio must exceed 1")
 
     def validate_for(self, grid: GridSpec) -> None:
         for m in range(1, self.num_radii + 1):
@@ -97,9 +101,6 @@ class BoxSweepConfig:
     def stride(self, grid: GridSpec, m: int) -> int:
         """Center sublattice stride (in grid points) for radius L/2^m."""
         return grid.n // 2 ** (m + 1)
-
-    def label(self) -> str:
-        return f"radii={self.num_radii};qt={self.time_nodes};ratio={self.time_ratio:.6g}"
 
 
 # -- indicator masks and box sums ---------------------------------------------

@@ -42,12 +42,6 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(16, -1.0)
 
-    def test_rejects_bad_dealias_fraction(self):
-        with pytest.raises(ValueError):
-            GridSpec(16, L, dealias_fraction=0.0)
-        with pytest.raises(ValueError):
-            GridSpec(16, L, dealias_fraction=1.5)
-
     def test_wavenumbers_layout(self, grid16):
         # index k holds frequency k for k < N/2, then the negative ones
         k = grid16.wavenumbers
@@ -205,8 +199,7 @@ class TestFieldIO:
         write_field(smooth32, path)
         back = read_field(path)
         assert np.array_equal(back.values, smooth32.values)
-        assert back.grid.n == smooth32.grid.n
-        assert back.grid.length == smooth32.grid.length
+        assert back.grid == smooth32.grid
 
     def test_layout(self, grid16, tmp_path):
         f = RealField(grid16, np.arange(256, dtype=float).reshape(16, 16) / 256.0)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -32,6 +31,7 @@ from qsqg.experiments import ExperimentConfig, deepest_sweep, wellposedness_data
 from qsqg.norms import caloric_coverage_times
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 from qsqg.sweep import (
+    TIME_RATIO,
     CarlesonBox,
     best_center,
     box_sums,
@@ -269,9 +269,9 @@ def ladder(params, sweep, kind, r, gamma=0.5):
     ``kind`` builds them."""
     a, b = params.alpha, params.beta
     if kind == "q":
-        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
+        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, TIME_RATIO)
         return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
-    lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
+    lows, highs, mids = geometric_ladder(r, sweep.time_nodes, TIME_RATIO)
     return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
 
 
@@ -288,11 +288,11 @@ def ladder_oracle(f, params, sweep, kind, gamma=0.5):
     best = -1.0
     for m, r in enumerate(sweep.radii(grid), start=1):
         if kind == "q":
-            lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, sweep.time_ratio)
+            lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, TIME_RATIO)
             times, weights = mids, power_weight(lows, highs, a / b)
             prefactor = r ** (2 * a + 2 * b - 4)
         else:
-            lows, highs, mids = geometric_ladder(r, sweep.time_nodes, sweep.time_ratio)
+            lows, highs, mids = geometric_ladder(r, sweep.time_nodes, TIME_RATIO)
             times, weights = mids ** (2 * b), linear_weight(lows, highs)
             prefactor = r ** (2 * gamma - 2)
         density = np.zeros((grid.n, grid.n))
@@ -528,23 +528,6 @@ class TestEmbedding:
         assert np.isfinite(constants[32]) and np.isfinite(constants[64])
         drift = abs(constants[64] - constants[32]) / constants[32]
         assert drift < 0.15
-
-
-class TestNormReport:
-    def test_json_line_round_trips(self, smooth32, params):
-        line = q_norm_semigroup(smooth32, params).to_json_line()
-        assert "\n" not in line
-        data = json.loads(line)
-        assert data["value"] > 0
-        assert data["radius"] > 0
-        assert isinstance(data["config"], str)
-
-    def test_config_hash_tracks_sweep(self, smooth32, params):
-        a = q_norm_semigroup(smooth32, params, BoxSweepConfig(3)).config_hash
-        b = q_norm_semigroup(smooth32, params, BoxSweepConfig(4)).config_hash
-        c = q_norm_semigroup(smooth32, params, BoxSweepConfig(3)).config_hash
-        assert a != b
-        assert a == c
 
 
 AMPLITUDES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300)

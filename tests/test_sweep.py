@@ -27,8 +27,6 @@ class TestBoxSweepConfig:
             BoxSweepConfig(num_radii=2)
         with pytest.raises(ValueError):
             BoxSweepConfig(time_nodes=8)
-        with pytest.raises(ValueError):
-            BoxSweepConfig(time_ratio=1.0)
 
     def test_radii_are_dyadic(self, grid32):
         cfg = BoxSweepConfig(num_radii=4)
