@@ -2,13 +2,14 @@
 
 ``qsqg <experiment> [flags]`` runs one experiment (or ``all``), prints a
 short console summary, and persists deterministic artifacts under --out.
-The wall-clock time and the QSQG_THREADS worker cap are printed only, never
-written to the artifacts.  Exit status is 0 exactly when every hard check
-passed; soft thresholds only print warnings.
+The wall-clock time is printed only, never written to the artifacts.
+``--config`` replays a run's config.json.  Exit status is 0 exactly when
+every hard check passed; soft thresholds only print warnings.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from .corpus import DEFAULT_SEED
 from .fields import GridSpec, SpaceParams
 from .sweep import BoxSweepConfig
-from .experiments import RUNNERS, ExperimentConfig, persist, thread_budget
+from .experiments import RUNNERS, ExperimentConfig, persist
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,33 +50,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("qsqg-out"),
                        help="artifact directory")
         p.add_argument("--config", type=Path, default=None,
-                       help="JSON file whose keys override the flags above")
+                       help="a run's config.json, or part of one, overriding the flags")
     return parser
 
 
+def _override(base, raw, prefix: str = ""):
+    """``base`` with the fields ``raw`` names replaced and cast to their types;
+    a nested object (``params``, ``grid``, ``sweep``) replaces only its keys."""
+    if not isinstance(raw, dict):
+        raise SystemExit(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(base)}
+    if unknown:
+        raise SystemExit(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+    changes = {}
+    for key, value in raw.items():
+        old = getattr(base, key)
+        changes[key] = (_override(old, value, f"{prefix}{key}.")
+                        if dataclasses.is_dataclass(old) else type(old)(value))
+    return dataclasses.replace(base, **changes)
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    raw = {
-        "alpha": args.alpha, "beta": args.beta,
-        "grid": args.grid, "length": args.length,
-        "horizon": args.horizon, "seed": args.seed,
-        "corpus_size": args.corpus_size, "solver_nodes": args.solver_nodes,
-        "radii": args.radii, "time_nodes": args.time_nodes,
-    }
-    if args.config is not None:
-        overrides = json.loads(Path(args.config).read_text())
-        unknown = set(overrides) - set(raw)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        raw.update(overrides)
-    return ExperimentConfig(
-        params=SpaceParams(raw["alpha"], raw["beta"]),
-        grid=GridSpec(int(raw["grid"]), float(raw["length"])),
-        sweep=BoxSweepConfig(int(raw["radii"]), int(raw["time_nodes"])),
-        horizon=float(raw["horizon"]),
-        seed=int(raw["seed"]),
-        corpus_size=int(raw["corpus_size"]),
-        solver_nodes=int(raw["solver_nodes"]),
+    cfg = ExperimentConfig(
+        params=SpaceParams(args.alpha, args.beta), grid=GridSpec(args.grid, args.length),
+        sweep=BoxSweepConfig(args.radii, args.time_nodes), horizon=args.horizon,
+        seed=args.seed, corpus_size=args.corpus_size, solver_nodes=args.solver_nodes,
     )
+    if args.config is not None:
+        cfg = _override(cfg, json.loads(Path(args.config).read_text()))
+    return cfg
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -89,8 +92,7 @@ def main(argv: "list[str] | None" = None) -> int:
         report = RUNNERS[name](cfg)
         wall = time.monotonic() - start
         path = persist(report, args.out)
-        print(f"[{name}] wall time {wall:.2f}s at {thread_budget()} thread(s), "
-              f"artifacts in {path}")
+        print(f"[{name}] wall time {wall:.2f}s, artifacts in {path}")
         for key, value in report.summary.items():
             print(f"[{name}]   {key} = {value}")
         for w in report.warnings:

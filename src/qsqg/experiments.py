@@ -16,8 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import NamedTuple
@@ -52,23 +50,6 @@ from .solver import (
 from .sweep import BoxSweepConfig, trajectory_weights
 
 UNDEFINED = "undefined"
-
-
-def thread_budget() -> int:
-    """Worker cap from QSQG_THREADS (>=1); results never depend on it."""
-    raw = os.environ.get("QSQG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn, items):
-    n = thread_budget()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -170,22 +151,15 @@ def run_riesz_boundedness(cfg: ExperimentConfig) -> ExperimentReport:
     band = cfg.grid.n // 6
     for grid in grids:
         corpus = band_limited_corpus(grid, cfg.corpus_size, band, cfg.seed)
-
-        def case(item):
-            fid, f = item
+        for fid, f in enumerate(corpus):
             norm_f = q_norm_semigroup(f, cfg.params, cfg.sweep).value
-            out = []
             for j in (1, 2):
                 rj = ops.riesz_transform(f, j)
                 norm_rj = q_norm_semigroup(rj, cfg.params, cfg.sweep).value
-                out.append(RieszRow(grid.n, fid, j, norm_f, norm_rj, _ratio(norm_rj, norm_f)))
-            return out
-
-        for triple in _map_cases(case, list(enumerate(corpus))):
-            rows.extend(triple)
-            for row in triple:
+                row = RieszRow(grid.n, fid, j, norm_f, norm_rj, _ratio(norm_rj, norm_f))
+                rows.append(row)
                 if row.ratio is not None:
-                    key = (row.grid_n, row.component)
+                    key = (grid.n, j)
                     max_ratio[key] = max(max_ratio.get(key, 0.0), row.ratio)
 
     summary: dict = {"corpus_size": cfg.corpus_size, "band": band, "seed": cfg.seed}
@@ -268,17 +242,15 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
     intervals = {}
     for grid in (cfg.grid, GridSpec(2 * cfg.grid.n, cfg.grid.length)):
         corpus = band_limited_corpus(grid, cfg.corpus_size, band, cfg.seed)
-
-        def case(item):
-            fid, f = item
+        ratios = []
+        for fid, f in enumerate(corpus):
             lifted = ops.fractional_laplacian(f, lift)
             m = morrey_norm(lifted, 2, morrey_index, cfg.sweep).value
             q = q_norm_semigroup(f, cfg.params, cfg.sweep).value
-            return IdentityRow("equivalence", grid.n, fid, m, q, _ratio(m, q))
-
-        res = _map_cases(case, list(enumerate(corpus)))
-        rows.extend(res)
-        ratios = [r.err_or_ratio for r in res if r.err_or_ratio is not None]
+            ratio = _ratio(m, q)
+            rows.append(IdentityRow("equivalence", grid.n, fid, m, q, ratio))
+            if ratio is not None:
+                ratios.append(ratio)
         intervals[grid.n] = (min(ratios), max(ratios)) if ratios else (None, None)
 
     for n_, (lo, hi) in intervals.items():
@@ -335,25 +307,18 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     sweep = deepest_sweep(cfg.grid, cfg.sweep)
     b = cfg.params.beta
     rows = []
-
-    def case(item):
-        fid, f = item
-        out = []
+    for fid, f in enumerate(corpus):
         base = caloric_minus1_norm(f, cfg.params, sweep).value
         identity = caloric_minus1_norm(
             scaling_transform(f, 1, cfg.params), cfg.params, sweep
         ).value
-        out.append(ScalingRow(fid, 1, "critical", base, identity, _ratio(identity, base)))
+        rows.append(ScalingRow(fid, 1, "critical", base, identity, _ratio(identity, base)))
         for lam in (2, 4):
             proper = scaling_transform(f, lam, cfg.params)
             control = RealField(f.grid, proper.values * float(lam) ** (2 - 2 * b))
             for kind, g in (("critical", proper), ("control", control)):
                 val = caloric_minus1_norm(g, cfg.params, sweep).value
-                out.append(ScalingRow(fid, lam, kind, base, val, _ratio(val, base)))
-        return out
-
-    for triple in _map_cases(case, list(enumerate(corpus))):
-        rows.extend(triple)
+                rows.append(ScalingRow(fid, lam, kind, base, val, _ratio(val, base)))
 
     lo, hi = 0.8, 1.25
     crit2 = [r.ratio for r in rows if r.kind == "critical" and r.lam == 2 and r.ratio is not None]
@@ -524,20 +489,24 @@ def run_regularity_decay(cfg: ExperimentConfig) -> ExperimentReport:
 
 # -- experiment 6: lemma-level inequality checks -----------------------------------
 
-def _random_trajectories(cfg: ExperimentConfig, timegrid: TimeGrid, count: int = 20):
-    """Smooth deterministic test trajectories g1 phi(t) + g2 psi(t)."""
-    corpus = band_limited_corpus(cfg.grid, 2 * count, cfg.grid.n // 6, cfg.seed + 1)
-    t = timegrid.times
-    T = timegrid.horizon
-    out = []
-    for i in range(count):
-        g1, g2 = corpus[2 * i].values, corpus[2 * i + 1].values
-        snaps = tuple(
+# Random smooth trajectories per lemma check, each made on both time grids.
+LEMMA_TRAJECTORIES = 20
+
+
+def _random_trajectories(cfg: ExperimentConfig, timegrids) -> list[tuple[Trajectory, ...]]:
+    """Smooth deterministic test trajectories g1 phi(t) + g2 psi(t), one per
+    corpus pair (g1, g2), each sampled on every grid of ``timegrids``."""
+    corpus = band_limited_corpus(cfg.grid, 2 * LEMMA_TRAJECTORIES, cfg.grid.n // 6, cfg.seed + 1)
+
+    def trajectory(g1, g2, timegrid):
+        T = timegrid.horizon
+        return Trajectory(timegrid.times, tuple(
             RealField(cfg.grid, g1 / (1.0 + 3.0 * s / T) + g2 * (s / T) * np.exp(-s / T))
-            for s in t
-        )
-        out.append(Trajectory(t, snaps))
-    return out
+            for s in timegrid.times
+        ))
+
+    return [tuple(trajectory(g1.values, g2.values, tg) for tg in timegrids)
+            for g1, g2 in zip(corpus[0::2], corpus[1::2])]
 
 
 def _l2_sq(spec: np.ndarray, grid: GridSpec) -> float:
@@ -549,9 +518,17 @@ def _l2_sq(spec: np.ndarray, grid: GridSpec) -> float:
     return float(total) * grid.cell_area ** 2 / grid.length ** 2
 
 
-def _dissipative_memory_ratio(traj: Trajectory, params: SpaceParams) -> float:
-    """Weighted-in-time L2 ratio of A(t) = int_0^t e^(-(t-s)(-Lap)^b)
-    (-Lap)^b f(s) ds against f itself, both with weight t^(-a/b)."""
+def _lemma_constants(traj: Trajectory, params: SpaceParams) -> tuple[float, float, float]:
+    """The memory ratio and the smoothing constants b(0), b(1) of ``traj``,
+    from one stacked forward transform, one box functional and one mass.
+
+    The memory ratio is the weighted-in-time L2 ratio of
+    A(t) = int_0^t e^(-(t-s)(-Lap)^b) (-Lap)^b f(s) ds against f itself, both
+    with weight t^(-a/b).  b(k) is the empirical constant in the smoothing
+    bound for the time-cumulative density: weighted L2 of
+    t^(k/2) (-Lap)^((k b + 1)/2) e^(-(t/2)(-Lap)^b) int_0^t f ds (decay
+    e^(-t(-Lap)^b) at k = 0) against the box functional times the plain
+    weighted mass."""
     grid = traj.grid
     a, b = params.alpha, params.beta
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
@@ -563,34 +540,22 @@ def _dissipative_memory_ratio(traj: Trajectory, params: SpaceParams) -> float:
     for m, acc in enumerate(_duhamel(lambda j: lam * specs[j], traj.times, lam)):
         lhs += weights[m] * _l2_sq(acc, grid)
         rhs += weights[m] * _l2_sq(specs[m], grid)
-    return lhs / rhs if rhs > 0 else float("nan")
+    memory = lhs / rhs if rhs > 0 else float("nan")
 
-
-def _memory_smoothing_ratio(traj: Trajectory, params: SpaceParams, k: int) -> tuple[float, float, float]:
-    """Empirical constant in the smoothing bound for the time-cumulative
-    density: weighted L2 of t^(k/2) (-Lap)^((k b + 1)/2) e^(-(t/2)(-Lap)^b)
-    int_0^t N ds against the box functional times the plain weighted mass."""
-    grid = traj.grid
-    a, b = params.alpha, params.beta
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
-    smooth = spectral.half(ops.dissipation_symbol(grid, k * b + 1))
-    nodes = np.concatenate([[0.0], traj.times])
-    specs = [spectral.forward(s.values) for s in traj.snapshots]
-    weights, _ = trajectory_weights(traj.times, traj.times[-1], a / b)
-
-    lhs = 0.0
+    smooth = [spectral.half(ops.dissipation_symbol(grid, k * b + 1)) for k in (0, 1)]
+    smoothing = [0.0, 0.0]
     mass = 0.0
     cum = np.zeros_like(specs[0])
-    for m in range(1, len(nodes)):
-        t = nodes[m]
-        cum = cum + specs[m - 1] * (nodes[m] - nodes[m - 1])
-        half = 0.5 * t if k > 0 else t
-        op = smooth * np.exp(-half * lam)
-        lhs += weights[m - 1] * t ** k * _l2_sq(op * cum, grid)
-        mass += weights[m - 1] * float(np.abs(traj.snapshots[m - 1].values).sum()) * grid.cell_area
-    box = carleson_l1_functional(traj, params).value
-    rhs = box * mass
-    return (lhs / rhs if rhs > 0 else float("nan")), box, mass
+    steps = np.diff(traj.times, prepend=0.0)
+    for m, t in enumerate(traj.times):
+        cum = cum + specs[m] * steps[m]
+        for k in (0, 1):
+            op = smooth[k] * np.exp(-(0.5 * t if k > 0 else t) * lam)
+            smoothing[k] += weights[m] * t ** k * _l2_sq(op * cum, grid)
+        mass += weights[m] * float(np.abs(traj.snapshots[m].values).sum()) * grid.cell_area
+    rhs = carleson_l1_functional(traj, params).value * mass
+    b0, b1 = (v / rhs if rhs > 0 else float("nan") for v in smoothing)
+    return memory, b0, b1
 
 
 def run_lemma_checks(cfg: ExperimentConfig) -> ExperimentReport:
@@ -601,14 +566,13 @@ def run_lemma_checks(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     hard, warn = [], []
     tg = TimeGrid(cfg.horizon, cfg.solver_nodes)
-    tg_fine = tg.refined(2)
+    constants = [
+        (_lemma_constants(traj, cfg.params), _lemma_constants(fine, cfg.params))
+        for traj, fine in _random_trajectories(cfg, (tg, tg.refined(2)))
+    ]
 
     ratios, drifts = [], []
-    coarse_trajs = _random_trajectories(cfg, tg)
-    fine_trajs = _random_trajectories(cfg, tg_fine)
-    for i, (traj, fine) in enumerate(zip(coarse_trajs, fine_trajs)):
-        r_coarse = _dissipative_memory_ratio(traj, cfg.params)
-        r_fine = _dissipative_memory_ratio(fine, cfg.params)
+    for i, ((r_coarse, _, _), (r_fine, _, _)) in enumerate(constants):
         drift = abs(r_fine - r_coarse) / r_coarse
         ratios.append(r_fine)
         drifts.append(drift)
@@ -620,9 +584,8 @@ def run_lemma_checks(cfg: ExperimentConfig) -> ExperimentReport:
     bk_drifts = {}
     for k in (0, 1):
         vals, deltas = [], []
-        for i, (traj, fine) in enumerate(zip(coarse_trajs, fine_trajs)):
-            bk, box, mass = _memory_smoothing_ratio(traj, cfg.params, k)
-            bk_fine, _, _ = _memory_smoothing_ratio(fine, cfg.params, k)
+        for i, (coarse, fine) in enumerate(constants):
+            bk, bk_fine = coarse[1 + k], fine[1 + k]
             vals.append(bk_fine)
             deltas.append(abs(bk_fine - bk) / bk)
             rows.append(("smoothing_bk", i, k, bk, bk_fine, deltas[-1]))

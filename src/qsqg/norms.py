@@ -541,20 +541,15 @@ def _half_sum(values: np.ndarray, n: int) -> float:
     return float(values.sum(axis=0) @ _column_weights(n)) / (n * n)
 
 
-def _block_sum_bound(spec: np.ndarray, n: int) -> float:
-    """sum_half colw |spec| / N^2, an upper bound on sum_l sup |P_l f| for the
-    N x N field f with half spectrum ``spec``, and on max |f| and max |R_j f|.
-
-    The bound holds because the dyadic annuli partition the nonzero modes
-    and |sum c_j e^(i j x)| <= sum |c_j|."""
-    return _half_sum(np.abs(spec), n)
-
-
 def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
-    """(W, e, q) for the field with half spectrum ``spec``: W its
-    ``_block_sum_bound``, e the binary exponent of W, and q * 4^e its sum of
-    squares sum_half colw |spec|^2 / N^2 (Parseval), from one |spec| pass.
-    Scaling by 2^-e first keeps q clear of overflow and underflow."""
+    """(W, e, q) for the field f with half spectrum ``spec``, from one |spec|
+    pass: W = sum_half colw |spec| / N^2 its Wiener sum, e the binary
+    exponent of W, and q * 4^e its sum of squares sum_half colw |spec|^2 / N^2
+    (Parseval).  Scaling by 2^-e first keeps q clear of overflow and
+    underflow.
+
+    W bounds sum_l sup |P_l f|, max |f| and max |R_j f|, because the dyadic
+    annuli partition the nonzero modes and |sum c_j e^(i j x)| <= sum |c_j|."""
     mags = np.abs(spec)
     bound = _half_sum(mags, n)
     scale = _binary_exponent(bound)
@@ -642,11 +637,10 @@ def _solution_parts(
     snapshot at times[m] has half spectrum ``spectrum(m)``.  Three steps:
 
     * Measures, before any plane.  One |f^| pass per node gives its Wiener
-      bound ``_block_sum_bound`` and its sum of squares
-      (``_spectrum_measures``), unless the caller passes them as
-      ``measures``.  The energy total of node m is at most 2 t_m^(k/b)
-      times its sum of squares, since |R1|^2 + |R2|^2 <= 1.  One binary
-      exponent e (``_binary_exponent``) of the largest Wiener bound is fixed
+      bound W and its sum of squares (``_spectrum_measures``), unless the
+      caller passes them as ``measures``.  The energy total of node m is at
+      most 2 t_m^(k/b) times its sum of squares, since |R1|^2 + |R2|^2 <= 1.
+      One binary exponent e (``_binary_exponent``) of the largest W is fixed
       here: the Carleson planes are scaled by 2^-e and the Carleson part by
       2^e, both exact, so its squares neither overflow nor underflow at any
       finite amplitude.  A non-finite node raises NonFiniteError.

@@ -19,7 +19,6 @@ from qsqg.experiments import (
     persist,
     run_riesz_boundedness,
     run_wellposedness_sweep,
-    thread_budget,
     wellposedness_data,
 )
 
@@ -38,16 +37,6 @@ def tree_bytes(root):
 
 
 class TestHelpers:
-    def test_thread_budget_default(self, monkeypatch):
-        monkeypatch.delenv("QSQG_THREADS", raising=False)
-        assert thread_budget() == 1
-
-    @pytest.mark.parametrize("raw,expect", [("7", 7), ("1", 1), ("0", 1),
-                                            ("-3", 1), ("x", 1)])
-    def test_thread_budget_env(self, monkeypatch, raw, expect):
-        monkeypatch.setenv("QSQG_THREADS", raw)
-        assert thread_budget() == expect
-
     def test_deepest_sweep_widens_to_grid_limit(self):
         like = BoxSweepConfig()
         assert deepest_sweep(GridSpec(32, 2 * math.pi), like).num_radii == 4
@@ -106,21 +95,12 @@ class TestRunners:
         assert lines[-1] == "result: pass"
 
     def test_persist_is_byte_deterministic(self, cfg32, tmp_path):
-        a = persist(run_riesz_boundedness(cfg32), tmp_path / "a")
-        b = persist(run_riesz_boundedness(cfg32), tmp_path / "b")
-        ta, tb = tree_bytes(a), tree_bytes(b)
-        assert set(ta) == set(tb)
-        assert all(ta[k] == tb[k] for k in ta)
-
-    @pytest.mark.parametrize("name", ["riesz", "scaling"])
-    def test_artifacts_independent_of_thread_count(self, name, cfg32, tmp_path, monkeypatch):
-        trees = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("QSQG_THREADS", threads)
-            trees.append(tree_bytes(persist(RUNNERS[name](cfg32), tmp_path / threads)))
-        assert {"config.json", "rows.csv", "summary.txt"} < set(trees[0])
-        assert any(k.startswith("plots/") for k in trees[0])
-        assert trees[0] == trees[1]
+        for name in ("riesz", "scaling"):
+            ta = tree_bytes(persist(RUNNERS[name](cfg32), tmp_path / name / "a"))
+            tb = tree_bytes(persist(RUNNERS[name](cfg32), tmp_path / name / "b"))
+            assert {"config.json", "rows.csv", "summary.txt"} < set(ta), name
+            assert any(k.startswith("plots/") for k in ta), name
+            assert ta == tb, name
 
     def test_zero_field_ratio_is_undefined(self, cfg32, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "band_limited_corpus",
@@ -143,7 +123,7 @@ class TestCli:
         assert (tmp_path / "riesz" / "rows.csv").exists()
         out = capsys.readouterr().out
         assert "[riesz] pass" in out
-        assert "wall time" in out and f"at {thread_budget()} thread(s)" in out
+        assert "wall time" in out
 
     def test_all_experiments(self, tmp_path):
         rc = cli.main(["all", *self.FAST, "--out", str(tmp_path)])
@@ -152,18 +132,46 @@ class TestCli:
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfg_file = tmp_path / "override.json"
-        cfg_file.write_text(json.dumps({"corpus_size": 3, "seed": 99}))
-        rc = cli.main(["riesz", *self.FAST,
+        cfg_file.write_text(json.dumps({"corpus_size": 3, "seed": 99, "horizon": 1,
+                                        "grid": {"side_points": 32.0},
+                                        "params": {"alpha": 0.3}, "sweep": {"num_radii": 4}}))
+        rc = cli.main(["riesz", *self.FAST, "--beta", "0.8", "--time-nodes", "20",
                        "--config", str(cfg_file), "--out", str(tmp_path / "o")])
         assert rc == 0
         on_disk = json.loads((tmp_path / "o" / "riesz" / "config.json").read_text())
         assert on_disk["corpus_size"] == 3
         assert on_disk["seed"] == 99
+        # an object overrides only the keys it gives; the rest keep the flags
+        assert on_disk["params"] == {"alpha": 0.3, "beta": 0.8}
+        assert on_disk["sweep"] == {"num_radii": 4, "time_nodes": 20}
+        # values are cast to the field types, as the flags are
+        assert type(on_disk["grid"]["side_points"]) is int
+        assert type(on_disk["horizon"]) is float
+
+    def test_config_json_replays_run(self, tmp_path):
+        rc = cli.main(["regularity", *self.FAST, "--alpha", "0.3", "--time-nodes", "20",
+                       "--out", str(tmp_path / "a")])
+        assert rc == 0
+        first = tmp_path / "a" / "regularity"
+        rc = cli.main(["regularity", "--config", str(first / "config.json"),
+                       "--out", str(tmp_path / "b")])
+        assert rc == 0
+        assert tree_bytes(first) == tree_bytes(tmp_path / "b" / "regularity")
 
     def test_unknown_config_key_rejected(self, tmp_path):
+        # nested keys are checked too, and the old flat names are unknown
+        cases = [({"corpus": 2}, "corpus"), ({"params": {"gamma": 1.0}}, "params.gamma"),
+                 ({"alpha": 0.3}, "alpha"), ({"time_nodes": 20}, "time_nodes")]
         cfg_file = tmp_path / "bad.json"
-        cfg_file.write_text(json.dumps({"corpus": 2}))
-        with pytest.raises(SystemExit, match="unknown config keys"):
+        for raw, key in cases:
+            cfg_file.write_text(json.dumps(raw))
+            with pytest.raises(SystemExit, match=rf"unknown config keys: \['{key}'\]"):
+                cli.main(["riesz", "--config", str(cfg_file), "--out", str(tmp_path)])
+
+    def test_flat_grid_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "old.json"
+        cfg_file.write_text(json.dumps({"grid": 32}))
+        with pytest.raises(SystemExit, match="config grid must be a JSON object"):
             cli.main(["riesz", "--config", str(cfg_file), "--out", str(tmp_path)])
 
     def test_hard_failure_sets_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -610,7 +610,7 @@ class TestBesovPruning:
             for kind, v in self.bound_cases(n, rng).items():
                 spec = spectral.forward(v - v.mean())
                 block_sum = weight * float(norms._spectrum_block_sups(spec, masks, n).sum())
-                bound = weight * norms._block_sum_bound(spec, n)
+                bound = weight * norms._spectrum_measures(spec, n)[0]
                 assert block_sum <= bound * (1 + norms._BOUND_MARGIN), (n, kind)
                 if kind == "delta":   # the tight case: every mode in phase at one point
                     assert block_sum == pytest.approx(bound, rel=1e-13), n
