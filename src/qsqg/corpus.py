@@ -40,16 +40,16 @@ def band_limited_corpus(
     if not 0 < max_mode < grid.n // 2:
         raise ValueError(f"max_mode must lie in (0, N/2), got {max_mode}")
     modes = half_lattice_modes(max_mode)
+    k1, k2 = np.array(modes).T
     rng = np.random.default_rng(seed)
     n = grid.n
     fields = []
     for _ in range(count):
         draws = rng.standard_normal((len(modes), 2))
+        c = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         coeff = np.zeros((n, n), dtype=complex)
-        for (k1, k2), (re, im) in zip(modes, draws):
-            c = (re + 1j * im) / np.sqrt(2.0)
-            coeff[k1 % n, k2 % n] = c
-            coeff[-k1 % n, -k2 % n] = np.conj(c)
+        coeff[k1 % n, k2 % n] = c
+        coeff[-k1 % n, -k2 % n] = np.conj(c)
         values = spectral.inverse(spectral.half(coeff), n) * n * n / np.sqrt(len(modes))
         fields.append(RealField(grid, values))
     return fields

@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -420,6 +421,14 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
     whose bound cannot beat it is dropped, and nodes that only dropped radii
     hold are never made; the value and box are the exhaustive sweep's.
 
+    The decay plane e^(-s lam) of node g is row g of the node table of
+    ``_caloric_measures``, gathered onto the modes.  The gather is exact:
+    each mode's entry is exp of the same product -s * lam of the same
+    doubles as in a full-plane exp.  The derivative symbols are i times real
+    arrays (``_gradient_symbols``), so node g's rows (decay_g * (i f^)) *
+    Im d_j are d_j * (decay_g * f^) entry for entry, up to the sign of a
+    zero, and the energies are the same doubles.
+
     The centered field is scaled by 2^-e, e the binary exponent of its
     largest magnitude, and the value by 2^e.  Both are exact, so the squared
     energies neither overflow nor underflow at any finite amplitude.  Raises
@@ -443,20 +452,22 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
         for k, w in users:
             weights[k, g] = w
 
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
-    d1 = spectral.half(ops.derivative_symbol(grid, 1))
-    d2 = spectral.half(ops.derivative_symbol(grid, 2))
-    gradient = np.hypot(np.abs(d1), np.abs(d2)) * np.abs(spec)
-    masses = [math.ldexp(q, 2 * e) for _, e, q in
-              _caloric_measures(gradient, lam, [s for s, _, _ in nodes], grid.n)]
+    im1, im2, magnitude = _gradient_symbols(grid)
+    decay, measures = _caloric_measures(magnitude * np.abs(spec), grid, beta,
+                                        [s for s, _, _ in nodes])
+    masses = [math.ldexp(q, 2 * e) for _, e, q in measures]
+    ispec = 1j * spec
 
     def gradients(g):
-        decayed = np.exp(-nodes[g][0] * lam) * spec
-        yield d1 * decayed
-        yield d2 * decayed
+        decayed = decay(g) * ispec
+        yield decayed * im1
+        yield decayed * im2
 
     def energy(g, gx, gy):
-        return gx * gx + gy * gy
+        # the planes are views of a batch that nothing reads again
+        e = np.square(gx, out=gx)
+        e += np.square(gy, out=gy)
+        return e
 
     search = _RadiusSweep(grid, sweep, [p for _, _, p in ladders])
     search.stream(weights, masses, gradients, energy, 2)
@@ -557,29 +568,69 @@ def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
     return bound, scale, _half_sum(np.square(mags, out=mags), n)
 
 
-def _caloric_measures(spec: np.ndarray, lam: np.ndarray, times,
-                      n: int) -> list[tuple[float, int, float]]:
-    """``_spectrum_measures`` of every node exp(-t lam) spec of a caloric
-    extension, with one exponent e for all nodes, that of max |spec|: decay
-    only shrinks the modes, so no square overflows.
-
-    Modes with equal lam decay alike, so colw |spec| and colw |spec|^2 are
-    first summed per distinct lam (457 of 2,112 modes at N = 64), and a node
-    costs two dot products over the distinct rates, not a pass over its
-    spectrum."""
+@lru_cache(maxsize=16)
+def _rate_levels(grid: GridSpec, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values ``levels`` of the half dissipation symbol
+    lam = |xi|^(2 beta), and each mode's index ``level_of`` into them in the
+    smallest unsigned integer dtype that holds it, so that
+    ``levels[level_of]`` is lam exactly.  lam depends on |k|^2 alone: 457
+    levels for 2,112 modes at N = 64 and 1,621 for 8,320 at N = 128.  Both
+    arrays are read-only."""
+    lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
     levels, level_of = np.unique(lam, return_inverse=True)
+    level_of = level_of.reshape(lam.shape).astype(np.min_scalar_type(levels.size - 1))
+    levels.setflags(write=False)
+    level_of.setflags(write=False)
+    return levels, level_of
+
+
+@lru_cache(maxsize=16)
+def _gradient_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Im d1, Im d2 and |grad| = hypot(|d1|, |d2|) on the half spectrum, with
+    d_j the derivative symbols, which are purely imaginary; read-only.
+    Im d_j are contiguous copies: with strided views of the complex symbols
+    the corpus-q benchmark pass ran 8-10% slower."""
+    d1 = spectral.half(ops.derivative_symbol(grid, 1))
+    d2 = spectral.half(ops.derivative_symbol(grid, 2))
+    parts = (d1.imag.copy(), d2.imag.copy(), np.hypot(np.abs(d1), np.abs(d2)))
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
+def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, times
+                      ) -> tuple[Callable[[int], np.ndarray], list[tuple[float, int, float]]]:
+    """``decay(m)``, the half-spectrum decay plane exp(-times[m] lam) with
+    lam = |xi|^(2 beta), and the ``_spectrum_measures`` of every node
+    exp(-t_m lam) spec of a caloric extension, with one exponent e for all
+    nodes, that of max |spec|: decay only shrinks the modes, so no square
+    overflows.
+
+    Both come from one node table, table[m] = exp(-times[m] * levels) over
+    the rate levels of ``_rate_levels``: 28 x 1,621 doubles (363 KB) for the
+    N = 128 Q-norm ladder.  Modes with equal lam decay alike, so colw |spec|
+    and colw |spec|^2 are first summed per level, and the Wiener bounds and
+    sums of squares of all nodes are two matrix-vector products,
+    table @ first and table^2 @ second, not a pass over each node's
+    spectrum.  ``decay(m)`` gathers row m onto the modes, exactly."""
+    levels, level_of = _rate_levels(grid, beta)
+    n = grid.n
     mags = np.abs(spec)
     scale = _binary_exponent(mags.max())
     mags *= math.ldexp(1.0, -scale)
     weighted = _column_weights(n) * mags / (n * n)
     first = np.bincount(level_of.ravel(), weighted.ravel(), levels.size)
     second = np.bincount(level_of.ravel(), (weighted * mags).ravel(), levels.size)
-    measures = []
-    for t in times:
-        decay = np.exp(-t * levels)
-        bound = math.ldexp(float(decay @ first), scale)
-        measures.append((bound, scale, float(np.square(decay, out=decay) @ second)))
-    return measures
+    table = np.exp(-np.outer(times, levels))
+    bounds = (table @ first).tolist()
+    sums = (np.square(table) @ second).tolist()
+
+    def decay(m):
+        # take, not table[m][level_of]: indexing converts the narrow index
+        # first, which at N = 128 costs more than the full-plane exp
+        return table[m].take(level_of)
+
+    return decay, [(math.ldexp(w, scale), scale, q) for w, q in zip(bounds, sums)]
 
 
 def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
@@ -810,8 +861,8 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     extension never leaves spectral space: node m's half spectrum
     exp(-t_m (-Lap)^beta) u0^ is made when ``_solution_parts`` asks for it:
     at the nodes the Carleson pass streams, and again at the nodes whose
-    block-sum bound can still set the sup.  Every node's Wiener bound and
-    energy come from the nonzero modes of u0^ alone (``_caloric_measures``).
+    block-sum bound can still set the sup.  Its decay plane and every node's
+    Wiener bound and energy come from one node table (``_caloric_measures``).
 
     The centered data is scaled by 2^-e, e the binary exponent of its
     largest magnitude, and both parts by 2^e; both steps are exact, so the
@@ -822,9 +873,9 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     times = caloric_coverage_times(grid, params)
     v, scale = _binary_scaled(_centered(u0), "centered data")
     spec = spectral.forward(v)
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    comp = _solution_parts(times, lambda m: np.exp(-times[m] * lam) * spec,
-                           grid, params, 0, sweep, _caloric_measures(spec, lam, times, grid.n))
+    decay, measures = _caloric_measures(spec, grid, params.beta, times)
+    comp = _solution_parts(times, lambda m: decay(m) * spec,
+                           grid, params, 0, sweep, measures)
     comp["besov"] = _unscaled(comp["besov"], scale)
     comp["carleson"] = _unscaled(comp["carleson"], scale)
     report = _solution_report(comp)

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
 
-from qsqg import GridSpec, band_limited_corpus, half_lattice_modes
+from qsqg import GridSpec, band_limited_corpus, half_lattice_modes, spectral
 
 L = 2 * np.pi
+
+
+def per_mode_corpus(grid, count, max_mode, seed):
+    """The corpus drawn and placed one mode at a time, as a reference for
+    the vectorised placement."""
+    modes = half_lattice_modes(max_mode)
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    fields = []
+    for _ in range(count):
+        draws = rng.standard_normal((len(modes), 2))
+        coeff = np.zeros((n, n), dtype=complex)
+        for (k1, k2), (re, im) in zip(modes, draws):
+            c = (re + 1j * im) / np.sqrt(2.0)
+            coeff[k1 % n, k2 % n] = c
+            coeff[-k1 % n, -k2 % n] = np.conj(c)
+        fields.append(spectral.inverse(spectral.half(coeff), n) * n * n / np.sqrt(len(modes)))
+    return fields
 
 
 class TestHalfLattice:
@@ -59,3 +77,12 @@ class TestCorpus:
         default = band_limited_corpus(grid32, count=1, seed=11)[0]
         explicit = band_limited_corpus(grid32, count=1, max_mode=32 // 6, seed=11)[0]
         assert np.array_equal(default.values, explicit.values)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_per_mode_placement(self, n):
+        grid = GridSpec(n, L)
+        for max_mode in sorted({5, 10, n // 6}):
+            got = band_limited_corpus(grid, count=4, max_mode=max_mode, seed=8191)
+            want = per_mode_corpus(grid, 4, max_mode, 8191)
+            for f, values in zip(got, want, strict=True):
+                assert np.array_equal(f.values, values), (n, max_mode)

@@ -358,7 +358,7 @@ class TestLadderSweep:
     """`norms._ladder_sweep`, the shared-node sweep behind the two semigroup estimators."""
 
     @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
-    @pytest.mark.parametrize("n,radii", [(32, 3), (64, 5)])
+    @pytest.mark.parametrize("n,radii", [(32, 3), (64, 5), (128, 3)])
     def test_matches_exhaustive_shared_oracle(self, a, b, n, radii):
         params = SpaceParams(a, b)
         sweep = BoxSweepConfig(radii)
@@ -453,6 +453,62 @@ class TestLadderSweep:
             for field in (bad, huge):
                 with pytest.raises(NonFiniteError):
                     est(field)
+
+
+class TestRateTable:
+    """`norms._rate_levels` and the node table of `norms._caloric_measures`,
+    which the semigroup ladders and the caloric norm share."""
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("beta", [0.75, 0.8])
+    def test_levels_reconstruct_the_half_symbol(self, n, beta):
+        grid = GridSpec(n, L)
+        levels, level_of = norms._rate_levels(grid, beta)
+        lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
+        assert np.array_equal(levels[level_of], lam)
+        assert (np.diff(levels) > 0).all()
+        assert level_of.dtype == np.min_scalar_type(levels.size - 1)
+
+    def test_level_counts(self):
+        for n, count in [(64, 457), (128, 1621)]:
+            levels, level_of = norms._rate_levels(GridSpec(n, L), 0.75)
+            assert (levels.size, level_of.size) == (count, n * (n // 2 + 1))
+
+    def test_cached_and_read_only(self, grid32):
+        first = norms._rate_levels(grid32, 0.75)
+        hits = norms._rate_levels.cache_info().hits
+        again = norms._rate_levels(grid32, 0.75)
+        assert norms._rate_levels.cache_info().hits == hits + 1
+        assert all(a is b for a, b in zip(first, again))
+        for table in (*first, *norms._gradient_symbols(grid32)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_gathered_decay_is_the_full_plane_exp(self, n):
+        grid = GridSpec(n, L)
+        lam = spectral.half(ops.dissipation_symbol(grid, 1.5))
+        times = np.geomspace(1e-4, 6.0, 60)
+        decay, _ = norms._caloric_measures(np.ones(lam.shape), grid, 0.75, times)
+        for m, t in enumerate(times):
+            assert np.array_equal(decay(m), np.exp(-t * lam)), (n, t)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_measures_match_per_node_oracle(self, n, params):
+        grid = GridSpec(n, L)
+        f = band_limited_corpus(grid, count=1, max_mode=n // 6, seed=8191)[0]
+        spec = spectral.forward(f.values - f.values.mean())
+        lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
+        times = np.concatenate([caloric_coverage_times(grid, params),
+                                np.geomspace(1e-4, 6.0, 28)])
+        _, measures = norms._caloric_measures(spec, grid, params.beta, times)
+        assert len(measures) == len(times)
+        for t, (bound, e, q) in zip(times, measures):
+            want_bound, want_e, want_q = norms._spectrum_measures(np.exp(-t * lam) * spec, n)
+            assert bound == pytest.approx(want_bound, rel=1e-14, abs=0), (n, t)
+            assert math.ldexp(q, 2 * e) == \
+                pytest.approx(math.ldexp(want_q, 2 * want_e), rel=1e-14, abs=0), (n, t)
 
 
 class TestTrajectoryNorms:
