@@ -537,7 +537,7 @@ def _lemma_constants(traj: Trajectory, params: SpaceParams) -> tuple[float, floa
     # A is the solver's Duhamel recursion with density (-Lap)^b f, frozen at
     # each cell's left node (the first cell reuses t_1)
     lhs = rhs = 0.0
-    for m, acc in enumerate(_duhamel(lambda j: lam * specs[j], traj.times, lam)):
+    for m, acc in enumerate(_duhamel(lambda j: lam * specs[j], traj.times, grid, b)):
         lhs += weights[m] * _l2_sq(acc, grid)
         rhs += weights[m] * _l2_sq(specs[m], grid)
     memory = lhs / rhs if rhs > 0 else float("nan")
@@ -547,11 +547,12 @@ def _lemma_constants(traj: Trajectory, params: SpaceParams) -> tuple[float, floa
     mass = 0.0
     cum = np.zeros_like(specs[0])
     steps = np.diff(traj.times, prepend=0.0)
-    for m, t in enumerate(traj.times):
+    # the smoothing decay is e^(-t lam) at k = 0 and e^(-(t/2) lam) at k = 1
+    decays = zip(ops._decays(grid, b, traj.times), ops._decays(grid, b, 0.5 * traj.times))
+    for m, (t, decay) in enumerate(zip(traj.times, decays)):
         cum = cum + specs[m] * steps[m]
         for k in (0, 1):
-            op = smooth[k] * np.exp(-(0.5 * t if k > 0 else t) * lam)
-            smoothing[k] += weights[m] * t ** k * _l2_sq(op * cum, grid)
+            smoothing[k] += weights[m] * t ** k * _l2_sq(smooth[k] * decay[k] * cum, grid)
         mass += weights[m] * float(np.abs(traj.snapshots[m].values).sum()) * grid.cell_area
     rhs = carleson_l1_functional(traj, params).value * mass
     b0, b1 = (v / rhs if rhs > 0 else float("nan") for v in smoothing)

@@ -22,6 +22,7 @@ from .errors import NonFiniteError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory
 from . import operators as ops
 from . import spectral
+from .operators import _rate_levels
 from .sweep import (
     TIME_RATIO,
     BoxSweepConfig,
@@ -422,7 +423,8 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
     hold are never made; the value and box are the exhaustive sweep's.
 
     The decay plane e^(-s lam) of node g is row g of the node table of
-    ``_caloric_measures``, gathered onto the modes.  The gather is exact:
+    ``_caloric_measures``, over the rate levels of
+    ``operators._rate_levels``, gathered onto the modes.  The gather is exact:
     each mode's entry is exp of the same product -s * lam of the same
     doubles as in a full-plane exp.  The derivative symbols are i times real
     arrays (``_gradient_symbols``), so node g's rows (decay_g * (i f^)) *
@@ -569,22 +571,6 @@ def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
 
 
 @lru_cache(maxsize=16)
-def _rate_levels(grid: GridSpec, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending distinct values ``levels`` of the half dissipation symbol
-    lam = |xi|^(2 beta), and each mode's index ``level_of`` into them in the
-    smallest unsigned integer dtype that holds it, so that
-    ``levels[level_of]`` is lam exactly.  lam depends on |k|^2 alone: 457
-    levels for 2,112 modes at N = 64 and 1,621 for 8,320 at N = 128.  Both
-    arrays are read-only."""
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * beta))
-    levels, level_of = np.unique(lam, return_inverse=True)
-    level_of = level_of.reshape(lam.shape).astype(np.min_scalar_type(levels.size - 1))
-    levels.setflags(write=False)
-    level_of.setflags(write=False)
-    return levels, level_of
-
-
-@lru_cache(maxsize=16)
 def _gradient_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Im d1, Im d2 and |grad| = hypot(|d1|, |d2|) on the half spectrum, with
     d_j the derivative symbols, which are purely imaginary; read-only.
@@ -607,12 +593,15 @@ def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, times
     overflows.
 
     Both come from one node table, table[m] = exp(-times[m] * levels) over
-    the rate levels of ``_rate_levels``: 28 x 1,621 doubles (363 KB) for the
-    N = 128 Q-norm ladder.  Modes with equal lam decay alike, so colw |spec|
-    and colw |spec|^2 are first summed per level, and the Wiener bounds and
-    sums of squares of all nodes are two matrix-vector products,
-    table @ first and table^2 @ second, not a pass over each node's
-    spectrum.  ``decay(m)`` gathers row m onto the modes, exactly."""
+    the rate levels of ``operators._rate_levels``: 28 x 1,621 doubles
+    (363 KB) for the N = 128 Q-norm ladder.  Modes with equal lam decay
+    alike, so colw |spec| and colw |spec|^2 are first summed per level, and
+    the Wiener bounds and sums of squares of all nodes are two matrix-vector
+    products, table @ first and table^2 @ second, not a pass over each node's
+    spectrum.  Those products need every row at once, so this is the one
+    place that holds a (nodes x levels) table; everywhere else the planes
+    come row by row from ``operators._decays``.  ``decay(m)`` gathers row m
+    onto the modes, exactly as ``_decays`` does."""
     levels, level_of = _rate_levels(grid, beta)
     n = grid.n
     mags = np.abs(spec)

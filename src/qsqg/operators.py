@@ -75,8 +75,54 @@ def riesz_symbol(grid: GridSpec, axis: int) -> np.ndarray:
 
 
 def heat_symbol(grid: GridSpec, beta: float, t: float) -> np.ndarray:
-    """exp(-t |xi|^(2 beta)); zero mode stays 1, so the mean is conserved."""
+    """exp(-t |xi|^(2 beta)); zero mode stays 1, so the mean is conserved.
+    The full-plane form of ``_decays``, kept for ``heat_semigroup`` and as
+    the tests' oracle."""
     return np.exp(-t * dissipation_symbol(grid, 2.0 * beta))
+
+
+# -- semigroup core ------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _rate_levels(grid: GridSpec, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values ``levels`` of the half dissipation symbol
+    lam = |xi|^(2 beta), and each mode's index ``level_of`` into them in the
+    smallest unsigned integer dtype that holds it, so that
+    ``levels[level_of]`` is lam exactly.  lam depends on |k|^2 alone: 457
+    levels for 2,112 modes at N = 64 and 1,621 for 8,320 at N = 128.  Both
+    arrays are read-only."""
+    lam = spectral.half(dissipation_symbol(grid, 2 * beta))
+    levels, level_of = np.unique(lam, return_inverse=True)
+    level_of = level_of.reshape(lam.shape).astype(np.min_scalar_type(levels.size - 1))
+    levels.setflags(write=False)
+    level_of.setflags(write=False)
+    return levels, level_of
+
+
+def _decays(grid: GridSpec, beta: float, times):
+    """Yield the half-spectrum decay plane e^(-t lam), lam = |xi|^(2 beta),
+    for each t of ``times`` in turn.
+
+    Each plane is exp over the rate levels gathered onto the modes: every
+    mode's entry is exp of the same product -t * lam of the same doubles as
+    in a full-plane exp, so the plane is ``heat_symbol``'s half bit for bit.
+    Planes are made one at a time; no (times x levels) table is held."""
+    levels, level_of = _rate_levels(grid, beta)
+    for t in times:
+        # take, not row[level_of]: indexing converts the narrow index first
+        yield np.exp(-t * levels).take(level_of)
+
+
+def _propagators(grid: GridSpec, beta: float, steps):
+    """Per cell of length h in ``steps``, the pair (E, phi1) with
+    E = e^(-h lam) and phi1 = (1 - E)/lam exact per mode (h where lam = 0).
+    1 - E is taken from expm1, so short cells on low modes keep full
+    relative precision.  Both come from the rate levels, as in ``_decays``."""
+    levels, level_of = _rate_levels(grid, beta)
+    positive = levels > 0
+    safe = np.where(positive, levels, 1.0)
+    for h, decay in zip(steps, _decays(grid, beta, steps)):
+        yield decay, np.where(positive, -np.expm1(-h * levels) / safe, h).take(level_of)
 
 
 # -- public operators --------------------------------------------------------
@@ -160,16 +206,16 @@ def kernel_fields(
     """
     if t <= 0:
         raise ValueError(f"kernel time must be positive, got {t}")
-    decay = heat_symbol(grid, params.beta, t)
+    decay = next(_decays(grid, params.beta, (t,)))
     area = grid.cell_area
 
-    def render(symbol: np.ndarray) -> RealField:
-        return RealField(grid, spectral.inverse(spectral.half(symbol), grid.n) / area)
+    def render(half_symbol: np.ndarray) -> RealField:
+        return RealField(grid, spectral.inverse(half_symbol, grid.n) / area)
 
     heat = render(decay)
     grad = (
-        render(derivative_symbol(grid, 1) * decay),
-        render(derivative_symbol(grid, 2) * decay),
+        render(spectral.half(derivative_symbol(grid, 1)) * decay),
+        render(spectral.half(derivative_symbol(grid, 2)) * decay),
     )
-    riesz_kernel = render(riesz_symbol(grid, 1) * decay)
+    riesz_kernel = render(spectral.half(riesz_symbol(grid, 1)) * decay)
     return heat, grad, riesz_kernel

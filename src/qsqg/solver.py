@@ -153,17 +153,6 @@ def nonlinear_density(u: RealField, v: RealField) -> RealField:
 
 # -- flows ---------------------------------------------------------------------
 
-def _cell_propagators(lam: np.ndarray, steps):
-    """Per cell of length h in ``steps``, the pair (E, phi1) with
-    E = e^(-h lam) and phi1 = (1 - E)/lam exact per mode (h where lam = 0).
-    1 - E is taken from expm1, so short cells on low modes keep full
-    relative precision."""
-    positive = lam > 0
-    safe = np.where(positive, lam, 1.0)
-    for h in steps:
-        yield np.exp(-h * lam), np.where(positive, -np.expm1(-h * lam) / safe, h)
-
-
 def _trajectory(times: np.ndarray, spectra, grid: GridSpec) -> Trajectory:
     """Trajectory of physical snapshots from per-node half spectra."""
     planes = spectral.inverse_chunks(spectra, grid.n)
@@ -175,20 +164,22 @@ def linear_flow(theta0: RealField, grid: TimeGrid, params: SpaceParams) -> Traje
     theta0.require_mean_zero("linear_flow")
     g = theta0.grid
     spec = spectral.forward(theta0.values)
-    lam = spectral.half(ops.dissipation_symbol(g, 2 * params.beta))
-    return _trajectory(grid.times, (np.exp(-t * lam) * spec for t in grid.times), g)
+    decays = ops._decays(g, params.beta, grid.times)
+    return _trajectory(grid.times, (decay * spec for decay in decays), g)
 
 
-def _duhamel(density_at, times: np.ndarray, lam: np.ndarray):
+def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
     """Yield the half spectrum of B at each node of ``times`` in turn, by the
-    recursion of ``duhamel_bilinear``.
+    recursion of ``duhamel_bilinear`` for the dissipation |xi|^(2 beta).
 
     ``density_at(j)`` gives the density's half spectrum at times[j].  Each
     density is made when the first cell that needs it is reached, and only
-    the current one is held."""
-    acc = np.zeros(lam.shape, dtype=complex)
+    the current one is held.  Each cell's (E, phi1) comes from
+    ``operators._propagators`` as the cell is reached."""
+    acc = np.zeros((grid.n, spectral.half_width(grid.n)), dtype=complex)
     g, made = None, -1
-    for k, (decay, phi1) in enumerate(_cell_propagators(lam, np.diff(times, prepend=0.0))):
+    steps = np.diff(times, prepend=0.0)
+    for k, (decay, phi1) in enumerate(ops._propagators(grid, beta, steps)):
         j = max(k - 1, 0)
         if j != made:
             g, made = density_at(j), j
@@ -227,8 +218,7 @@ def duhamel_bilinear(
         spec_v = spec_u if v is u else spectral.forward(v.values)
         return _density(spec_u, spec_v, grid)
 
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    return _trajectory(U.times, _duhamel(density_at, U.times, lam), grid)
+    return _trajectory(U.times, _duhamel(density_at, U.times, grid, params.beta), grid)
 
 
 def picard_solve(
@@ -252,12 +242,11 @@ def picard_solve(
     grid = theta0.grid
     sweep = norms._sweep_for(grid, config.sweep)
     times = config.timegrid.times
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
     spec0 = spectral.forward(theta0.values)
     spec0[0, 0] = 0.0  # the norms measure the mean-zero part
     base = np.empty((len(times),) + spec0.shape, dtype=complex)
-    for plane, t in zip(base, times):
-        np.multiply(np.exp(-t * lam), spec0, out=plane)
+    for plane, decay in zip(base, ops._decays(grid, params.beta, times)):
+        np.multiply(decay, spec0, out=plane)
 
     def measure(spectrum, it: int) -> float:
         """x_norm value of the trajectory whose node m has the mean-zero half
@@ -277,7 +266,8 @@ def picard_solve(
     for it in range(1, config.max_iter + 1):
         iterations = it
         nxt = np.empty_like(base)
-        duhamel = _duhamel(lambda j: _density(current[j], current[j], grid), times, lam)
+        duhamel = _duhamel(lambda j: _density(current[j], current[j], grid),
+                           times, grid, params.beta)
         for out, b, acc in zip(nxt, base, duhamel):
             np.add(b, acc, out=out)
         if not np.isfinite(nxt).all():
@@ -327,11 +317,10 @@ def reference_solve(
     grid = theta0.grid
     times = config.timegrid.times
     steps = np.diff(times, prepend=0.0) / config.reference_refine
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
 
     def at_nodes():
         spec = spectral.forward(theta0.values)
-        for t, (decay, phi1) in zip(times, _cell_propagators(lam, steps)):
+        for t, (decay, phi1) in zip(times, ops._propagators(grid, params.beta, steps)):
             for _ in range(config.reference_refine):
                 if include_nonlinearity:
                     n0 = _density(spec, spec, grid)

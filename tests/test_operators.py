@@ -16,13 +16,19 @@ from qsqg import (
     sqg_velocity,
     to_spectral,
 )
+from qsqg import spectral
 from qsqg.operators import (
     _annulus_mask,
+    _decays,
+    _propagators,
     apply_lattice_symbol,
+    derivative_symbol,
     dissipation_symbol,
     heat_symbol,
     mixed_derivative_symbol,
+    riesz_symbol,
 )
+from qsqg.solver import TimeGrid
 
 L = 2 * np.pi
 
@@ -214,3 +220,53 @@ class TestKernels:
         _, _, kj = kernel_fields(1.0, params, grid32)
         flipped = np.roll(kj.values[::-1, :], 1, axis=0)  # x1 -> -x1 on the torus
         np.testing.assert_allclose(flipped, -kj.values, atol=1e-12)
+
+
+class TestSemigroupCore:
+    """``_decays`` and ``_propagators`` gather exp and expm1 over the rate
+    levels; every plane must be the full-plane formula's, bit for bit."""
+
+    BETA = 0.75
+
+    @staticmethod
+    def time_sets():
+        tg = TimeGrid(1.0, 32)
+        cells = np.diff(tg.times, prepend=0.0)
+        return {
+            "picard cells": cells,
+            "reference substeps": cells / 4,   # reference_refine = 4
+            "node times": tg.times,
+            "half node times": 0.5 * tg.times,
+        }
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_decays_and_propagators_equal_full_plane(self, n):
+        grid = GridSpec(n, L)
+        lam = spectral.half(dissipation_symbol(grid, 2 * self.BETA))
+        safe = np.where(lam > 0, lam, 1.0)
+        for name, steps in self.time_sets().items():
+            decays = list(_decays(grid, self.BETA, steps))
+            pairs = list(_propagators(grid, self.BETA, steps))
+            assert len(decays) == len(pairs) == len(steps), name
+            for h, decay, (E, phi1) in zip(steps, decays, pairs):
+                oracle_E = np.exp(-h * lam)
+                oracle_phi1 = np.where(lam > 0, -np.expm1(-h * lam) / safe, h)
+                assert np.array_equal(decay, oracle_E), (name, h)
+                assert np.array_equal(E, oracle_E), (name, h)
+                assert np.array_equal(phi1, oracle_phi1), (name, h)
+                assert E[0, 0] == 1.0 and phi1[0, 0] == h, (name, h)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_kernel_fields_equal_full_plane_render(self, n, params):
+        grid = GridSpec(n, L)
+        t = 0.3
+        full = heat_symbol(grid, params.beta, t)
+
+        def render(symbol):
+            return spectral.inverse(spectral.half(symbol), n) / grid.cell_area
+
+        heat, (g1, g2), rk = kernel_fields(t, params, grid)
+        assert np.array_equal(heat.values, render(full))
+        assert np.array_equal(g1.values, render(derivative_symbol(grid, 1) * full))
+        assert np.array_equal(g2.values, render(derivative_symbol(grid, 2) * full))
+        assert np.array_equal(rk.values, render(riesz_symbol(grid, 1) * full))

@@ -16,6 +16,7 @@ from qsqg import (
     dealias_field,
     duhamel_bilinear,
     field_from_function,
+    heat_semigroup,
     linear_flow,
     load_trajectory,
     nonlinear_density,
@@ -28,7 +29,6 @@ from qsqg import (
     sqg_velocity,
     x_norm,
 )
-from qsqg import operators as ops
 from qsqg import solver, spectral
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
@@ -169,8 +169,8 @@ def duhamel_with_density(density, times, grid, params):
     """The solver's Duhamel recursion with the density at node j replaced by
     the field ``density(j)``, which isolates the quadrature from the
     nonlinearity."""
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    spectra = solver._duhamel(lambda j: spectral.forward(density(j).values), times, lam)
+    spectra = solver._duhamel(lambda j: spectral.forward(density(j).values), times,
+                              grid, params.beta)
     return solver._trajectory(times, spectra, grid)
 
 
@@ -272,6 +272,22 @@ class TestPicard:
             with np.errstate(over="ignore", invalid="ignore"):
                 picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
         assert info.value.iteration == 0
+
+
+class TestLinearFlow:
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_linear_flow_matches_full_plane_semigroup(self, n, params):
+        # heat_semigroup builds exp(-t lam) on the full plane, independently
+        # of the rate-level core behind linear_flow and the solvers
+        grid = GridSpec(n, L)
+        theta0 = field_from_function(
+            grid, lambda x1, x2: np.sin(x1) * np.cos(2 * x2) + 0.3 * np.cos(7 * x1 - 5 * x2)
+            + 0.05 * np.sin(13 * x1 + 11 * x2))
+        tg = TimeGrid(1.0, 16)
+        flow = linear_flow(theta0, tg, params)
+        for t, snap in zip(tg.times, flow.snapshots):
+            oracle = heat_semigroup(theta0, t, params).values
+            assert np.abs(snap.values - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 class TestReference:
