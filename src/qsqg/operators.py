@@ -88,9 +88,12 @@ def _rate_levels(grid: GridSpec, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """The ascending distinct values ``levels`` of the half dissipation symbol
     lam = |xi|^(2 beta), and each mode's index ``level_of`` into them in the
     smallest unsigned integer dtype that holds it, so that
-    ``levels[level_of]`` is lam exactly.  lam depends on |k|^2 alone: 457
-    levels for 2,112 modes at N = 64 and 1,621 for 8,320 at N = 128.  Both
-    arrays are read-only."""
+    ``levels[level_of]`` is lam exactly.  lam depends on |k|^2 alone in exact
+    arithmetic, and in floating point when 2 pi / L is a power of two (L = 2 pi
+    counts): 457 levels for 2,112 modes at N = 64 and 1,621 for 8,320 at
+    N = 128.  Otherwise (c k1)^2 + (c k2)^2, c = 2 pi / L, rounds apart on
+    modes of equal |k|^2: 489 levels at N = 64 for L = 1.  Both arrays are
+    read-only."""
     lam = spectral.half(dissipation_symbol(grid, 2 * beta))
     levels, level_of = np.unique(lam, return_inverse=True)
     level_of = level_of.reshape(lam.shape).astype(np.min_scalar_type(levels.size - 1))

@@ -1,9 +1,13 @@
 """The package's public names resolve, and so do the functions the benchmark
 traces, so a stale ``__all__`` entry or a deleted traced name fails here
-rather than only in the benchmark run."""
+rather than only in the benchmark run.  A fresh import loads only the scipy
+subpackages that every run needs."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,8 @@ import pytest
 import qsqg
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(qsqg.__path__))
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def layer_functions() -> dict:
@@ -38,3 +43,16 @@ def test_traced_layer_functions_exist():
                for fname in names
                if not callable(getattr(importlib.import_module(f"qsqg.{layer}"), fname, None))]
     assert not missing, f"perfbench traces functions that do not exist: {missing}"
+
+
+def test_import_loads_only_fft_and_special_from_scipy():
+    """A fresh ``import qsqg, qsqg.cli`` loads no scipy subpackage beyond
+    ``scipy.fft`` and ``scipy.special``: ``scipy.integrate`` alone would pull
+    in optimize, sparse, linalg, spatial and constants on every run."""
+    probe = ("import sys, scipy, qsqg, qsqg.cli\n"
+             "print(' '.join(sorted(m for m in scipy.submodules"
+             " if 'scipy.' + m in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["fft", "special"]
