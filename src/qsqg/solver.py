@@ -123,9 +123,8 @@ def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarr
     and v, factors and products dealiased: one batched inverse of
     (v, R2 u, R1 u), one batched forward of the two products."""
     keep = spectral.half(grid.dealias_mask)
-    same = spec_v is spec_u
     spec_u = np.where(keep, spec_u, 0.0)
-    spec_v = spec_u if same else np.where(keep, spec_v, 0.0)
+    spec_v = np.where(keep, spec_v, 0.0)
     r1 = spectral.half(ops.riesz_symbol(grid, 1))
     r2 = spectral.half(ops.riesz_symbol(grid, 2))
     v, r2u, r1u = spectral.inverse(np.stack([spec_v, r2 * spec_u, r1 * spec_u]), grid.n)

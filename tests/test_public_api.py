@@ -52,7 +52,8 @@ def test_import_loads_only_fft_and_special_from_scipy():
     probe = ("import sys, scipy, qsqg, qsqg.cli\n"
              "print(' '.join(sorted(m for m in scipy.submodules"
              " if 'scipy.' + m in sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["fft", "special"]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                            cwd=ROOT, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["fft", "special"]

@@ -164,15 +164,6 @@ class TestNonlinearity:
         solver._density(spec, spec, smooth32.grid)
         assert calls == {"forward": 1, "inverse": 1}
 
-    @pytest.mark.parametrize("n", [32, 256])
-    def test_shared_factor_matches_a_distinct_copy(self, n):
-        # _density(s, s) masks s once; a distinct copy takes the two-mask path
-        grid = GridSpec(n, L)
-        spec = spectral.forward(band_limited_corpus(grid, count=1, max_mode=n // 4,
-                                                    seed=7)[0].values)
-        assert np.array_equal(solver._density(spec, spec, grid),
-                              solver._density(spec, spec.copy(), grid))
-
 
 def duhamel_with_density(density, times, grid, params):
     """The solver's Duhamel recursion with the density at node j replaced by
