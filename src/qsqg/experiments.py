@@ -279,10 +279,14 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
 
 # -- experiment 3: scaling invariance -------------------------------------------
 
-def deepest_sweep(grid: GridSpec, like: BoxSweepConfig, cap: int = 5) -> BoxSweepConfig:
-    """Widest dyadic radius ladder the grid admits, up to ``cap`` radii."""
+# Most radii ``deepest_sweep`` gives a sweep, whatever the grid admits.
+MAX_SWEEP_RADII = 5
+
+
+def deepest_sweep(grid: GridSpec, like: BoxSweepConfig) -> BoxSweepConfig:
+    """Widest dyadic radius ladder the grid admits, up to MAX_SWEEP_RADII."""
     m = 3
-    while m < cap and grid.n % 2 ** (m + 2) == 0:
+    while m < MAX_SWEEP_RADII and grid.n % 2 ** (m + 2) == 0:
         m += 1
     return BoxSweepConfig(m, like.time_nodes)
 

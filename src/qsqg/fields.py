@@ -5,20 +5,21 @@ Conventions, fixed once for the whole package:
 * physical domain [0, L)^2 sampled on an N x N row-major lattice
   (axis 0 is x1, axis 1 is x2);
 * frequency lattice xi = (2 pi / L) k with integer k in [-N/2, N/2)^2,
-  stored in FFT layout;
-* forward transform  fhat(xi) = sum_x f(x) exp(-i xi . x) (L/N)^2,
-  so the partial derivative along axis j acts as multiplication by i xi_j.
+  stored in FFT layout, so the partial derivative along axis j acts as
+  multiplication by i xi_j.
 
-Package code transforms through ``qsqg.spectral``, which keeps only the half
-spectrum: columns k2 = 0 .. N/2 of the FFT layout, shape (N, N/2 + 1), the
-rest being fixed by conjugate symmetry.  Symbols and masks are built here in
-the full layout and multiply a half spectrum through its leading N/2 + 1
-columns.  Odd symbols stay projected by ``GridSpec.hermitian_part``: the real
-inverse drops unpaired odd content on the k2 = 0, N/2 columns as ``.real`` of
+Package code transforms through ``qsqg.spectral``, an unnormalized real FFT
+fhat(xi) = sum_x f(x) exp(-i xi . x) that keeps only the half spectrum:
+columns k2 = 0 .. N/2 of the FFT layout, shape (N, N/2 + 1), the rest being
+fixed by conjugate symmetry.  Symbols and masks are built here in the full
+layout and multiply a half spectrum through its leading N/2 + 1 columns.
+Odd symbols stay projected by ``GridSpec.hermitian_part``: the real inverse
+drops unpaired odd content on the k2 = 0, N/2 columns as ``.real`` of
 a complex inverse does, but on the k1 = N/2 row it would turn that content
 into a spurious real term, so it must be zeroed before it is applied.
 ``SpectralField`` and ``to_spectral``/``to_physical`` keep the full complex
-layout.
+layout and carry the continuum scaling: their coefficients are that sum
+times the cell area (L/N)^2.
 
 Operators that are homogeneous or singular at xi = 0 send the mean to zero,
 and the norm estimators remove the mean on ingestion; constants are invisible
@@ -107,24 +108,11 @@ class GridSpec:
         return x1, x2
 
     @cached_property
-    def xi_squared(self) -> np.ndarray:
-        x1, x2 = self.xi
-        s = x1 * x1 + x2 * x2
-        s.setflags(write=False)
-        return s
-
-    @cached_property
     def xi_norm(self) -> np.ndarray:
-        s = np.sqrt(self.xi_squared)
+        x1, x2 = self.xi
+        s = np.sqrt(x1 * x1 + x2 * x2)
         s.setflags(write=False)
         return s
-
-    @cached_property
-    def negation_index(self) -> np.ndarray:
-        """Permutation sending mode k to -k mod N along one axis."""
-        p = (-np.arange(self.n)) % self.n
-        p.setflags(write=False)
-        return p
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -138,7 +126,7 @@ class GridSpec:
 
     def conjugate_flip(self, arr: np.ndarray) -> np.ndarray:
         """conj(arr) sampled at -k mod N, the reality partner of arr."""
-        p = self.negation_index
+        p = (-np.arange(self.n)) % self.n
         return np.conj(arr[np.ix_(p, p)])
 
     def hermitian_part(self, symbol: np.ndarray) -> np.ndarray:
@@ -345,6 +333,8 @@ def read_field(path: "str | Path") -> RealField:
     raw = path.read_bytes()
     if raw[:4] != FILE_MAGIC:
         raise ValueError(f"{path} is not a field file (bad magic {raw[:4]!r})")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: {len(raw)} bytes is shorter than the 16-byte header")
     n = struct.unpack("<I", raw[4:8])[0]
     length = struct.unpack("<d", raw[8:16])[0]
     expected = 16 + 8 * n * n

@@ -24,7 +24,6 @@ from . import operators as ops
 from . import spectral
 from .operators import _rate_levels
 from .sweep import (
-    TIME_RATIO,
     BoxSweepConfig,
     CarlesonBox,
     best_center,
@@ -495,7 +494,7 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
     a, b = params.alpha, params.beta
 
     def ladder(r):
-        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, TIME_RATIO)
+        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes)
         return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
 
     value, box = _ladder_sweep(f, b, sweep, ladder)
@@ -526,7 +525,7 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
     b = params.beta
 
     def ladder(r):
-        lows, highs, mids = geometric_ladder(r, sweep.time_nodes, TIME_RATIO)
+        lows, highs, mids = geometric_ladder(r, sweep.time_nodes)
         return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
 
     value, box = _ladder_sweep(f, b, sweep, ladder)

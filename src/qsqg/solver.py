@@ -13,8 +13,9 @@ in divergence form d/dt theta = -(-Lap)^beta theta - [d1(theta R2 theta)
 with the Duhamel integral evaluated exactly per Fourier mode on each time
 cell, the nonlinear density frozen at the cell's left node.
 
-Picard iterates, Duhamel sums and the reference integrator's state are
-(M, N, N/2+1) half-spectrum stacks (``qsqg.spectral``); each density takes
+Picard iterates are (M, N, N/2+1) half-spectrum stacks (``qsqg.spectral``);
+the Duhamel sums are yielded one (N, N/2+1) half spectrum per node, and the
+reference integrator's state is one such half spectrum.  Each density takes
 one batched inverse and one batched forward transform, and the Duhamel sum
 runs as an O(M) recursion over the cells.  Physical snapshots are made once,
 for the returned Trajectory.  Blow-up is found by an explicit finiteness
@@ -144,10 +145,7 @@ def nonlinear_density(u: RealField, v: RealField) -> RealField:
         raise GridMismatchError("density factors live on different grids")
     grid = u.grid
     u.require_mean_zero("nonlinear_density")
-    if v is u:
-        spec_u = spec_v = spectral.forward(u.values)
-    else:
-        spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
+    spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
     return RealField(grid, spectral.inverse(_density(spec_u, spec_v, grid), grid.n))
 
 
@@ -214,8 +212,7 @@ def duhamel_bilinear(
     def density_at(j):
         u, v = U.snapshots[j], V.snapshots[j]
         u.require_mean_zero("duhamel_bilinear")
-        spec_u = spectral.forward(u.values)
-        spec_v = spec_u if v is u else spectral.forward(v.values)
+        spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
         return _density(spec_u, spec_v, grid)
 
     return _trajectory(U.times, _duhamel(density_at, U.times, grid, params.beta), grid)
@@ -294,12 +291,7 @@ def picard_solve(
     )
 
 
-def reference_solve(
-    theta0: RealField,
-    params: SpaceParams,
-    config: SolverConfig,
-    include_nonlinearity: bool = True,
-) -> Trajectory:
+def reference_solve(theta0: RealField, params: SpaceParams, config: SolverConfig) -> Trajectory:
     """Two-stage exponential predictor-corrector on the uniformly refined grid.
 
     Each graded cell is split into ``reference_refine`` equal substeps; one
@@ -311,7 +303,6 @@ def reference_solve(
     with E = e^(-h |xi|^(2b)) and phi1 = (1 - E)/|xi|^(2b) exact per mode.
     The state stays a half spectrum throughout; a substep that leaves a
     non-finite value raises DivergenceError with the node time reached.
-    ``include_nonlinearity=False`` drops N, reducing to the exact linear flow.
     """
     theta0.require_mean_zero("reference_solve")
     grid = theta0.grid
@@ -322,12 +313,9 @@ def reference_solve(
         spec = spectral.forward(theta0.values)
         for t, (decay, phi1) in zip(times, ops._propagators(grid, params.beta, steps)):
             for _ in range(config.reference_refine):
-                if include_nonlinearity:
-                    n0 = _density(spec, spec, grid)
-                    pred = decay * spec + phi1 * n0
-                    spec = decay * spec + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
-                else:
-                    spec = decay * spec
+                n0 = _density(spec, spec, grid)
+                pred = decay * spec + phi1 * n0
+                spec = decay * spec + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
                 if not np.isfinite(spec).all():
                     raise DivergenceError(
                         f"reference solution blew up by t = {t:.6g}", time=float(t)

@@ -146,10 +146,10 @@ def best_center(vals: np.ndarray, grid: GridSpec, stride: int) -> tuple[float, t
 
 # -- time quadrature ----------------------------------------------------------
 
-def geometric_ladder(upper: float, nodes: int, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def geometric_ladder(upper: float, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending cell bounds and midpoints of the top-anchored geometric
-    ladder upper * ratio^-(nodes-1) < ... < upper (nodes-1 cells)."""
-    pts = upper * ratio ** -np.arange(nodes - 1, -1, -1, dtype=float)
+    ladder upper * TIME_RATIO^-(nodes-1) < ... < upper (nodes-1 cells)."""
+    pts = upper * TIME_RATIO ** -np.arange(nodes - 1, -1, -1, dtype=float)
     lows, highs = pts[:-1], pts[1:]
     return lows, highs, 0.5 * (lows + highs)
 

@@ -42,7 +42,8 @@ class TestHelpers:
         assert deepest_sweep(GridSpec(32, 2 * math.pi), like).num_radii == 4
         assert deepest_sweep(GridSpec(64, 2 * math.pi), like).num_radii == 5
         assert deepest_sweep(GridSpec(48, 2 * math.pi), like).num_radii == 3
-        assert deepest_sweep(GridSpec(64, 2 * math.pi), like, cap=3).num_radii == 3
+        # N = 128 would admit 6 radii; the sweep stops at 5
+        assert deepest_sweep(GridSpec(128, 2 * math.pi), like).num_radii == 5
 
     def test_deepest_sweep_keeps_time_ladder(self):
         like = BoxSweepConfig(3, 24)

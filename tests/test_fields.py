@@ -222,10 +222,12 @@ class TestFieldIO:
         with pytest.raises(ValueError):
             read_field(path)
 
-    def test_rejects_truncation(self, smooth32, tmp_path):
+    # blob[:end]: one value short, then cuts inside the 16-byte header
+    @pytest.mark.parametrize("end", [-8, 12, 6, 0])
+    def test_rejects_truncation(self, smooth32, tmp_path, end):
         path = tmp_path / "f.qsf"
         write_field(smooth32, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
+        path.write_bytes(blob[:end])
         with pytest.raises(ValueError):
             read_field(path)

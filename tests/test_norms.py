@@ -31,7 +31,6 @@ from qsqg.experiments import ExperimentConfig, deepest_sweep, wellposedness_data
 from qsqg.norms import caloric_coverage_times
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 from qsqg.sweep import (
-    TIME_RATIO,
     CarlesonBox,
     best_center,
     box_sums,
@@ -269,9 +268,9 @@ def ladder(params, sweep, kind, r, gamma=0.5):
     ``kind`` builds them."""
     a, b = params.alpha, params.beta
     if kind == "q":
-        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, TIME_RATIO)
+        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes)
         return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
-    lows, highs, mids = geometric_ladder(r, sweep.time_nodes, TIME_RATIO)
+    lows, highs, mids = geometric_ladder(r, sweep.time_nodes)
     return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
 
 
@@ -288,11 +287,11 @@ def ladder_oracle(f, params, sweep, kind, gamma=0.5):
     best = -1.0
     for m, r in enumerate(sweep.radii(grid), start=1):
         if kind == "q":
-            lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes, TIME_RATIO)
+            lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes)
             times, weights = mids, power_weight(lows, highs, a / b)
             prefactor = r ** (2 * a + 2 * b - 4)
         else:
-            lows, highs, mids = geometric_ladder(r, sweep.time_nodes, TIME_RATIO)
+            lows, highs, mids = geometric_ladder(r, sweep.time_nodes)
             times, weights = mids ** (2 * b), linear_weight(lows, highs)
             prefactor = r ** (2 * gamma - 2)
         density = np.zeros((grid.n, grid.n))
@@ -585,6 +584,39 @@ class TestEmbedding:
         assert np.isfinite(constants[32]) and np.isfinite(constants[64])
         drift = abs(constants[64] - constants[32]) / constants[32]
         assert drift < 0.15
+
+
+def centred_gaussian_derivative(grid, sigma):
+    """Mean-zero d1 exp(-|x - c|^2 / (2 sigma^2)), c the domain's centre."""
+    c = grid.length / 2
+
+    def fn(x1, x2):
+        r2 = (x1 - c) ** 2 + (x2 - c) ** 2
+        return -(x1 - c) / sigma**2 * np.exp(-r2 / (2 * sigma**2))
+
+    f = field_from_function(grid, fn)
+    return RealField(grid, f.values - f.values.mean())
+
+
+class TestTorusDoubling:
+    # (N, L) = (64, 2 pi) with 3 radii against (128, 4 pi) with 4: same
+    # spacing, same physical radii, so a torus-size effect is all that moves
+    # the Q norm and the Riesz ratios.  Measured: Q drifts 3.7e-6 (sigma 0.2)
+    # and 4.2e-5 (0.4); the ratios 7.9e-5 and 6.8e-4.
+    @pytest.mark.parametrize("sigma, ratio_tol", [(0.2, 1e-4), (0.4, 1e-3)])
+    def test_q_norm_and_riesz_ratios_hold_on_doubled_torus(self, params, sigma, ratio_tol):
+        measured = []
+        for n, length, radii in ((64, L, 3), (128, 2 * L, 4)):
+            f = centred_gaussian_derivative(GridSpec(n, length), sigma)
+            sweep = BoxSweepConfig(radii)
+            q = q_norm_semigroup(f, params, sweep).value
+            ratios = [q_norm_semigroup(ops.riesz_transform(f, j), params, sweep).value / q
+                      for j in (1, 2)]
+            measured.append((q, ratios))
+        (q_small, ratios_small), (q_large, ratios_large) = measured
+        assert abs(q_large - q_small) < 1e-4 * q_small
+        for small, large in zip(ratios_small, ratios_large):
+            assert abs(large - small) < ratio_tol * small
 
 
 AMPLITUDES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300)

@@ -301,18 +301,6 @@ class TestReference:
                 reference_solve(theta0, params, config)
         assert info.value.time in config.timegrid.times
 
-
-    def test_linear_switch_matches_linear_flow(self, grid32, params):
-        theta0 = field_from_function(grid32, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
-        config = SolverConfig(TimeGrid(1.0, 16))
-        ref = reference_solve(theta0, params, config, include_nonlinearity=False)
-        lin = linear_flow(theta0, config.timegrid, params)
-        err = max(
-            np.abs(a.values - b.values).max()
-            for a, b in zip(ref.snapshots, lin.snapshots)
-        )
-        assert err <= 1e-13
-
     def test_self_convergence_order(self, params):
         grid = GridSpec(32, L)
         theta0 = 0.05 * field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))

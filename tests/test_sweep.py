@@ -88,7 +88,7 @@ class TestBestCenter:
 
 class TestTimeQuadrature:
     def test_ladder_shape(self):
-        lows, highs, mids = geometric_ladder(2.0, 16, 2**0.25)
+        lows, highs, mids = geometric_ladder(2.0, 16)
         assert len(lows) == len(highs) == len(mids) == 15
         assert highs[-1] == 2.0
         np.testing.assert_allclose(lows[1:], highs[:-1])   # contiguous cells
@@ -97,8 +97,8 @@ class TestTimeQuadrature:
 
     def test_ladder_nesting(self):
         # a taller ladder keeps every cell of the short one, adding below
-        l16 = geometric_ladder(2.0, 16, 2**0.25)
-        l24 = geometric_ladder(2.0, 24, 2**0.25)
+        l16 = geometric_ladder(2.0, 16)
+        l24 = geometric_ladder(2.0, 24)
         np.testing.assert_allclose(l24[0][-15:], l16[0])
         np.testing.assert_allclose(l24[1][-15:], l16[1])
         assert l24[0][0] < l16[0][0]
