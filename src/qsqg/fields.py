@@ -124,6 +124,12 @@ class GridSpec:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def dealias_cutoff(self) -> int:
+        """The c for which ``dealias_mask`` keeps exactly the modes whose mode
+        numbers both lie in -c .. c."""
+        return (int(np.count_nonzero(self.dealias_mask[0])) - 1) // 2
+
     def conjugate_flip(self, arr: np.ndarray) -> np.ndarray:
         """conj(arr) sampled at -k mod N, the reality partner of arr."""
         p = (-np.arange(self.n)) % self.n

@@ -122,16 +122,22 @@ class PicardReport:
 def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum of d1(v R2 u) - d2(v R1 u) from the half spectra of u
     and v, factors and products dealiased: one batched inverse of
-    (v, R2 u, R1 u), one batched forward of the two products."""
-    keep = spectral.half(grid.dealias_mask)
-    spec_u = np.where(keep, spec_u, 0.0)
-    spec_v = np.where(keep, spec_v, 0.0)
-    r1 = spectral.half(ops.riesz_symbol(grid, 1))
-    r2 = spectral.half(ops.riesz_symbol(grid, 2))
-    v, r2u, r1u = spectral.inverse(np.stack([spec_v, r2 * spec_u, r1 * spec_u]), grid.n)
-    flux = np.where(keep, spectral.forward(np.stack([v * r2u, v * r1u])), 0.0)
-    return (spectral.half(ops.derivative_symbol(grid, 1)) * flux[0]
-            - spectral.half(ops.derivative_symbol(grid, 2)) * flux[1])
+    (v, R2 u, R1 u), one batched forward of the two products.  The factors
+    are built in one buffer and the products formed in the inverse's output,
+    so no plane is stacked or masked into a copy."""
+    factors = np.empty((3, grid.n, spectral.half_width(grid.n)), dtype=complex)
+    factors[0] = spec_u  # dealiased u until R2 u and R1 u are formed, then v
+    u = ops._dealias(factors[0], grid)
+    np.multiply(spectral.half(ops.riesz_symbol(grid, 2)), u, out=factors[1])
+    np.multiply(spectral.half(ops.riesz_symbol(grid, 1)), u, out=factors[2])
+    factors[0] = spec_v
+    ops._dealias(factors[0], grid)
+    planes = spectral.inverse(factors, grid.n)
+    planes[1:] *= planes[0]  # v R2 u and v R1 u
+    flux1, flux2 = ops._dealias(spectral.forward(planes[1:]), grid)
+    np.multiply(spectral.half(ops.derivative_symbol(grid, 1)), flux1, out=flux1)
+    np.multiply(spectral.half(ops.derivative_symbol(grid, 2)), flux2, out=flux2)
+    return np.subtract(flux1, flux2, out=flux1)
 
 
 def nonlinear_density(u: RealField, v: RealField) -> RealField:
@@ -314,8 +320,9 @@ def reference_solve(theta0: RealField, params: SpaceParams, config: SolverConfig
         for t, (decay, phi1) in zip(times, ops._propagators(grid, params.beta, steps)):
             for _ in range(config.reference_refine):
                 n0 = _density(spec, spec, grid)
-                pred = decay * spec + phi1 * n0
-                spec = decay * spec + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
+                decayed = decay * spec
+                pred = decayed + phi1 * n0
+                spec = decayed + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
                 if not np.isfinite(spec).all():
                     raise DivergenceError(
                         f"reference solution blew up by t = {t:.6g}", time=float(t)

@@ -30,6 +30,7 @@ from qsqg import (
     x_norm,
 )
 from qsqg import solver, spectral
+from qsqg.operators import derivative_symbol, riesz_symbol
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
 L = 2 * np.pi
@@ -152,6 +153,32 @@ class TestNonlinearity:
         oracle = partial_derivative(flux[0], 1).values - partial_derivative(flux[1], 2).values
         assert np.abs(public - oracle).max() <= 1e-12 * scale
         assert np.abs(nonlinear_density(v, u).values - public).max() > 1e-3 * scale
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("same", [False, True], ids=["u_ne_v", "u_is_v"])
+    def test_density_equals_masked_stack_formula(self, n, same):
+        """The in-place density gives the doubles of the formula that masks
+        each factor, stacks the planes and masks the flux before combining,
+        even with non-finite values on modes that the dealias mask drops."""
+        grid = GridSpec(n, L)
+        u, v = band_limited_corpus(grid, count=2, max_mode=n // 5, seed=11)
+        spec_u, spec_v = spectral.forward(u.values), spectral.forward(v.values)
+        spec_u[n // 2, n // 2] = np.inf  # dropped row and column
+        spec_u[n // 2, 1] = -np.inf      # dropped row only
+        spec_u[1, n // 2] = np.nan       # dropped column only
+        if same:
+            spec_v = spec_u
+        keep = spectral.half(grid.dealias_mask)
+        mu, mv = np.where(keep, spec_u, 0.0), np.where(keep, spec_v, 0.0)
+        r1 = spectral.half(riesz_symbol(grid, 1))
+        r2 = spectral.half(riesz_symbol(grid, 2))
+        vv, r2u, r1u = spectral.inverse(np.stack([mv, r2 * mu, r1 * mu]), n)
+        flux = np.where(keep, spectral.forward(np.stack([vv * r2u, vv * r1u])), 0.0)
+        ref = (spectral.half(derivative_symbol(grid, 1)) * flux[0]
+               - spectral.half(derivative_symbol(grid, 2)) * flux[1])
+        got = solver._density(spec_u, spec_v, grid)
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # the sign of every zero too
 
     def test_density_transform_budget(self, smooth32, monkeypatch):
         spec = spectral.forward(smooth32.values)

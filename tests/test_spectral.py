@@ -1,8 +1,10 @@
 """The real-FFT spectral layer against the full-complex formulation it
-replaced, which each test keeps as its reference.  N = 64 batches several
+replaced, which each test keeps as its reference, and against
+``scipy.fft``, whose doubles it must reproduce.  N = 64 batches several
 planes per inverse call and N = 256 one plane per call."""
 import numpy as np
 import pytest
+import scipy.fft
 
 from qsqg import GridSpec, RealField, SpaceParams, caloric_minus1_norm, x_norm
 from qsqg import operators as ops
@@ -86,3 +88,22 @@ def test_inverse_chunks_keep_order_and_byte_budget(n, monkeypatch):
     assert max(batches) == min(max(spectral.CHUNK_BYTES // plane_bytes, 1), len(values))
     for plane, v in zip(planes, values):
         assert rel_err(plane, v) <= RTOL
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["plane", "stack3"])
+def test_transforms_equal_scipy_fft(n, stack):
+    values = np.random.default_rng(n).standard_normal(stack + (n, n))
+    spec = spectral.forward(values)
+    assert np.array_equal(spec, scipy.fft.rfft2(values))
+    assert np.array_equal(spectral.inverse(spec, n), scipy.fft.irfft2(spec, s=(n, n)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_transforms_equal_per_plane_calls(n):
+    values = np.random.default_rng(n + 1).standard_normal((3, n, n))
+    spec = spectral.forward(values)
+    planes = spectral.inverse(spec, n)
+    for k in range(3):
+        assert np.array_equal(spec[k], spectral.forward(values[k]))
+        assert np.array_equal(planes[k], spectral.inverse(spec[k], n))
