@@ -93,8 +93,10 @@ class GridSpec:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Integer mode numbers k in FFT layout (0, 1, ..., -N/2, ..., -1)."""
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        """Integer mode numbers k in FFT layout (0, 1, ..., -N/2, ..., -1),
+        exact: ``fftfreq(n, d=1/n)`` misses integers at some N (N = 98)."""
+        k = np.arange(self.n, dtype=float)
+        k[self.n // 2:] -= self.n
         k.setflags(write=False)
         return k
 

@@ -111,11 +111,13 @@ def _binary_exponent(x: float) -> int:
 # Bound pruning skips work only when an upper bound, widened by this relative
 # margin, is below the running maximum.  The bounds hold in exact arithmetic;
 # what they must dominate are computed values.
-# * Besov pass: the real inverse FFT errs by about eps * log2(N) times the l1
-#   norm of a block's coefficients and the bound's pairwise sum by about
-#   eps * log2(N^2), so a computed block sum can exceed the computed bound by
-#   ~1e-15 relative: fields with all phases aligned exceed it by up to
-#   2.5e-16 at N = 16, 64 and 256, and a delta, which attains it, by 0.0.
+# * Besov pass: block l's Wiener sum W_l, the colw-weighted l1 norm of its
+#   coefficients over N^2, bounds its sup, and the W_l of a node sum to its
+#   bound W.  The real inverse FFT errs by about eps * log2(N) times W_l and
+#   the sums by about eps * log2(N^2), so a computed block sup, or a node's
+#   sups so far plus its remaining W_l, can exceed the exact bound by ~1e-15
+#   relative: fields with all phases aligned exceed W by up to 2.5e-16 at
+#   N = 16, 64 and 256, and a delta, which attains every W_l, by 0.0.
 # * Carleson radii: an FFT box sum errs by about eps * log2(N^2) times the
 #   mass (the total) of its nonnegative density, and the Parseval masses and
 #   their sums by about eps * log2(N^2) of themselves.  The balls of radius
@@ -275,6 +277,46 @@ def _spectrum_block_sups(spec: np.ndarray, masks: list[np.ndarray], n: int) -> n
     block inverses batched)."""
     blocks = (np.where(mask, spec, 0.0) for mask in masks)
     return np.array([np.abs(p).max() for p in spectral.inverse_chunks(blocks, n)])
+
+
+@lru_cache(maxsize=16)
+def _block_index(grid: GridSpec) -> np.ndarray:
+    """Half-spectrum map from each mode to its block's position in level
+    order, and to len(block_levels) on the zero mode, which no annulus
+    holds; read-only.  A ``np.bincount`` over it sums a plane per block."""
+    masks = _block_masks(grid)
+    index = np.full(masks[0].shape, len(masks), dtype=np.intp)
+    for j, mask in enumerate(masks):
+        index[mask] = j
+    index.setflags(write=False)
+    return index
+
+
+def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
+                      weight: float, best: float) -> "np.ndarray | None":
+    """``_spectrum_block_sups`` of ``spec``, or None once ``weight`` times
+    its block sum can no longer reach ``best``.
+
+    Block l's Wiener sum W_l = sum over block l of colw |spec| / N^2 bounds
+    sup |P_l f|, and the W_l of all blocks are one ``np.bincount`` over
+    ``_block_index``.  Blocks are inverted one per call, largest W_l first,
+    and before each the node is abandoned when ``_beaten`` holds for
+    weight * (sum of the sups made + sum of the W_l still to come).  The
+    sups of a node not abandoned are the batched call's doubles."""
+    n = grid.n
+    mags = np.abs(spec)
+    mags *= _column_weights(n) / (n * n)
+    wiener = np.bincount(_block_index(grid).ravel(), mags.ravel(), len(masks) + 1)[:-1]
+    order = np.argsort(-wiener, kind="stable")
+    to_come = np.cumsum(wiener[order[::-1]])[::-1].tolist()
+    sups = np.empty(len(masks))
+    reached = 0.0
+    for l, rest in zip(order.tolist(), to_come):
+        if _beaten(weight * (reached + rest), best):
+            return None
+        sups[l] = np.abs(spectral.inverse(np.where(masks[l], spec, 0.0), n)).max()
+        reached += sups[l]
+    return sups
 
 
 def _block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarray]:
@@ -691,12 +733,18 @@ def _solution_parts(
       exhaustive sweep, bit for bit.
     * Besov pass.  With w = (2b - 1 + k)/(2b), nodes are visited by
       descending bound t^w W >= t^w sum_l sup |P_l f|, ties in ascending
-      index, and a node's block planes are made (``spectrum(m)`` is called
-      again) only while bound * (1 + _BOUND_MARGIN) >= the running maximum.
-      A node whose block sum reaches the maximum has a bound at least that
-      large, so it is always evaluated; with equal sums the earliest node
-      wins.  The value and its first attaining time are therefore those of
-      the exhaustive loop over all nodes, bit for bit.
+      index, and the pass stops at the first node whose bound is beaten
+      (``_beaten``) by the running maximum.  A visited node's half spectrum
+      is made again (``spectrum(m)``).  The first node's blocks go through
+      one batched inverse; every later node's go one per call, largest
+      Wiener sum W_l first, and the node is abandoned once t^w times its
+      sups so far plus its remaining W_l is beaten (``_block_sups_below``).
+      A node that is not abandoned has every block made and sums its sups
+      in level order, so its value is the batched pass's double.  A node
+      whose block sum reaches the maximum is never abandoned, and with
+      equal sums the earliest node wins.  The value and its first attaining
+      time are therefore those of the exhaustive loop over all nodes and
+      blocks, bit for bit.
 
     No plane is held for the whole trajectory."""
     b = params.beta
@@ -719,10 +767,16 @@ def _solution_parts(
     besov = -1.0
     best_m = None
     for m in np.argsort(-bounds, kind="stable"):
-        if bounds[m] * (1 + _BOUND_MARGIN) < besov:
+        if _beaten(bounds[m], besov):
             break
-        sups = _spectrum_block_sups(spectrum(m), masks, grid.n)
-        bval = times[m] ** sup_weight * float(sups.sum())
+        weight = times[m] ** sup_weight
+        if best_m is None:
+            sups = _spectrum_block_sups(spectrum(m), masks, grid.n)
+        else:
+            sups = _block_sups_below(spectrum(m), grid, masks, weight, besov)
+            if sups is None:
+                continue
+        bval = weight * float(sups.sum())
         if bval > besov or (bval == besov and m < best_m):
             besov, best_m = bval, m
     return {

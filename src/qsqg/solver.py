@@ -20,7 +20,11 @@ one batched inverse and one batched forward transform, and the Duhamel sum
 runs as an O(M) recursion over the cells.  Physical snapshots are made once,
 for the returned Trajectory.  Blow-up is found by an explicit finiteness
 check on each Picard iterate and each reference substep, which raises
-DivergenceError; no other exception is read as divergence.
+DivergenceError; no other exception is read as divergence.  The Duhamel
+loop of a Picard sweep and the substeps of a reference node run under
+``np.errstate(over="ignore", invalid="ignore")``, so that an overflow
+reaches that check under any warning filter (``-W error::RuntimeWarning``
+included) instead of leaving as a RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -271,8 +275,9 @@ def picard_solve(
         nxt = np.empty_like(base)
         duhamel = _duhamel(lambda j: _density(current[j], current[j], grid),
                            times, grid, params.beta)
-        for out, b, acc in zip(nxt, base, duhamel):
-            np.add(b, acc, out=out)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
+            for out, b, acc in zip(nxt, base, duhamel):
+                np.add(b, acc, out=out)
         if not np.isfinite(nxt).all():
             raise DivergenceError(f"picard iterate {it} has NaN/overflow", iteration=it)
         increments.append(measure(lambda m: nxt[m] - current[m], it))
@@ -318,15 +323,17 @@ def reference_solve(theta0: RealField, params: SpaceParams, config: SolverConfig
     def at_nodes():
         spec = spectral.forward(theta0.values)
         for t, (decay, phi1) in zip(times, ops._propagators(grid, params.beta, steps)):
-            for _ in range(config.reference_refine):
-                n0 = _density(spec, spec, grid)
-                decayed = decay * spec
-                pred = decayed + phi1 * n0
-                spec = decayed + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
-                if not np.isfinite(spec).all():
-                    raise DivergenceError(
-                        f"reference solution blew up by t = {t:.6g}", time=float(t)
-                    )
+            # no yield inside: the scope must not leak into the consumer
+            with np.errstate(over="ignore", invalid="ignore"):  # the check decides
+                for _ in range(config.reference_refine):
+                    n0 = _density(spec, spec, grid)
+                    decayed = decay * spec
+                    pred = decayed + phi1 * n0
+                    spec = decayed + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
+                    if not np.isfinite(spec).all():
+                        raise DivergenceError(
+                            f"reference solution blew up by t = {t:.6g}", time=float(t)
+                        )
             yield spec
 
     return _trajectory(times, at_nodes(), grid)

@@ -50,6 +50,27 @@ class TestGridSpec:
         assert k[8] == -8 * 2 * np.pi / L
         assert k[15] == -1 * 2 * np.pi / L
 
+    def test_wavenumbers_are_integers(self):
+        for n in range(8, 1025, 2):
+            k = GridSpec(n, L).wavenumbers
+            assert np.array_equal(k, np.rint(k)), n
+            assert k.min() == -n // 2 and k.max() == n // 2 - 1, n
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_wavenumbers_equal_fftfreq_at_powers_of_two(self, n):
+        # every symbol is built from the wavenumbers, so these N's symbols
+        # and artifacts are those of the fftfreq construction
+        grid = GridSpec(n, L)
+        assert np.array_equal(grid.wavenumbers, np.fft.fftfreq(n, d=1.0 / n))
+
+    @pytest.mark.parametrize("n", [474, 498])
+    def test_dealias_mask_keeps_the_cut(self, n):
+        # |k| = N/3 = (2/3)(N/2) is kept; fftfreq read 158.00000000000003 at 474
+        grid = GridSpec(n, L)
+        kept = np.abs(grid.wavenumbers[grid.dealias_mask[:, 0]])
+        assert kept.max() == n // 3
+        assert grid.dealias_cutoff == n // 3
+
     def test_signed_coords_cover_half_open_box(self, grid16):
         d = grid16.signed_coords
         assert d.min() == -L / 2

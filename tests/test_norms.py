@@ -29,7 +29,7 @@ from qsqg import operators as ops
 from qsqg import spectral
 from qsqg.experiments import ExperimentConfig, deepest_sweep, wellposedness_data
 from qsqg.norms import caloric_coverage_times
-from qsqg.solver import SolverConfig, TimeGrid, picard_solve
+from qsqg.solver import SolverConfig, TimeGrid, picard_solve, scaling_transform
 from qsqg.sweep import (
     CarlesonBox,
     best_center,
@@ -705,6 +705,26 @@ class TestBesovPruning:
                     assert block_sum == pytest.approx(bound, rel=1e-13), n
 
     @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_wiener_sum_bounds_each_block(self, n):
+        # the per-block bound the Besov pass abandons a node by:
+        # sup |P_l f| <= W_l = sum over block l of colw |f^| / N^2
+        grid = GridSpec(n, L)
+        masks = norms._block_masks(grid)
+        colw = norms._column_weights(n)
+        rng = np.random.default_rng(8195 + n)
+        for kind, v in self.bound_cases(n, rng).items():
+            spec = spectral.forward(v - v.mean())
+            sups = norms._spectrum_block_sups(spec, masks, n)
+            wiener = np.array([float((colw * np.abs(np.where(mask, spec, 0.0))).sum()) / (n * n)
+                               for mask in masks])
+            assert (sups <= wiener * (1 + norms._BOUND_MARGIN)).all(), (n, kind)
+            if kind == "delta":   # every mode of every block in phase at one point
+                np.testing.assert_allclose(sups, wiener, rtol=1e-13, err_msg=str(n))
+            # a node never abandoned gets the batched call's doubles
+            assert np.array_equal(norms._block_sups_below(spec, grid, masks, 1.0, -1.0), sups)
+            assert norms._block_sups_below(spec, grid, masks, 1.0, 2 * wiener.sum()) is None
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
     def test_carleson_bound_dominates_value(self, n):
         # a radius's value is at most factor * (max ball sum of its partial
         # density + mass still to come), and at most factor * its total mass
@@ -874,7 +894,10 @@ class TestBesovPruning:
                 best = parts
         assert report_parts(x_k_norm(traj, params, k)) == best
 
-    def test_picard_measures_match_exhaustive_oracle(self, grid32, params, monkeypatch):
+    @staticmethod
+    def checked_solution_parts(monkeypatch):
+        """Patch norms._solution_parts to compare each call's result with
+        exhaustive_parts; returns the list of those comparisons."""
         real = norms._solution_parts
         checked = []
 
@@ -887,10 +910,64 @@ class TestBesovPruning:
             return comp
 
         monkeypatch.setattr(norms, "_solution_parts", checking)
+        return checked
+
+    def test_picard_measures_match_exhaustive_oracle(self, grid32, params, monkeypatch):
+        checked = self.checked_solution_parts(monkeypatch)
         theta0 = 0.3 * field_from_function(grid32, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
         _, report = picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16), max_iter=3))
         assert len(checked) == 1 + 2 * report.iterations   # base, then increment and iterate
         assert all(checked)
+
+    @pytest.mark.parametrize("seed", [8191, 8198])
+    def test_scaling_corpus_matches_exhaustive_oracle(self, seed):
+        # the fields and grid of run_scaling_invariance, where most visited
+        # nodes are abandoned after their largest blocks
+        cfg = ExperimentConfig()
+        grid, params = cfg.grid, cfg.params
+        sweep = deepest_sweep(grid, cfg.sweep)
+        times = caloric_coverage_times(grid, params)
+        for f in band_limited_corpus(grid, 3, grid.n // 8 - 1, seed):
+            for g in (f, scaling_transform(f, 2, params), scaling_transform(f, 4, params)):
+                want = exhaustive_parts(times, caloric_spectra(g, params, times), None,
+                                        grid, params, 0, sweep)
+                assert report_parts(caloric_minus1_norm(g, params, sweep)) == want
+
+    def test_single_mode_matches_exhaustive_oracle(self, grid64, params):
+        f = field_from_function(grid64, lambda x1, x2: np.cos(3 * x1 - 5 * x2))
+        times = caloric_coverage_times(grid64, params)
+        want = exhaustive_parts(times, caloric_spectra(f, params, times), None,
+                                grid64, params, 0, BoxSweepConfig())
+        assert report_parts(caloric_minus1_norm(f, params)) == want
+
+    def test_picard_trajectory_matches_exhaustive_oracle(self, monkeypatch):
+        # the default wellposed grid and nodes at eps = 1
+        cfg = ExperimentConfig()
+        checked = self.checked_solution_parts(monkeypatch)
+        config = SolverConfig(TimeGrid(cfg.horizon, cfg.solver_nodes), max_iter=2,
+                              sweep=cfg.sweep)
+        picard_solve(wellposedness_data(cfg.grid), cfg.params, config)
+        assert len(checked) == 5 and all(checked)
+
+    def test_exact_tie_keeps_the_earliest_node(self, grid32, params):
+        # Nodes 0 and 1 hold the same spectrum at times whose weights
+        # t^((2b-1)/(2b)) round to the same double, so their block sums tie
+        # exactly.  Node 1's Wiener bound is passed doubled, so it is
+        # visited and evaluated first; node 0 then goes block by block
+        # against its own value, must not be abandoned, and wins the tie.
+        times = np.array([1.0, np.nextafter(1.0, 2.0)])
+        w = (2 * params.beta - 1) / (2 * params.beta)
+        assert times[0] ** w == times[1] ** w
+        f = field_from_function(grid32, lambda x1, x2: np.sin(x1) + 0.5 * np.cos(3 * x2))
+        spectra = [spectral.forward(f.values)] * 2
+        measures = [norms._spectrum_measures(spec, grid32.n) for spec in spectra]
+        measures[1] = (2 * measures[1][0],) + measures[1][1:]
+        sweep = BoxSweepConfig()
+        comp = norms._solution_parts(times, spectra.__getitem__, grid32, params, 0, sweep,
+                                     measures)
+        want = exhaustive_parts(times, spectra, None, grid32, params, 0, sweep)
+        assert (comp["besov"], comp["time"]) == want[:2]
+        assert comp["time"] == times[0]
 
     def test_block_planes_only_at_evaluated_nodes(self, monkeypatch):
         cfg = ExperimentConfig()
@@ -924,8 +1001,11 @@ class TestBesovPruning:
         blocks = len(ops.block_levels(grid))
         # snapshot and two Riesz planes for 11 2/3 nodes (the last batch cut
         # short), box sums of the two finished radii and 4 ball-sum bounds,
-        # then the block planes of the evaluated nodes
-        assert sum(planes) == 35 + 2 + 4 + blocks * len(evaluated)
+        # then the first visited node's blocks in one batch, and 14 block
+        # planes of the 8 later nodes, each abandoned or finished block by
+        # block (every block of all 9 would be 54)
+        assert planes[-15:] == [blocks] + [1] * 14
+        assert sum(planes) == 35 + 2 + 4 + blocks + 14
 
     def test_zero_field_reports_first_time(self, grid32, params):
         times = np.array([0.25, 0.5, 1.0])

@@ -30,6 +30,7 @@ from qsqg import (
     x_norm,
 )
 from qsqg import solver, spectral
+from qsqg.experiments import ExperimentConfig, wellposedness_data
 from qsqg.operators import derivative_symbol, riesz_symbol
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
@@ -284,10 +285,19 @@ class TestPicard:
         theta0 = 1e6 * field_from_function(
             grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2)
         )
-        with pytest.raises(DivergenceError) as info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
+        with pytest.raises(DivergenceError) as info:   # under pytest's RuntimeWarning filter
+            picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
         assert info.value.iteration is not None
+
+    def test_divergence_raises_under_warning_filter(self):
+        # pytest turns every RuntimeWarning into an error (pyproject.toml), as
+        # the CI determinism job does: the iterates' overflow must still end
+        # as DivergenceError from the finiteness check, not as a warning
+        cfg = ExperimentConfig()
+        config = SolverConfig(TimeGrid(cfg.horizon, 64), sweep=cfg.sweep)
+        with pytest.raises(DivergenceError) as info:
+            picard_solve(10.0 * wellposedness_data(cfg.grid), cfg.params, config)
+        assert info.value.iteration == 26
 
     def test_unmeasurable_data_raises_divergence_error(self, grid16, params):
         # finite data whose spectrum overflows: the linear flow's norm is not
@@ -323,9 +333,8 @@ class TestReference:
             grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2)
         )
         config = SolverConfig(TimeGrid(1.0, 16))
-        with pytest.raises(DivergenceError) as info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                reference_solve(theta0, params, config)
+        with pytest.raises(DivergenceError) as info:   # under pytest's RuntimeWarning filter
+            reference_solve(theta0, params, config)
         assert info.value.time in config.timegrid.times
 
     def test_self_convergence_order(self, params):
