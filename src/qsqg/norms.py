@@ -11,10 +11,8 @@ of the continuum quantities; enlarging the sweep never decreases a report.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -168,13 +166,16 @@ class _RadiusSweep:
     def stream(self, weights: np.ndarray, masses, rows, energy, per_node: int) -> None:
         """Sup over the radii of the densities sum_g weights[i, g] * energy_g.
 
-        Nodes g go in ascending order.  Node g's ``per_node`` half spectra
-        ``rows(g)`` go through one chunked inverse, and ``energy(g, *planes)``
-        reduces its planes to its nonnegative energy.  A radius is finished,
-        and its density dropped, once its last node (nonzero weight) is in.
-        When every radius weighs each node before its last as the largest
-        radius does (trajectory cells clip only at a radius's horizon), the
-        unfinished radii hold one partial density instead of one each.
+        Nodes g go in ascending order, in batches of whole nodes holding at
+        most ``spectral.CHUNK_BYTES`` of half spectra (at least one node).
+        ``rows(g, out)`` writes node g's ``per_node`` half spectra into
+        ``out``, the batch is inverted in place (``spectral.inverse_into``),
+        and ``energy(g, planes)`` reduces node g's planes, in place, to its
+        nonnegative energy.  A radius is finished, and its density dropped,
+        once its last node (nonzero weight) is in.  When every radius weighs
+        each node before its last as the largest radius does (trajectory
+        cells clip only at a radius's horizon), the unfinished radii hold
+        one partial density instead of one each.
 
         ``masses[g]`` bounds the total of energy_g.  Each time a radius
         finishes, an unfinished radius i is dropped when ``_beaten`` holds for
@@ -189,12 +190,12 @@ class _RadiusSweep:
         A dropped radius is strictly below the final maximum, so the value and
         box are those of the exhaustive sweep bit for bit.
 
-        A node is streamed only while an unfinished radius holds it, and the
-        stream stops when every radius is finished or dropped.  The producer
-        records each node it hands to the inverse, so the consumer reads
-        exactly those planes; read-ahead that a later drop makes moot costs
-        at most one batch."""
-        count = weights.shape[1]
+        A batch takes the next nodes that an unfinished radius holds, and the
+        stream stops when every radius is finished or dropped.  A node of
+        the batch that a drop has made moot is skipped, so read-ahead costs
+        at most one batch.  The batch buffers and the one scratch plane that
+        takes each weight * energy are allocated once per call."""
+        n, count = self.grid.n, weights.shape[1]
         last = [int(np.flatnonzero(row)[-1]) for row in weights]
         shared = all((row[:end] == weights[0, :end]).all() for row, end in zip(weights, last))
         table = weights.tolist()
@@ -203,55 +204,56 @@ class _RadiusSweep:
         tails = np.concatenate([after[:, 1:], np.zeros((len(last), 1))], axis=1)
         totals = after[:, 0]
         densities = {}      # radius -> partial density (not shared)
-        common = np.zeros((self.grid.n,) * 2) if shared else None
+        common = np.zeros((n, n)) if shared else None
         need = []           # need[g]: an unfinished radius holds node g
 
         def hold():
-            need[:] = [any(table[i][g] > 0 for i in unfinished) for g in range(count)]
+            need[:] = (weights[unfinished] > 0).any(axis=0).tolist()
 
-        sent = deque()
-
-        def produce():
-            for g in range(count):
-                if need[g]:
-                    sent.append(g)
-                    yield from rows(g)
-
+        per = min(spectral.batch_count(n, per_node), count)
+        specs = np.empty((per, per_node, n, spectral.half_width(n)), dtype=complex)
+        planes = np.empty((per, per_node, n, n))
+        scratch = np.empty((n, n))
         hold()
-        planes = spectral.inverse_chunks(produce(), self.grid.n)
+        ahead = 0           # the first node not yet batched
         while unfinished:
-            node = [next(planes) for _ in range(per_node)]
-            g = sent.popleft()
-            if not need[g]:
-                continue
-            e = energy(g, *node)
-            del node
-            ending = [i for i in unfinished if last[i] == g]
-            if shared:
-                for i in ending:
-                    final = table[i][g] * e
-                    final += common
-                    self.finish(i, final)
-            else:
-                for i in unfinished:
-                    w = table[i][g]
-                    if w > 0:
-                        if i in densities:
-                            densities[i] += w * e
-                        else:
-                            densities[i] = w * e
-                for i in ending:
-                    self.finish(i, densities.pop(i))
-            unfinished = [i for i in unfinished if last[i] != g]
-            if shared and unfinished:
-                common += table[unfinished[0]][g] * e
-            if ending:
-                for i in list(unfinished):
-                    partial = common if shared else densities.get(i)
-                    if self._beaten_at(i, partial, totals[i], tails[i, g]):
-                        unfinished.remove(i)
-                        densities.pop(i, None)
-                hold()
+            batch = []
+            while len(batch) < per and ahead < count:
+                if need[ahead]:
+                    rows(ahead, specs[len(batch)])
+                    batch.append(ahead)
+                ahead += 1
+            spectral.inverse_into(specs[:len(batch)], planes[:len(batch)])
+            for g, node in zip(batch, planes):
+                if not need[g]:
+                    continue
+                e = energy(g, node)
+                ending = [i for i in unfinished if last[i] == g]
+                if shared:
+                    for i in ending:
+                        final = np.multiply(e, table[i][g], out=scratch)
+                        final += common
+                        self.finish(i, final)
+                else:
+                    for i in unfinished:
+                        w = table[i][g]
+                        if w > 0:
+                            if i in densities:
+                                densities[i] += np.multiply(e, w, out=scratch)
+                            else:
+                                densities[i] = e * w
+                    for i in ending:
+                        self.finish(i, densities.pop(i))
+                unfinished = [i for i in unfinished if last[i] != g]
+                if shared and unfinished:
+                    common += np.multiply(e, table[unfinished[0]][g], out=scratch)
+                if ending:
+                    for i in list(unfinished):
+                        partial = common if shared else densities.get(i)
+                        if self._beaten_at(i, partial, totals[i], tails[i, g]):
+                            unfinished.remove(i)
+                            densities.pop(i, None)
+                    hold()
 
     def _beaten_at(self, i, partial, total, tail) -> bool:
         """Whether radius i, with partial density ``partial`` (None before
@@ -273,10 +275,20 @@ def _block_masks(grid: GridSpec) -> list[np.ndarray]:
 
 
 def _spectrum_block_sups(spec: np.ndarray, masks: list[np.ndarray], n: int) -> np.ndarray:
-    """Sup norm of every dyadic block of a half spectrum, in level order (the
-    block inverses batched)."""
-    blocks = (np.where(mask, spec, 0.0) for mask in masks)
-    return np.array([np.abs(p).max() for p in spectral.inverse_chunks(blocks, n)])
+    """Sup norm of the block of a half spectrum under each of ``masks``, in
+    order, the blocks inverted in place in batches of at most CHUNK_BYTES."""
+    per = min(spectral.batch_count(n), len(masks))
+    blocks = np.empty((per, n, spectral.half_width(n)), dtype=complex)
+    planes = np.empty((per, n, n))
+    sups = np.empty(len(masks))
+    for start in range(0, len(masks), per):
+        chunk = masks[start:start + per]
+        for block, mask in zip(blocks, chunk):
+            block.fill(0.0)
+            np.copyto(block, spec, where=mask)
+        done = spectral.inverse_into(blocks[:len(chunk)], planes[:len(chunk)])
+        sups[start:start + len(chunk)] = np.abs(done, out=done).max(axis=(1, 2))
+    return sups
 
 
 @lru_cache(maxsize=16)
@@ -301,20 +313,27 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
     sup |P_l f|, and the W_l of all blocks are one ``np.bincount`` over
     ``_block_index``.  Blocks are inverted one per call, largest W_l first,
     and before each the node is abandoned when ``_beaten`` holds for
-    weight * (sum of the sups made + sum of the W_l still to come).  The
-    sups of a node not abandoned are the batched call's doubles."""
+    weight * (sum of the sups made + sum of the W_l still to come).  Once
+    weight times the sups made alone is not beaten, no later check can
+    abandon the node, and its remaining blocks are inverted together (one
+    call at N = 64).  The sups of a node not abandoned are the batched
+    call's doubles."""
     n = grid.n
     mags = np.abs(spec)
     mags *= _column_weights(n) / (n * n)
     wiener = np.bincount(_block_index(grid).ravel(), mags.ravel(), len(masks) + 1)[:-1]
-    order = np.argsort(-wiener, kind="stable")
+    order = np.argsort(-wiener, kind="stable").tolist()
     to_come = np.cumsum(wiener[order[::-1]])[::-1].tolist()
     sups = np.empty(len(masks))
     reached = 0.0
-    for l, rest in zip(order.tolist(), to_come):
+    for j, (l, rest) in enumerate(zip(order, to_come)):
         if _beaten(weight * (reached + rest), best):
             return None
-        sups[l] = np.abs(spectral.inverse(np.where(masks[l], spec, 0.0), n)).max()
+        if not _beaten(weight * reached, best):
+            left = order[j:]
+            sups[left] = _spectrum_block_sups(spec, [masks[i] for i in left], n)
+            return sups
+        sups[l] = _spectrum_block_sups(spec, [masks[l]], n)[0]
         reached += sups[l]
     return sups
 
@@ -442,46 +461,35 @@ def q_norm_direct(f: RealField, params: SpaceParams,
 _MERGE_RTOL = 1e-12
 
 
-def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
-                  ladder) -> tuple[float, CarlesonBox]:
-    """Square root of the swept supremum over the radii r of ``sweep`` of
+def _q_ladder(r: float, time_nodes: int, a: float, b: float):
+    """Ladder of ``q_norm_semigroup``'s radius r: times t on the ladder
+    below r^(2b), the exact integrals of t^(-a/b) over their cells, and the
+    prefactor r^(2a+2b-4)."""
+    lows, highs, mids = geometric_ladder(r ** (2 * b), time_nodes)
+    return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
 
-        p_r * h^2 * sum_{|y-x|<r} sum_i w_ri |grad e^(-s_ri (-Lap)^beta) f(y)|^2
 
-    and the box attaining it, where ``ladder(r)`` gives the ascending decay
-    times s_r, the weights w_r and the prefactor p_r of radius r, and h^2 is
-    the cell area.
+def _morrey_ladder(r: float, time_nodes: int, gamma: float, b: float):
+    """Ladder of ``morrey_semigroup_functional``'s radius r: decay times
+    t^(2b) for t on the ladder below r, the exact integrals of t over their
+    cells, and the prefactor r^(2 gamma - 2)."""
+    lows, highs, mids = geometric_ladder(r, time_nodes)
+    return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
 
-    The ladders of dyadic radii overlap.  Nodes whose decay times agree to
-    _MERGE_RTOL are one node, timed by the largest radius holding it.  Each
-    distinct node's gradient pair is made once, in ascending time order
-    through one chunked inverse, and its energy goes into the density of
-    every radius holding it with that radius's weight (``_RadiusSweep``).
-    A radius is box-summed, and its density dropped, once its last node is
-    in.  Node s's energy totals sum_half colw e^(-2 s lam) |grad f^|^2 / N^2
-    (Parseval, ``_caloric_measures``), so once a radius is in, a radius
-    whose bound cannot beat it is dropped, and nodes that only dropped radii
-    hold are never made; the value and box are the exhaustive sweep's.
 
-    The decay plane e^(-s lam) of node g is row g of the node table of
-    ``_caloric_measures``, over the rate levels of
-    ``operators._rate_levels``, gathered onto the modes.  The gather is exact:
-    each mode's entry is exp of the same product -s * lam of the same
-    doubles as in a full-plane exp.  The derivative symbols are i times real
-    arrays (``_gradient_symbols``), so node g's rows (decay_g * (i f^)) *
-    Im d_j are d_j * (decay_g * f^) entry for entry, up to the sign of a
-    zero, and the energies are the same doubles.
+@lru_cache(maxsize=16)
+def _ladder_plan(grid: GridSpec, sweep: BoxSweepConfig, ladder, param: float, beta: float):
+    """The part of ``_ladder_sweep`` that does not depend on the field, read-
+    only: the weights (radii x merged nodes), the radii's prefactors, the
+    node table exp(-s_g lam) over the rate levels and its square, and the
+    modes' level indices as intp (``take`` then converts nothing).
 
-    The centered field is scaled by 2^-e, e the binary exponent of its
-    largest magnitude, and the value by 2^e.  Both are exact, so the squared
-    energies neither overflow nor underflow at any finite amplitude.  Raises
-    NonFiniteError on a non-finite centered field, density or value."""
-    grid = f.grid
-    v, scale = _binary_scaled(_centered(f), "centered field")
-    spec = spectral.forward(v)
-    radii = sweep.radii(grid)
-    ladders = [ladder(r) for r in radii]
-
+    ``ladder(r, time_nodes, param, beta)`` gives radius r's ascending decay
+    times s_r, weights w_r and prefactor p_r; it is a module function, so
+    the plan is keyed on the ladder's parameters.  Nodes of different radii
+    whose decay times agree to _MERGE_RTOL are one node, timed by the
+    largest radius holding it."""
+    ladders = [ladder(r, sweep.time_nodes, param, beta) for r in sweep.radii(grid)]
     nodes = []          # ascending [decay time, owner radius, [(radius, weight)]]
     for s, k, w in sorted((s, k, w) for k, (times, weights, _) in enumerate(ladders)
                           for s, w in zip(times, weights)):
@@ -490,29 +498,75 @@ def _ladder_sweep(f: RealField, beta: float, sweep: BoxSweepConfig,
         elif k < nodes[-1][1]:
             nodes[-1][:2] = s, k
         nodes[-1][2].append((k, w))
-    weights = np.zeros((len(radii), len(nodes)))
+    weights = np.zeros((len(ladders), len(nodes)))
     for g, (_, _, users) in enumerate(nodes):
         for k, w in users:
             weights[k, g] = w
+    table, squares = _node_tables(grid, beta, [s for s, _, _ in nodes])
+    index = _rate_levels(grid, beta)[1].astype(np.intp)
+    for part in (weights, table, squares, index):
+        part.setflags(write=False)
+    return weights, tuple(p for _, _, p in ladders), table, squares, index
 
+
+def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, ladder, param: float,
+                  beta: float) -> tuple[float, CarlesonBox]:
+    """Square root of the swept supremum over the radii r of ``sweep`` of
+
+        p_r * h^2 * sum_{|y-x|<r} sum_i w_ri |grad e^(-s_ri (-Lap)^beta) f(y)|^2
+
+    and the box attaining it, where ``ladder(r, sweep.time_nodes, param,
+    beta)`` gives the ascending decay times s_r, the weights w_r and the
+    prefactor p_r of radius r, and h^2 is the cell area.
+
+    The ladders of dyadic radii overlap, and their merged nodes, weights,
+    prefactors and node table are built once per grid (``_ladder_plan``).
+    Each distinct node's gradient pair is made once, in ascending time
+    order, in batches inverted in place, and its energy goes into the
+    density of every radius holding it with that radius's weight
+    (``_RadiusSweep``).  A radius is box-summed, and its density dropped,
+    once its last node is in.  Node s's energy totals
+    sum_half colw e^(-2 s lam) |grad f^|^2 / N^2 (Parseval,
+    ``_caloric_measures``), so once a radius is in, a radius whose bound
+    cannot beat it is dropped, and nodes that only dropped radii hold are
+    never made; the value and box are the exhaustive sweep's.
+
+    The decay plane e^(-s lam) of node g is row g of the node table, over
+    the rate levels of ``operators._rate_levels``, gathered onto the modes
+    into one held plane.  The gather is exact: each mode's entry is exp of
+    the same product -s * lam of the same doubles as in a full-plane exp.
+    The derivative symbols are i times real arrays (``_gradient_symbols``),
+    so node g's rows (decay_g * (i f^)) * Im d_j are d_j * (decay_g * f^)
+    entry for entry, up to the sign of a zero, and the energies are the
+    same doubles.
+
+    The centered field is scaled by 2^-e, e the binary exponent of its
+    largest magnitude, and the value by 2^e.  Both are exact, so the squared
+    energies neither overflow nor underflow at any finite amplitude.  Raises
+    NonFiniteError on a non-finite centered field, density or value."""
+    grid = f.grid
+    v, scale = _binary_scaled(_centered(f), "centered field")
+    spec = spectral.forward(v)
+    weights, prefactors, table, squares, index = _ladder_plan(grid, sweep, ladder, param, beta)
     im1, im2, magnitude = _gradient_symbols(grid)
-    decay, measures = _caloric_measures(magnitude * np.abs(spec), grid, beta,
-                                        [s for s, _, _ in nodes])
+    measures = _caloric_measures(magnitude * np.abs(spec), grid, beta, table, squares)
     masses = [math.ldexp(q, 2 * e) for _, e, q in measures]
     ispec = 1j * spec
+    decay = np.empty(index.shape)
 
-    def gradients(g):
-        decayed = decay(g) * ispec
-        yield decayed * im1
-        yield decayed * im2
+    def gradients(g, out):
+        # clip: the indices are in range, and the default mode buffers ``out``
+        table[g].take(index, out=decay, mode="clip")
+        np.multiply(decay, ispec, out=out[0])
+        np.multiply(out[0], im2, out=out[1])
+        np.multiply(out[0], im1, out=out[0])
 
-    def energy(g, gx, gy):
-        # the planes are views of a batch that nothing reads again
-        e = np.square(gx, out=gx)
-        e += np.square(gy, out=gy)
+    def energy(g, planes):
+        e = np.square(planes[0], out=planes[0])
+        e += np.square(planes[1], out=planes[1])
         return e
 
-    search = _RadiusSweep(grid, sweep, [p for _, _, p in ladders])
+    search = _RadiusSweep(grid, sweep, prefactors)
     search.stream(weights, masses, gradients, energy, 2)
     return _unscaled(math.sqrt(max(search.best, 0.0)), scale), search.box
 
@@ -531,15 +585,8 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
     bound cannot beat it are dropped and the nodes only they hold never
     made; the value and box are the exhaustive sweep's, bit for bit.  Finite
     and homogeneous at any finite amplitude, or NonFiniteError."""
-    grid = f.grid
-    sweep = _sweep_for(grid, sweep)
-    a, b = params.alpha, params.beta
-
-    def ladder(r):
-        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes)
-        return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
-
-    value, box = _ladder_sweep(f, b, sweep, ladder)
+    sweep = _sweep_for(f.grid, sweep)
+    value, box = _ladder_sweep(f, sweep, _q_ladder, params.alpha, params.beta)
     return NormReport(
         value=value,
         attaining_box=box,
@@ -562,15 +609,8 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
     Finite and homogeneous at any finite amplitude, or NonFiniteError."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    grid = f.grid
-    sweep = _sweep_for(grid, sweep)
-    b = params.beta
-
-    def ladder(r):
-        lows, highs, mids = geometric_ladder(r, sweep.time_nodes)
-        return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
-
-    value, box = _ladder_sweep(f, b, sweep, ladder)
+    sweep = _sweep_for(f.grid, sweep)
+    value, box = _ladder_sweep(f, sweep, _morrey_ladder, gamma, params.beta)
     return NormReport(
         value=value,
         attaining_box=box,
@@ -597,17 +637,18 @@ def _half_sum(values: np.ndarray, n: int) -> float:
 
 def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
     """(W, e, q) for the field f with half spectrum ``spec``, from one |spec|
-    pass: W = sum_half colw |spec| / N^2 its Wiener sum, e the binary
-    exponent of W, and q * 4^e its sum of squares sum_half colw |spec|^2 / N^2
-    (Parseval).  Scaling by 2^-e first keeps q clear of overflow and
-    underflow.
+    pass: W = sum_half colw |spec| / N^2 its Wiener sum and q * 4^e its sum
+    of squares sum_half colw |spec|^2 / N^2 (Parseval), with e the binary
+    exponent of max |spec|.  Both sums run on |spec| scaled by 2^-e, which
+    is exact, so they neither overflow nor underflow, and W is the sum
+    scaled back (``_unscaled``: NonFiniteError when W is not finite).
 
     W bounds sum_l sup |P_l f|, max |f| and max |R_j f|, because the dyadic
     annuli partition the nonzero modes and |sum c_j e^(i j x)| <= sum |c_j|."""
     mags = np.abs(spec)
-    bound = _half_sum(mags, n)
-    scale = _binary_exponent(bound)
+    scale = _binary_exponent(mags.max())
     mags *= math.ldexp(1.0, -scale)
+    bound = _unscaled(_half_sum(mags, n), scale)
     return bound, scale, _half_sum(np.square(mags, out=mags), n)
 
 
@@ -625,24 +666,29 @@ def _gradient_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return parts
 
 
-def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, times
-                      ) -> tuple[Callable[[int], np.ndarray], list[tuple[float, int, float]]]:
-    """``decay(m)``, the half-spectrum decay plane exp(-times[m] lam) with
-    lam = |xi|^(2 beta), and the ``_spectrum_measures`` of every node
-    exp(-t_m lam) spec of a caloric extension, with one exponent e for all
-    nodes, that of max |spec|: decay only shrinks the modes, so no square
+def _node_tables(grid: GridSpec, beta: float, times) -> tuple[np.ndarray, np.ndarray]:
+    """The node table exp(-times[m] * levels) over the rate levels of
+    ``operators._rate_levels`` (28 x 1,621 doubles, 363 KB, for the N = 128
+    Q-norm ladder) and its square."""
+    table = np.exp(-np.outer(times, _rate_levels(grid, beta)[0]))
+    return table, np.square(table)
+
+
+def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, table: np.ndarray,
+                      squares: np.ndarray) -> list[tuple[float, int, float]]:
+    """The ``_spectrum_measures`` of every node exp(-t_m lam) spec of a
+    caloric extension, lam = |xi|^(2 beta), from its node table and the
+    table's square (``_node_tables``), with one exponent e for all nodes,
+    that of max |spec|: decay only shrinks the modes, so no square
     overflows.
 
-    Both come from one node table, table[m] = exp(-times[m] * levels) over
-    the rate levels of ``operators._rate_levels``: 28 x 1,621 doubles
-    (363 KB) for the N = 128 Q-norm ladder.  Modes with equal lam decay
-    alike, so colw |spec| and colw |spec|^2 are first summed per level, and
-    the Wiener bounds and sums of squares of all nodes are two matrix-vector
-    products, table @ first and table^2 @ second, not a pass over each node's
-    spectrum.  Those products need every row at once, so this is the one
-    place that holds a (nodes x levels) table; everywhere else the planes
-    come row by row from ``operators._decays``.  ``decay(m)`` gathers row m
-    onto the modes, exactly as ``_decays`` does."""
+    Modes with equal lam decay alike, so colw |spec| and colw |spec|^2 are
+    first summed per rate level, and the Wiener bounds and sums of squares
+    of all nodes are two matrix-vector products, table @ first and
+    squares @ second, not a pass over each node's spectrum.  Those products
+    need every row at once, so the (nodes x levels) table is the one plane
+    stack held; a node's decay plane is its row gathered onto the modes,
+    exactly as ``operators._decays`` makes it."""
     levels, level_of = _rate_levels(grid, beta)
     n = grid.n
     mags = np.abs(spec)
@@ -651,49 +697,41 @@ def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, times
     weighted = _column_weights(n) * mags / (n * n)
     first = np.bincount(level_of.ravel(), weighted.ravel(), levels.size)
     second = np.bincount(level_of.ravel(), (weighted * mags).ravel(), levels.size)
-    table = np.exp(-np.outer(times, levels))
     bounds = (table @ first).tolist()
-    sums = (np.square(table) @ second).tolist()
-
-    def decay(m):
-        # take, not table[m][level_of]: indexing converts the narrow index
-        # first, which at N = 128 costs more than the full-plane exp
-        return table[m].take(level_of)
-
-    return decay, [(math.ldexp(w, scale), scale, q) for w, q in zip(bounds, sums)]
+    sums = (squares @ second).tolist()
+    return [(math.ldexp(w, scale), scale, q) for w, q in zip(bounds, sums)]
 
 
 def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
     """Carleson part, its box and the partial-coverage flag, from planes
-    scaled by 2^-scale: the Riesz symbols carry the factor, so each Riesz
-    row is one product, and each snapshot plane is scaled in place.
+    scaled by 2^-scale: each node's snapshot row is scaled as it is copied
+    into the batch, and its Riesz rows are products of that row.
 
-    Each streamed node's snapshot and two Riesz planes go through one
-    chunked inverse and are reduced as they arrive: the energies
-    |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b), go into one Carleson density
-    per swept radius, with exact trajectory-cell weights for t^(-alpha/beta).
-    Cells clip only at a radius's last node, so the unfinished radii share
-    one partial density.  ``masses[m]`` bounds node m's energy total in the
-    same scaled units; radii that can no longer win are dropped, and nodes
-    that only they hold are not streamed (``_RadiusSweep.stream``)."""
+    Each streamed node's three rows are inverted in place with their batch,
+    and its planes are reduced in place:
+    the energies |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b), go into one
+    Carleson density per swept radius, with exact trajectory-cell weights
+    for t^(-alpha/beta).  Cells clip only at a radius's last node, so the
+    unfinished radii share one partial density.  ``masses[m]`` bounds node
+    m's energy total in the same scaled units; radii that can no longer win
+    are dropped, and nodes that only they hold are not streamed
+    (``_RadiusSweep.stream``)."""
     a, b = params.alpha, params.beta
     carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
     factor = math.ldexp(1.0, -scale)
-    r1 = factor * spectral.half(ops.riesz_symbol(grid, 1))
-    r2 = factor * spectral.half(ops.riesz_symbol(grid, 2))
+    r1 = spectral.half(ops.riesz_symbol(grid, 1))
+    r2 = spectral.half(ops.riesz_symbol(grid, 2))
     radii = sweep.radii(grid)
     cells = [trajectory_weights(times, r ** (2 * b), a / b) for r in radii]
 
-    def rows(m):
-        spec = spectrum(m)
-        yield spec
-        yield r1 * spec
-        yield r2 * spec
+    def rows(m, out):
+        np.multiply(spectrum(m), factor, out=out[0])
+        np.multiply(r1, out[0], out=out[1])
+        np.multiply(r2, out[0], out=out[2])
 
-    def energy(m, v, p1, p2):
-        # e is a fresh array: a view would keep the planes' whole batch alive
-        v *= factor
-        e = v * v
+    def energy(m, planes):
+        v, p1, p2 = planes
+        e = np.square(v, out=v)
         e += np.square(p1, out=p1)
         e += np.square(p2, out=p2)
         e *= times[m] ** carleson_weight
@@ -726,8 +764,8 @@ def _solution_parts(
       2^e, both exact, so its squares neither overflow nor underflow at any
       finite amplitude.  A non-finite node raises NonFiniteError.
     * Carleson pass (``_carleson_pass``): streamed nodes in ascending time,
-      each an identity row and two Riesz rows of one chunked inverse,
-      reduced as they arrive; radii whose bound cannot beat the best
+      each an identity row and two Riesz rows of a batch inverted in
+      place, reduced as they arrive; radii whose bound cannot beat the best
       finished one are dropped, and streaming stops once no unfinished
       radius holds the next node.  The value and box are those of the
       exhaustive sweep, bit for bit.
@@ -738,7 +776,9 @@ def _solution_parts(
       is made again (``spectrum(m)``).  The first node's blocks go through
       one batched inverse; every later node's go one per call, largest
       Wiener sum W_l first, and the node is abandoned once t^w times its
-      sups so far plus its remaining W_l is beaten (``_block_sups_below``).
+      sups so far plus its remaining W_l is beaten, or its remaining blocks
+      go through one batched call once it can no longer be abandoned
+      (``_block_sups_below``).
       A node that is not abandoned has every block made and sums its sups
       in level order, so its value is the batched pass's double.  A node
       whose block sum reaches the maximum is never abandoned, and with
@@ -759,26 +799,30 @@ def _solution_parts(
     carleson, box, partial = _carleson_pass(
         times, spectrum, grid, params, k, sweep, scale, masses)
     sup_weight = (2 * b - 1 + k) / (2 * b)
-    bounds = times ** sup_weight * l1
-    if not np.isfinite(bounds).all():
-        raise NonFiniteError("block-sum bound of a trajectory node is not finite")
-
     masks = _block_masks(grid)
     besov = -1.0
     best_m = None
-    for m in np.argsort(-bounds, kind="stable"):
-        if _beaten(bounds[m], besov):
-            break
-        weight = times[m] ** sup_weight
-        if best_m is None:
-            sups = _spectrum_block_sups(spectrum(m), masks, grid.n)
-        else:
-            sups = _block_sups_below(spectrum(m), grid, masks, weight, besov)
-            if sups is None:
-                continue
-        bval = weight * float(sups.sum())
-        if bval > besov or (bval == besov and m < best_m):
-            besov, best_m = bval, m
+    # the Besov pass reads unscaled spectra, whose block inverses overflow
+    # near the largest doubles; the finiteness checks decide
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = times ** sup_weight * l1
+        if not np.isfinite(bounds).all():
+            raise NonFiniteError("block-sum bound of a trajectory node is not finite")
+        for m in np.argsort(-bounds, kind="stable"):
+            if _beaten(bounds[m], besov):
+                break
+            weight = times[m] ** sup_weight
+            if best_m is None:
+                sups = _spectrum_block_sups(spectrum(m), masks, grid.n)
+            else:
+                sups = _block_sups_below(spectrum(m), grid, masks, weight, besov)
+                if sups is None:
+                    continue
+            bval = weight * float(sups.sum())
+            if not math.isfinite(bval):
+                raise NonFiniteError("block sum of a trajectory node is not finite")
+            if bval > besov or (bval == besov and m < best_m):
+                besov, best_m = bval, m
     return {
         "besov": besov,
         "carleson": carleson,
@@ -893,6 +937,17 @@ def caloric_coverage_times(grid: GridSpec, params: SpaceParams,
     return horizon * steps ** 2
 
 
+@lru_cache(maxsize=16)
+def _caloric_plan(grid: GridSpec, params: SpaceParams) -> tuple[np.ndarray, ...]:
+    """``caloric_minus1_norm``'s node times and their ``_node_tables``,
+    which do not depend on the data; read-only."""
+    times = caloric_coverage_times(grid, params)
+    plan = (times, *_node_tables(grid, params.beta, times))
+    for part in plan:
+        part.setflags(write=False)
+    return plan
+
+
 def caloric_minus1_norm(u0: RealField, params: SpaceParams,
                         sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """x_norm of the caloric extension t -> exp(-t(-Lap)^beta) u0, sampled on
@@ -904,7 +959,8 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     exp(-t_m (-Lap)^beta) u0^ is made when ``_solution_parts`` asks for it:
     at the nodes the Carleson pass streams, and again at the nodes whose
     block-sum bound can still set the sup.  Its decay plane and every node's
-    Wiener bound and energy come from one node table (``_caloric_measures``).
+    Wiener bound and energy come from one node table, built once per grid
+    (``_caloric_plan``, ``_caloric_measures``).
 
     The centered data is scaled by 2^-e, e the binary exponent of its
     largest magnitude, and both parts by 2^e; both steps are exact, so the
@@ -912,11 +968,12 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     non-finite data or a value that overflows."""
     grid = u0.grid
     sweep = _sweep_for(grid, sweep)
-    times = caloric_coverage_times(grid, params)
+    times, table, squares = _caloric_plan(grid, params)
     v, scale = _binary_scaled(_centered(u0), "centered data")
     spec = spectral.forward(v)
-    decay, measures = _caloric_measures(spec, grid, params.beta, times)
-    comp = _solution_parts(times, lambda m: decay(m) * spec,
+    measures = _caloric_measures(spec, grid, params.beta, table, squares)
+    level_of = _rate_levels(grid, params.beta)[1]
+    comp = _solution_parts(times, lambda m: table[m].take(level_of) * spec,
                            grid, params, 0, sweep, measures)
     comp["besov"] = _unscaled(comp["besov"], scale)
     comp["carleson"] = _unscaled(comp["carleson"], scale)

@@ -23,9 +23,12 @@ conjugate, so unpaired odd content there would come out as a spurious real
 term.  Odd symbols (Riesz, first derivatives) therefore stay
 ``GridSpec.hermitian_part``-projected, which zeroes that content first.
 
-``inverse_chunks`` batches many inverse transforms into a few calls without
-holding them all: it gathers incoming half spectra into a buffer of at most
-``CHUNK_BYTES`` and yields the physical planes one by one.
+``inverse_into`` is ``inverse`` without allocation: it transforms a
+caller-held batch of half spectra in place and writes the planes into a
+caller-held real buffer, so a loop over batches allocates nothing per batch.
+``batch_count`` sizes such batches.  ``inverse_chunks`` batches a lazy
+stream of spectra whose planes the caller keeps (a trajectory's snapshots),
+so each of its batches gets a fresh output.
 """
 from __future__ import annotations
 
@@ -33,9 +36,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Input bytes handed to one batched inverse call.  On a 2-vCPU x86 VM a
-# 1 MiB budget made the riesz experiment's Q-norm sweeps about 30% slower
-# than this one and raised its peak memory by 2 MiB.
+# Input bytes handed to one batched inverse call: two or three nodes of a
+# box sweep at N = 64, one at N >= 128.  The one measurement of a larger
+# budget (1 MiB: the riesz experiment's Q-norm sweeps about 30% slower, peak
+# memory 2 MiB higher, on a 2-vCPU x86 VM) predates ``inverse_into`` and was
+# taken while every call faulted its fresh output pages in.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -59,16 +64,31 @@ def inverse(spec: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft2(spec, s=(n, n))
 
 
+def inverse_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``inverse`` of the half spectra ``spec`` written into ``out`` (shape
+    spec.shape[:-1] + (N,)) and returned; ``spec`` is overwritten.
+
+    These are the two stages of ``irfft2``, so the planes are its doubles."""
+    np.fft.ifft(spec, axis=-2, out=spec)
+    # not irfft2(out=): on numpy 2.4.6 it returns wrong values and not ``out``
+    return np.fft.irfft(spec, out.shape[-1], axis=-1, out=out)
+
+
+def batch_count(n: int, rows: int = 1) -> int:
+    """Items of ``rows`` N x N half spectra each that fit in CHUNK_BYTES, at
+    least one."""
+    return max(1, CHUNK_BYTES // (rows * n * half_width(n) * np.dtype(complex).itemsize))
+
+
 def inverse_chunks(spectra: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
     """Physical planes of ``spectra`` in order, inverted in batches of at
     most CHUNK_BYTES of input (at least one plane per batch).
 
     Each spectrum is copied into the batch buffer when it arrives, so the
     caller may generate them lazily; each yielded plane is a view into its
-    batch's output."""
-    width = half_width(n)
-    per = max(1, CHUNK_BYTES // (n * width * np.dtype(complex).itemsize))
-    buf = np.empty((per, n, width), dtype=complex)
+    batch's fresh output, so the caller may keep it."""
+    per = batch_count(n)
+    buf = np.empty((per, n, half_width(n)), dtype=complex)
     filled = 0
     for spec in spectra:
         buf[filled] = spec

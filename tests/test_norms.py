@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ def caloric_trajectory(u0, params, times):
 def full_coverage_trajectory(field, params, nodes=40):
     times = caloric_coverage_times(field.grid, params, num_nodes=nodes)
     return Trajectory(times, tuple(field for _ in times))
+
+
+def count_inverse_planes(monkeypatch) -> list[int]:
+    """The planes of each inverse transform call from now on, in order,
+    through both entry points, ``spectral.inverse`` and the in-place
+    ``spectral.inverse_into``."""
+    planes = []
+    inverse, inverse_into = spectral.inverse, spectral.inverse_into
+
+    def counting_inverse(spec, n):
+        planes.append(int(np.prod(spec.shape[:-2])))
+        return inverse(spec, n)
+
+    def counting_inverse_into(spec, out):
+        planes.append(int(np.prod(spec.shape[:-2])))
+        return inverse_into(spec, out)
+
+    monkeypatch.setattr(spectral, "inverse", counting_inverse)
+    monkeypatch.setattr(spectral, "inverse_into", counting_inverse_into)
+    return planes
 
 
 class TestAxioms:
@@ -396,26 +417,47 @@ class TestLadderSweep:
     def test_transform_budget(self, grid64, monkeypatch, a, b, kind, planes):
         f = band_limited_corpus(grid64, count=1, max_mode=10, seed=8191)[0]
         est = semigroup_estimators(SpaceParams(a, b))[kind]
-        inverse = spectral.inverse
-        counted = []
-
-        def counting_inverse(spec, n):
-            counted.append(int(np.prod(spec.shape[:-2])))
-            return inverse(spec, n)
-
-        monkeypatch.setattr(spectral, "inverse", counting_inverse)
+        counted = count_inverse_planes(monkeypatch)
         est(f)
-        # Gradient planes up to the smallest radius's last node plus the
-        # rest of its batch (7 planes at N = 64), then box sums: the smallest
+        # Gradient planes of whole nodes, in batches of 3 nodes (6 planes at
+        # N = 64), up to the smallest radius's last node (node 15, or 27 when
+        # nothing is shared), which ends a batch; then box sums: the smallest
         # radius attains the sup and the larger ones fall to their bounds,
         # transform-free but for one morrey radius's ball-sum bound.
-        pruned = {(0.25, 0.75, "q"): 35 + 1, (0.25, 0.75, "morrey"): 35 + 2,
-                  (0.3, 0.8, "q"): 56 + 1}[a, b, kind]
-        assert sum(counted) == pruned
+        nodes = {(0.25, 0.75, "q"): 15, (0.25, 0.75, "morrey"): 15,
+                 (0.3, 0.8, "q"): 27}[a, b, kind]
+        assert counted[:nodes // 3] == [6] * (nodes // 3)
+        assert sum(counted) == 2 * nodes + (2 if kind == "morrey" else 1)
         counted.clear()
         monkeypatch.setattr(norms._RadiusSweep, "_beaten_at", lambda *args: False)
         est(f)
         assert sum(counted) == planes + 3   # unpruned: every node's gradient planes, then box sums
+
+    @pytest.mark.parametrize("n,kib", [(64, 1285), (128, 2168)])
+    def test_traced_peak_of_one_call(self, n, kib):
+        # at or below the peak of the chunked-inverse stream this replaced,
+        # and every buffer is let go when the call returns
+        grid, params = GridSpec(n, L), SpaceParams(0.25, 0.75)
+        f = band_limited_corpus(grid, count=1, max_mode=n // 6, seed=8191)[0]
+        q_norm_semigroup(f, params)   # fills the per-grid caches
+        tracemalloc.start()
+        try:
+            q_norm_semigroup(f, params)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= kib * 1024
+        assert held < 16 * 1024
+
+    def test_ladder_plan_is_cached_and_read_only(self, smooth32, params):
+        sweep = BoxSweepConfig()
+        plan = norms._ladder_plan(smooth32.grid, sweep, norms._q_ladder, params.alpha, params.beta)
+        hits = norms._ladder_plan.cache_info().hits
+        q_norm_semigroup(smooth32, params, sweep)
+        assert norms._ladder_plan.cache_info().hits == hits + 1
+        for part in plan:
+            if isinstance(part, np.ndarray):
+                assert not part.flags.writeable
 
     def test_added_radius_leaves_common_radii_bit_identical(self, params, corpus32):
         compared = 0
@@ -455,7 +497,7 @@ class TestLadderSweep:
 
 
 class TestRateTable:
-    """`norms._rate_levels` and the node table of `norms._caloric_measures`,
+    """`norms._rate_levels` and the node table of `norms._node_tables`,
     which the semigroup ladders and the caloric norm share."""
 
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -490,9 +532,13 @@ class TestRateTable:
         grid = GridSpec(n, L)
         lam = spectral.half(ops.dissipation_symbol(grid, 1.5))
         times = np.geomspace(1e-4, 6.0, 60)
-        decay, _ = norms._caloric_measures(np.ones(lam.shape), grid, 0.75, times)
+        table, _ = norms._node_tables(grid, 0.75, times)
+        level_of = norms._rate_levels(grid, 0.75)[1]
+        index, plane = level_of.astype(np.intp), np.empty(lam.shape)
         for m, t in enumerate(times):
-            assert np.array_equal(decay(m), np.exp(-t * lam)), (n, t)
+            want = np.exp(-t * lam)
+            assert np.array_equal(table[m].take(level_of), want), (n, t)
+            assert np.array_equal(table[m].take(index, out=plane, mode="clip"), want), (n, t)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_measures_match_per_node_oracle(self, n, params):
@@ -502,7 +548,8 @@ class TestRateTable:
         lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
         times = np.concatenate([caloric_coverage_times(grid, params),
                                 np.geomspace(1e-4, 6.0, 28)])
-        _, measures = norms._caloric_measures(spec, grid, params.beta, times)
+        measures = norms._caloric_measures(spec, grid, params.beta,
+                                           *norms._node_tables(grid, params.beta, times))
         assert len(measures) == len(times)
         for t, (bound, e, q) in zip(times, measures):
             want_bound, want_e, want_q = norms._spectrum_measures(np.exp(-t * lam) * spec, n)
@@ -724,6 +771,27 @@ class TestBesovPruning:
             assert np.array_equal(norms._block_sups_below(spec, grid, masks, 1.0, -1.0), sups)
             assert norms._block_sups_below(spec, grid, masks, 1.0, 2 * wiener.sum()) is None
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_unabandonable_node_batches_its_remaining_blocks(self, n, monkeypatch):
+        # best is the smallest block sup, so once the first block is made
+        # weight times the sups made can no longer be beaten, and the other
+        # blocks go through one call
+        grid = GridSpec(n, L)
+        masks = norms._block_masks(grid)
+        v = np.random.default_rng(8196 + n).standard_normal((n, n))
+        spec = spectral.forward(v - v.mean())
+        sups = norms._spectrum_block_sups(spec, masks, n)
+        planes = count_inverse_planes(monkeypatch)
+        assert np.array_equal(norms._block_sups_below(spec, grid, masks, 1.0, sups.min()), sups)
+        assert planes == [1, len(masks) - 1]
+
+    def test_bound_margin_keeps_values_within_rounding_of_their_bound(self):
+        for b in (1.0, 3.7e-300, 2.5e300):
+            assert not norms._beaten(b * (1 - 1e-12), b)
+            assert norms._beaten(b * (1 - 1e-8), b)
+            assert not norms._beaten(math.nan, b)
+            assert not norms._beaten(b, math.nan)
+
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_carleson_bound_dominates_value(self, n):
         # a radius's value is at most factor * (max ball sum of its partial
@@ -773,10 +841,10 @@ class TestBesovPruning:
         levels = [1.0, 1.03]
         zero = np.zeros((32, 17), dtype=complex)
 
-        def rows(g):
-            yield zero
+        def rows(g, out):
+            out[:] = zero
 
-        def energy(g, plane):
+        def energy(g, planes):
             point = np.zeros((32, 32))
             point[0, 0] = levels[g]
             return point
@@ -796,10 +864,10 @@ class TestBesovPruning:
         masses = [level * 32 * 32 for level in levels]
         zero = np.zeros((32, 17), dtype=complex)
 
-        def rows(g):
-            yield zero
+        def rows(g, out):
+            out[:] = zero
 
-        def energy(g, plane):
+        def energy(g, planes):
             return np.full((32, 32), levels[g])
 
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="density"):
@@ -818,10 +886,10 @@ class TestBesovPruning:
         masses = [level * 32 * 32 for level in levels]
         zero = np.zeros((32, 17), dtype=complex)
 
-        def rows(g):
-            yield zero
+        def rows(g, out):
+            out[:] = zero
 
-        def energy(g, plane):
+        def energy(g, planes):
             return np.full((32, 32), levels[g])
 
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="density"):
@@ -982,30 +1050,24 @@ class TestBesovPruning:
             asked.append(m)
             return spectra[m]
 
-        inverse = spectral.inverse
-        planes = []
-
-        def counting_inverse(spec, n):
-            planes.append(int(np.prod(spec.shape[:-2])))
-            return inverse(spec, n)
-
-        monkeypatch.setattr(spectral, "inverse", counting_inverse)
+        planes = count_inverse_planes(monkeypatch)
         comp = norms._solution_parts(times, spectrum, grid, params, 0, sweep)
         count = len(times)
         assert asked[:count] == list(range(count))   # the measures, in order
-        streamed = 12                                # of 48 nodes, read-ahead included
+        streamed = 12                                # of 48 nodes
         assert asked[count:count + streamed] == list(range(streamed))   # the Carleson stream
         evaluated = asked[count + streamed:]
         assert len(set(evaluated)) == len(evaluated) == 9
         assert comp["time"] in times[evaluated]
         blocks = len(ops.block_levels(grid))
-        # snapshot and two Riesz planes for 11 2/3 nodes (the last batch cut
-        # short), box sums of the two finished radii and 4 ball-sum bounds,
-        # then the first visited node's blocks in one batch, and 14 block
-        # planes of the 8 later nodes, each abandoned or finished block by
-        # block (every block of all 9 would be 54)
+        # snapshot and two Riesz planes of the 12 streamed nodes, in batches
+        # of 2 nodes, box sums of the two finished radii and 4 ball-sum
+        # bounds, then the first visited node's blocks in one batch, and 14
+        # block planes of the 8 later nodes, each abandoned block by block
+        # (every block of all 9 would be 54)
+        assert planes[:3] == [6] * 3
         assert planes[-15:] == [blocks] + [1] * 14
-        assert sum(planes) == 35 + 2 + 4 + blocks + 14
+        assert sum(planes) == 3 * streamed + 2 + 4 + blocks + 14
 
     def test_zero_field_reports_first_time(self, grid32, params):
         times = np.array([0.25, 0.5, 1.0])
@@ -1048,6 +1110,26 @@ class TestBesovPruning:
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
             norms._solution_parts(times, spectrum, smooth32.grid, params, 0,
                                   BoxSweepConfig())
+
+
+def test_spectrum_measures_scale_exactly_up_to_the_largest_doubles(grid32):
+    # under pytest's RuntimeWarning filter: the sums run on |spec| scaled by
+    # 2^-e, so at 2^900 times the amplitude W is 2^900 times the double and
+    # (e, q) shift by 900 with q the same double
+    v = np.random.default_rng(8197).standard_normal((32, 32))
+    spec = spectral.forward(v - v.mean())
+    bound, e, q = norms._spectrum_measures(spec, 32)
+    huge = norms._spectrum_measures(np.ldexp(spec.real, 900) + 1j * np.ldexp(spec.imag, 900), 32)
+    assert huge == (math.ldexp(bound, 900), e + 900, q)
+
+
+def test_x_norm_of_huge_finite_data_raises(grid16, params):
+    # finite 1e306 snapshots, under pytest's RuntimeWarning filter: their
+    # Wiener sums are finite, their block sups overflow
+    times = np.array([0.25, 0.5, 1.0])
+    data = 1e306 * wellposedness_data(grid16)
+    with pytest.raises(NonFiniteError):
+        x_norm(Trajectory(times, tuple(data for _ in times)), params)
 
 
 def amplitude_estimators(params):

@@ -107,3 +107,23 @@ def test_stacked_transforms_equal_per_plane_calls(n):
     for k in range(3):
         assert np.array_equal(spec[k], spectral.forward(values[k]))
         assert np.array_equal(planes[k], spectral.inverse(spec[k], n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["plane", "stack3"])
+def test_inverse_into_equals_irfft2(n, stack):
+    values = np.random.default_rng(n + 2).standard_normal(stack + (n, n))
+    spec = spectral.forward(values)
+    want = np.fft.irfft2(spec, s=(n, n))
+    out = np.empty(stack + (n, n))
+    assert spectral.inverse_into(spec, out) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_batch_count_fills_the_byte_budget(n, rows):
+    per = spectral.batch_count(n, rows)
+    item = rows * n * (n // 2 + 1) * 16
+    assert per == 1 or per * item <= spectral.CHUNK_BYTES
+    assert (per + 1) * item > spectral.CHUNK_BYTES
