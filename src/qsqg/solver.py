@@ -16,8 +16,9 @@ cell, the nonlinear density frozen at the cell's left node.
 Picard iterates are (M, N, N/2+1) half-spectrum stacks (``qsqg.spectral``);
 the Duhamel sums are yielded one (N, N/2+1) half spectrum per node, and the
 reference integrator's state is one such half spectrum.  Each density takes
-one batched inverse and one batched forward transform, and the Duhamel sum
-runs as an O(M) recursion over the cells.  Physical snapshots are made once,
+one batched inverse and one batched forward transform, whose column stages
+run on the columns that the 2/3 rule keeps only, and the Duhamel sum runs
+as an O(M) recursion over the cells.  Physical snapshots are made once,
 for the returned Trajectory.  Blow-up is found by an explicit finiteness
 check on each Picard iterate and each reference substep, which raises
 DivergenceError; no other exception is read as divergence.  The Duhamel
@@ -128,7 +129,12 @@ def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarr
     and v, factors and products dealiased: one batched inverse of
     (v, R2 u, R1 u), one batched forward of the two products.  The factors
     are built in one buffer and the products formed in the inverse's output,
-    so no plane is stacked or masked into a copy."""
+    so no plane is stacked or masked into a copy.
+
+    Dealiased factors are zero on the columns k2 > c (c =
+    ``grid.dealias_cutoff``), and the products' columns there are dropped,
+    so both transforms run their column stage on columns 0 .. c only; the
+    result has the doubles of full transforms, signed zeros included."""
     factors = np.empty((3, grid.n, spectral.half_width(grid.n)), dtype=complex)
     factors[0] = spec_u  # dealiased u until R2 u and R1 u are formed, then v
     u = ops._dealias(factors[0], grid)
@@ -136,9 +142,10 @@ def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarr
     np.multiply(spectral.half(ops.riesz_symbol(grid, 1)), u, out=factors[2])
     factors[0] = spec_v
     ops._dealias(factors[0], grid)
-    planes = spectral.inverse(factors, grid.n)
+    kept = grid.dealias_cutoff + 1  # columns k2 = 0 .. c, the rest are zero
+    planes = spectral.inverse_into(factors, np.empty((3, grid.n, grid.n)), kept)
     planes[1:] *= planes[0]  # v R2 u and v R1 u
-    flux1, flux2 = ops._dealias(spectral.forward(planes[1:]), grid)
+    flux1, flux2 = ops._dealias(spectral.forward(planes[1:], kept), grid)
     np.multiply(spectral.half(ops.derivative_symbol(grid, 1)), flux1, out=flux1)
     np.multiply(spectral.half(ops.derivative_symbol(grid, 2)), flux2, out=flux2)
     return np.subtract(flux1, flux2, out=flux1)
@@ -162,9 +169,10 @@ def nonlinear_density(u: RealField, v: RealField) -> RealField:
 # -- flows ---------------------------------------------------------------------
 
 def _trajectory(times: np.ndarray, spectra, grid: GridSpec) -> Trajectory:
-    """Trajectory of physical snapshots from per-node half spectra."""
-    planes = spectral.inverse_chunks(spectra, grid.n)
-    return Trajectory(times, tuple(RealField(grid, p) for p in planes))
+    """Trajectory of physical snapshots from per-node half spectra, each
+    inverted as it arrives."""
+    return Trajectory(times, tuple(RealField(grid, spectral.inverse(spec, grid.n))
+                                   for spec in spectra))
 
 
 def linear_flow(theta0: RealField, grid: TimeGrid, params: SpaceParams) -> Trajectory:
@@ -214,7 +222,7 @@ def duhamel_bilinear(
     which equals the cell-by-cell sum of ghat (e^(-(t_m - s_i)|xi|^(2b))
     - e^(-(t_m - s_(i-1))|xi|^(2b))) / |xi|^(2b) in O(M) exponentials instead
     of O(M^2).  Each snapshot pair is transformed when its density is made,
-    and each node's sum goes through the chunked inverse as it is reached.
+    and each node's sum is inverted as it is reached.
     """
     U._check(V)
     grid = U.grid

@@ -23,16 +23,20 @@ conjugate, so unpaired odd content there would come out as a spurious real
 term.  Odd symbols (Riesz, first derivatives) therefore stay
 ``GridSpec.hermitian_part``-projected, which zeroes that content first.
 
+``forward`` and ``inverse_into`` take an optional ``width``: their column
+stage (the transform along the rows axis) then runs on the columns
+k2 < width only.  The inverse requires the other columns to be zero and the
+forward returns them as zeros, so the kept columns are the doubles of the
+2-D transform (a pruned FFT: Markel, IEEE Trans. Audio Electroacoust. 19,
+1971).  The nonlinear density passes the 2/3 rule's width, which skips
+about a third of the columns.
+
 ``inverse_into`` is ``inverse`` without allocation: it transforms a
 caller-held batch of half spectra in place and writes the planes into a
 caller-held real buffer, so a loop over batches allocates nothing per batch.
-``batch_count`` sizes such batches.  ``inverse_chunks`` batches a lazy
-stream of spectra whose planes the caller keeps (a trajectory's snapshots),
-so each of its batches gets a fresh output.
+``batch_count`` sizes such batches.
 """
 from __future__ import annotations
-
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,10 +57,20 @@ def half(full: np.ndarray) -> np.ndarray:
     return full[..., : half_width(full.shape[-1])]
 
 
-def forward(values: np.ndarray) -> np.ndarray:
-    """Unnormalized half spectrum of real planes over the last two axes."""
+def forward(values: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Unnormalized half spectrum of real planes over the last two axes.
+
+    With ``width``, the column stage runs on columns 0 .. width - 1 only and
+    the columns from ``width`` on are returned as zeros; the kept columns
+    are ``rfft2``'s doubles, since these are its two stages."""
     out = np.empty(values.shape[:-1] + (half_width(values.shape[-1]),), dtype=complex)
-    return np.fft.rfft2(values, out=out)
+    if width is None:
+        return np.fft.rfft2(values, out=out)
+    np.fft.rfft(values, axis=-1, out=out)
+    cols = out[..., :width]
+    np.fft.fft(cols, axis=-2, out=cols)
+    out[..., width:] = 0.0
+    return out
 
 
 def inverse(spec: np.ndarray, n: int) -> np.ndarray:
@@ -64,12 +78,15 @@ def inverse(spec: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft2(spec, s=(n, n))
 
 
-def inverse_into(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+def inverse_into(spec: np.ndarray, out: np.ndarray, width: int | None = None) -> np.ndarray:
     """``inverse`` of the half spectra ``spec`` written into ``out`` (shape
     spec.shape[:-1] + (N,)) and returned; ``spec`` is overwritten.
 
-    These are the two stages of ``irfft2``, so the planes are its doubles."""
-    np.fft.ifft(spec, axis=-2, out=spec)
+    These are the two stages of ``irfft2``, so the planes are its doubles.
+    With ``width``, the columns of ``spec`` from ``width`` on must be zero:
+    the column stage skips them, as it would map them to zeros."""
+    cols = spec if width is None else spec[..., :width]
+    np.fft.ifft(cols, axis=-2, out=cols)
     # not irfft2(out=): on numpy 2.4.6 it returns wrong values and not ``out``
     return np.fft.irfft(spec, out.shape[-1], axis=-1, out=out)
 
@@ -78,23 +95,3 @@ def batch_count(n: int, rows: int = 1) -> int:
     """Items of ``rows`` N x N half spectra each that fit in CHUNK_BYTES, at
     least one."""
     return max(1, CHUNK_BYTES // (rows * n * half_width(n) * np.dtype(complex).itemsize))
-
-
-def inverse_chunks(spectra: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """Physical planes of ``spectra`` in order, inverted in batches of at
-    most CHUNK_BYTES of input (at least one plane per batch).
-
-    Each spectrum is copied into the batch buffer when it arrives, so the
-    caller may generate them lazily; each yielded plane is a view into its
-    batch's fresh output, so the caller may keep it."""
-    per = batch_count(n)
-    buf = np.empty((per, n, half_width(n)), dtype=complex)
-    filled = 0
-    for spec in spectra:
-        buf[filled] = spec
-        filled += 1
-        if filled == per:
-            yield from inverse(buf, n)
-            filled = 0
-    if filled:
-        yield from inverse(buf[:filled], n)

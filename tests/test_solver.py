@@ -155,7 +155,7 @@ class TestNonlinearity:
         assert np.abs(public - oracle).max() <= 1e-12 * scale
         assert np.abs(nonlinear_density(v, u).values - public).max() > 1e-3 * scale
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("n", [16, 48, 64, 128, 256])
     @pytest.mark.parametrize("same", [False, True], ids=["u_ne_v", "u_is_v"])
     def test_density_equals_masked_stack_formula(self, n, same):
         """The in-place density gives the doubles of the formula that masks
@@ -183,14 +183,16 @@ class TestNonlinearity:
 
     def test_density_transform_budget(self, smooth32, monkeypatch):
         spec = spectral.forward(smooth32.values)
-        calls = {"forward": 0, "inverse": 0}
+        calls = {"forward": [], "inverse_into": [], "inverse": []}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(spectral, name), **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args[-1])
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectral, name, counted)
         solver._density(spec, spec, smooth32.grid)
-        assert calls == {"forward": 1, "inverse": 1}
+        # one batched inverse and one batched forward, both on the kept columns
+        kept = smooth32.grid.dealias_cutoff + 1
+        assert calls == {"forward": [kept], "inverse_into": [kept], "inverse": []}
 
 
 def duhamel_with_density(density, times, grid, params):

@@ -70,27 +70,6 @@ def test_caloric_norm_matches_trajectory_x_norm(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_inverse_chunks_keep_order_and_byte_budget(n, monkeypatch):
-    batches = []
-    plain = spectral.inverse
-
-    def recording(spec, size):
-        batches.append(len(spec))
-        assert spec.nbytes <= max(spectral.CHUNK_BYTES, spec[0].nbytes)
-        return plain(spec, size)
-
-    rng = np.random.default_rng(n)
-    values = [rng.standard_normal((n, n)) for _ in range(11)]
-    monkeypatch.setattr(spectral, "inverse", recording)
-    planes = list(spectral.inverse_chunks((np.fft.rfft2(v) for v in values), n))
-    assert sum(batches) == len(planes) == len(values)
-    plane_bytes = n * (n // 2 + 1) * 16
-    assert max(batches) == min(max(spectral.CHUNK_BYTES // plane_bytes, 1), len(values))
-    for plane, v in zip(planes, values):
-        assert rel_err(plane, v) <= RTOL
-
-
-@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("stack", [(), (3,)], ids=["plane", "stack3"])
 def test_transforms_equal_scipy_fft(n, stack):
     values = np.random.default_rng(n).standard_normal(stack + (n, n))
@@ -118,6 +97,27 @@ def test_inverse_into_equals_irfft2(n, stack):
     out = np.empty(stack + (n, n))
     assert spectral.inverse_into(spec, out) is out
     assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n", [16, 48, 64, 256])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["plane", "stack3"])
+def test_width_variants_equal_full_transforms(n, stack):
+    """On the 2/3 rule's kept columns, the pruned column stages give the
+    bytes of the 2-D transforms: the inverse of a spectrum that is zero
+    beyond ``width``, and the forward of any planes, zero beyond ``width``."""
+    width = GridSpec(n, L).dealias_cutoff + 1
+    rng = np.random.default_rng(n + 3)
+    spec = spectral.forward(rng.standard_normal(stack + (n, n)))
+    spec[..., width:] = 0.0
+    want = np.fft.irfft2(spec, s=(n, n))
+    out = np.empty(stack + (n, n))
+    assert spectral.inverse_into(spec, out, width) is out
+    assert out.tobytes() == want.tobytes()
+
+    values = rng.standard_normal(stack + (n, n))
+    got = spectral.forward(values, width)
+    assert got[..., :width].tobytes() == np.fft.rfft2(values)[..., :width].tobytes()
+    assert got[..., width:].tobytes() == bytes(got[..., width:].nbytes)
 
 
 @pytest.mark.parametrize("n", SIZES)
