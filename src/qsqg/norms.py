@@ -655,11 +655,12 @@ def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
 @lru_cache(maxsize=16)
 def _gradient_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Im d1, Im d2 and |grad| = hypot(|d1|, |d2|) on the half spectrum, with
-    d_j the derivative symbols, which are purely imaginary; read-only.
-    Im d_j are contiguous copies: with strided views of the complex symbols
-    the corpus-q benchmark pass ran 8-10% slower."""
-    d1 = spectral.half(ops.derivative_symbol(grid, 1))
-    d2 = spectral.half(ops.derivative_symbol(grid, 2))
+    d_j the half derivative symbols (``operators._half_symbol``), which are
+    purely imaginary; read-only.  Im d_j are contiguous copies: with strided
+    views of the complex symbols the corpus-q benchmark pass ran 8-10%
+    slower."""
+    d1 = ops._half_symbol(ops.derivative_symbol, grid, 1)
+    d2 = ops._half_symbol(ops.derivative_symbol, grid, 2)
     parts = (d1.imag.copy(), d2.imag.copy(), np.hypot(np.abs(d1), np.abs(d2)))
     for part in parts:
         part.setflags(write=False)
@@ -719,8 +720,8 @@ def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
     a, b = params.alpha, params.beta
     carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
     factor = math.ldexp(1.0, -scale)
-    r1 = spectral.half(ops.riesz_symbol(grid, 1))
-    r2 = spectral.half(ops.riesz_symbol(grid, 2))
+    r1 = ops._half_symbol(ops.riesz_symbol, grid, 1)
+    r2 = ops._half_symbol(ops.riesz_symbol, grid, 2)
     radii = sweep.radii(grid)
     cells = [trajectory_weights(times, r ** (2 * b), a / b) for r in radii]
 
@@ -760,9 +761,11 @@ def _solution_parts(
       caller passes them as ``measures``.  The energy total of node m is at
       most 2 t_m^(k/b) times its sum of squares, since |R1|^2 + |R2|^2 <= 1.
       One binary exponent e (``_binary_exponent``) of the largest W is fixed
-      here: the Carleson planes are scaled by 2^-e and the Carleson part by
-      2^e, both exact, so its squares neither overflow nor underflow at any
-      finite amplitude.  A non-finite node raises NonFiniteError.
+      here: both passes run on spectra scaled by 2^-e and both parts are
+      scaled back by 2^e (``_unscaled``), all exact, so neither the squares
+      of the Carleson pass nor the block inverses of the Besov pass
+      overflow or underflow at any finite amplitude.  A non-finite node
+      raises NonFiniteError.
     * Carleson pass (``_carleson_pass``): streamed nodes in ascending time,
       each an identity row and two Riesz rows of a batch inverted in
       place, reduced as they arrive; radii whose bound cannot beat the best
@@ -773,7 +776,10 @@ def _solution_parts(
       descending bound t^w W >= t^w sum_l sup |P_l f|, ties in ascending
       index, and the pass stops at the first node whose bound is beaten
       (``_beaten``) by the running maximum.  A visited node's half spectrum
-      is made again (``spectrum(m)``).  The first node's blocks go through
+      is made again (``spectrum(m)``) and scaled by 2^-e in one product,
+      1.3 us at N = 64, where scaling each block as it is copied in (a
+      masked multiply in place of ``np.copyto``) adds about 4 us per
+      block.  The first node's blocks go through
       one batched inverse; every later node's go one per call, largest
       Wiener sum W_l first, and the node is abandoned once t^w times its
       sups so far plus its remaining W_l is beaten, or its remaining blocks
@@ -794,6 +800,7 @@ def _solution_parts(
     if not np.isfinite(l1).all():
         raise NonFiniteError("a trajectory node is not finite")
     scale = _binary_exponent(l1.max())
+    factor = math.ldexp(1.0, -scale)
     masses = 2 * times ** (k / b) * np.array(
         [math.ldexp(q, 2 * (e - scale)) for _, e, q in measures])
     carleson, box, partial = _carleson_pass(
@@ -802,29 +809,25 @@ def _solution_parts(
     masks = _block_masks(grid)
     besov = -1.0
     best_m = None
-    # the Besov pass reads unscaled spectra, whose block inverses overflow
-    # near the largest doubles; the finiteness checks decide
-    with np.errstate(over="ignore", invalid="ignore"):
-        bounds = times ** sup_weight * l1
-        if not np.isfinite(bounds).all():
-            raise NonFiniteError("block-sum bound of a trajectory node is not finite")
-        for m in np.argsort(-bounds, kind="stable"):
-            if _beaten(bounds[m], besov):
-                break
-            weight = times[m] ** sup_weight
-            if best_m is None:
-                sups = _spectrum_block_sups(spectrum(m), masks, grid.n)
-            else:
-                sups = _block_sups_below(spectrum(m), grid, masks, weight, besov)
-                if sups is None:
-                    continue
-            bval = weight * float(sups.sum())
-            if not math.isfinite(bval):
-                raise NonFiniteError("block sum of a trajectory node is not finite")
-            if bval > besov or (bval == besov and m < best_m):
-                besov, best_m = bval, m
+    bounds = times ** sup_weight * (l1 * factor)
+    for m in np.argsort(-bounds, kind="stable"):
+        if _beaten(bounds[m], besov):
+            break
+        weight = times[m] ** sup_weight
+        spec = np.multiply(spectrum(m), factor)
+        if best_m is None:
+            sups = _spectrum_block_sups(spec, masks, grid.n)
+        else:
+            sups = _block_sups_below(spec, grid, masks, weight, besov)
+            if sups is None:
+                continue
+        bval = weight * float(sups.sum())
+        if not math.isfinite(bval):
+            raise NonFiniteError("block sum of a trajectory node is not finite")
+        if bval > besov or (bval == besov and m < best_m):
+            besov, best_m = bval, m
     return {
-        "besov": besov,
+        "besov": _unscaled(besov, scale),
         "carleson": carleson,
         "time": float(times[best_m]),
         "box": box,
@@ -836,16 +839,19 @@ def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
                sweep: BoxSweepConfig) -> tuple[dict, tuple[int, int]]:
     """The largest ``_solution_parts`` value over the multi-indices |a| = k
     of t^(k/(2b)) d^a f, with its parts and orders (a1, a2); on an exact tie
-    the larger a1 wins.  Every centered snapshot is forward-transformed once
-    and its half spectrum held (1 MiB at N = 64, M = 32); each multi-index
-    applies its symbol, exactly 1 when k = 0, to those spectra."""
+    the larger a1 wins.  No snapshot spectrum is held: a centered snapshot
+    is forward-transformed whenever ``_solution_parts`` asks for its node
+    (for its measures, again if the Carleson stream reaches it, and again
+    if the Besov pass visits it), and the multi-index's half symbol
+    (``operators._half_symbol``), exactly 1 when k = 0, is applied to it.
+    Holding the M spectra instead took 16 MiB at N = 256, M = 32."""
     grid = traj.grid
-    spectra = [spectral.forward(_centered(s)) for s in traj.snapshots]
     best, best_value, orders = None, None, None
     for a1 in range(k, -1, -1):
-        symbol = spectral.half(ops.mixed_derivative_symbol(grid, a1, k - a1))
-        comp = _solution_parts(traj.times, lambda m: symbol * spectra[m],
-                               grid, params, k, sweep)
+        symbol = ops._half_symbol(ops.mixed_derivative_symbol, grid, a1, k - a1)
+        comp = _solution_parts(
+            traj.times, lambda m: symbol * spectral.forward(_centered(traj.snapshots[m])),
+            grid, params, k, sweep)
         value = comp["besov"] + comp["carleson"]
         if best is None or value > best_value:
             best, best_value, orders = comp, value, (a1, k - a1)
@@ -870,11 +876,11 @@ def x_norm(traj: Trajectory, params: SpaceParams,
       + sqrt( sup over boxes of r^(2a+2b-4) *
               iint (|f|^2 + |R1 f|^2 + |R2 f|^2) t^(-a/b) dy dt )
 
-    ``x_k_norm``'s k = 0 case without orders:
-    each centered snapshot is forward-transformed once, and the pruned
-    Carleson and Besov passes of ``_solution_parts`` read the held half
-    spectra.  The value, box, coverage flag and first attaining time equal
-    those of an exhaustive loop bit for bit; the value is finite and
+    ``x_k_norm``'s k = 0 case without orders: the pruned Carleson and Besov
+    passes of ``_solution_parts`` read each centered snapshot's half
+    spectrum, forward-transformed each time a pass reads it and not held
+    (``_x_k_parts``).  The value, box, coverage flag and first attaining
+    time equal those of an exhaustive loop bit for bit; the value is finite and
     homogeneous at any finite amplitude, or NonFiniteError is raised.
     """
     sweep = _sweep_for(traj.grid, sweep)
@@ -889,8 +895,8 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
     t^((2b-1+k)/(2b)), maximum over the k+1 multi-indices reported with its
     orders in ``parts["orders"]``.
 
-    Every snapshot is forward-transformed once and its half spectrum held;
-    each multi-index applies its symbol to those spectra (``_x_k_parts``).
+    Each multi-index runs both passes, and a snapshot is forward-transformed
+    each time a pass reads it, with no spectrum held (``_x_k_parts``).
     k = 0 has x_norm's value, box and time."""
     if k < 0:
         raise ValueError(f"derivative order k must be >= 0, got {k}")

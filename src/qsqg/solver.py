@@ -13,12 +13,13 @@ in divergence form d/dt theta = -(-Lap)^beta theta - [d1(theta R2 theta)
 with the Duhamel integral evaluated exactly per Fourier mode on each time
 cell, the nonlinear density frozen at the cell's left node.
 
-Picard iterates are (M, N, N/2+1) half-spectrum stacks (``qsqg.spectral``);
-the Duhamel sums are yielded one (N, N/2+1) half spectrum per node, and the
-reference integrator's state is one such half spectrum.  Each density takes
-one batched inverse and one batched forward transform, whose column stages
-run on the columns that the 2/3 rule keeps only, and the Duhamel sum runs
-as an O(M) recursion over the cells.  Physical snapshots are made once,
+Picard iterates are (M, N, N/2+1) half-spectrum stacks (``qsqg.spectral``),
+two of them alive at a time; the Duhamel sums are yielded one (N, N/2+1)
+half spectrum per node, and the reference integrator's state is one such
+half spectrum.  Each density takes one batched inverse and one batched
+forward transform, whose column stages run on the columns that the 2/3
+rule keeps only, and the Duhamel sum runs as an O(M) recursion over the
+cells.  Physical snapshots are made once,
 for the returned Trajectory.  Blow-up is found by an explicit finiteness
 check on each Picard iterate and each reference substep, which raises
 DivergenceError; no other exception is read as divergence.  The Duhamel
@@ -129,7 +130,8 @@ def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarr
     and v, factors and products dealiased: one batched inverse of
     (v, R2 u, R1 u), one batched forward of the two products.  The factors
     are built in one buffer and the products formed in the inverse's output,
-    so no plane is stacked or masked into a copy.
+    so no plane is stacked or masked into a copy; the symbols are the
+    contiguous half copies of ``operators._half_symbol``.
 
     Dealiased factors are zero on the columns k2 > c (c =
     ``grid.dealias_cutoff``), and the products' columns there are dropped,
@@ -138,16 +140,16 @@ def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarr
     factors = np.empty((3, grid.n, spectral.half_width(grid.n)), dtype=complex)
     factors[0] = spec_u  # dealiased u until R2 u and R1 u are formed, then v
     u = ops._dealias(factors[0], grid)
-    np.multiply(spectral.half(ops.riesz_symbol(grid, 2)), u, out=factors[1])
-    np.multiply(spectral.half(ops.riesz_symbol(grid, 1)), u, out=factors[2])
+    np.multiply(ops._half_symbol(ops.riesz_symbol, grid, 2), u, out=factors[1])
+    np.multiply(ops._half_symbol(ops.riesz_symbol, grid, 1), u, out=factors[2])
     factors[0] = spec_v
     ops._dealias(factors[0], grid)
     kept = grid.dealias_cutoff + 1  # columns k2 = 0 .. c, the rest are zero
     planes = spectral.inverse_into(factors, np.empty((3, grid.n, grid.n)), kept)
     planes[1:] *= planes[0]  # v R2 u and v R1 u
     flux1, flux2 = ops._dealias(spectral.forward(planes[1:], kept), grid)
-    np.multiply(spectral.half(ops.derivative_symbol(grid, 1)), flux1, out=flux1)
-    np.multiply(spectral.half(ops.derivative_symbol(grid, 2)), flux2, out=flux2)
+    np.multiply(ops._half_symbol(ops.derivative_symbol, grid, 1), flux1, out=flux1)
+    np.multiply(ops._half_symbol(ops.derivative_symbol, grid, 2), flux2, out=flux2)
     return np.subtract(flux1, flux2, out=flux1)
 
 
@@ -191,15 +193,18 @@ def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
     ``density_at(j)`` gives the density's half spectrum at times[j].  Each
     density is made when the first cell that needs it is reached, and only
     the current one is held.  Each cell's (E, phi1) comes from
-    ``operators._propagators`` as the cell is reached."""
+    ``operators._propagators`` as the cell is reached.  The sum is updated
+    in place, so the plane yielded at one node is overwritten at the next."""
     acc = np.zeros((grid.n, spectral.half_width(grid.n)), dtype=complex)
     g, made = None, -1
     steps = np.diff(times, prepend=0.0)
     for k, (decay, phi1) in enumerate(ops._propagators(grid, beta, steps)):
         j = max(k - 1, 0)
         if j != made:
+            g = None  # dropped before the next density is made
             g, made = density_at(j), j
-        acc = decay * acc + phi1 * g
+        acc *= decay
+        acc += phi1 * g
         acc[0, 0] = 0.0  # modes do not mix, so this only zeroes the output mean
         yield acc
 
@@ -242,8 +247,12 @@ def picard_solve(
     """Iterate theta^(k+1) = e^(-t(-Lap)^beta) theta0 + B(theta^k, theta^k),
     measuring iterates and increments in the trajectory norm.
 
-    Iterates stay (M, N, N/2+1) half-spectrum stacks: B is summed on them
-    directly, and each norm is ``x_norm``'s two passes
+    Iterates stay (M, N, N/2+1) half-spectrum stacks, and only two are
+    alive: the current iterate and the next, whose buffers swap after each
+    sweep.  The linear flow is a stack only as iterate 0; each sweep makes
+    its node m again from ``operators._decays`` as it adds B's node m, the
+    same doubles as a held copy.  B is summed on the stacks directly, and
+    each norm is ``x_norm``'s two passes
     (``norms._solution_parts``) read node by node from the stack, with no
     forward transform: the increment's node m is nxt[m] - cur[m], made once
     for its Wiener bound and energy, again if the Carleson stream reaches
@@ -259,9 +268,6 @@ def picard_solve(
     times = config.timegrid.times
     spec0 = spectral.forward(theta0.values)
     spec0[0, 0] = 0.0  # the norms measure the mean-zero part
-    base = np.empty((len(times),) + spec0.shape, dtype=complex)
-    for plane, decay in zip(base, ops._decays(grid, params.beta, times)):
-        np.multiply(decay, spec0, out=plane)
 
     def measure(spectrum, it: int) -> float:
         """x_norm value of the trajectory whose node m has the mean-zero half
@@ -273,29 +279,39 @@ def picard_solve(
                                   iteration=it) from err
         return comp["besov"] + comp["carleson"]
 
-    current = base
+    def flow_into(stack, duhamel=None):
+        """Write node m of the linear flow, plus node m of the Duhamel sums
+        ``duhamel`` when given, into stack[m] and return stack.  The linear
+        node is made again from ``operators._decays`` each time, so no stack
+        holds the linear flow past iterate 0."""
+        for plane, decay in zip(stack, ops._decays(grid, params.beta, times)):
+            np.multiply(decay, spec0, out=plane)
+            if duhamel is not None:
+                plane += next(duhamel)
+        return stack
+
+    current = flow_into(np.empty((len(times),) + spec0.shape, dtype=complex))
+    nxt = np.empty_like(current)
     iterate_norms = [measure(lambda m: current[m], 0)]
     increments: list[float] = []
     converged = False
     iterations = 0
     for it in range(1, config.max_iter + 1):
         iterations = it
-        nxt = np.empty_like(base)
-        duhamel = _duhamel(lambda j: _density(current[j], current[j], grid),
-                           times, grid, params.beta)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
-            for out, b, acc in zip(nxt, base, duhamel):
-                np.add(b, acc, out=out)
+            flow_into(nxt, _duhamel(lambda j: _density(current[j], current[j], grid),
+                                    times, grid, params.beta))
         if not np.isfinite(nxt).all():
             raise DivergenceError(f"picard iterate {it} has NaN/overflow", iteration=it)
         increments.append(measure(lambda m: nxt[m] - current[m], it))
-        current = nxt
+        current, nxt = nxt, current
         iterate_norms.append(measure(lambda m: current[m], it))
         if not (math.isfinite(increments[-1]) and math.isfinite(iterate_norms[-1])):
             raise DivergenceError(f"picard iterate {it} has a non-finite norm", iteration=it)
         if increments[-1] <= config.picard_tol * (iterate_norms[-1] + 1.0):
             converged = True
             break
+    del nxt  # the previous iterate, freed before the trajectory's planes are made
     ratios = [
         increments[i + 1] / increments[i]
         for i in range(len(increments) - 1)

@@ -14,14 +14,18 @@ that ``scipy.fft`` also uses, and for power-of-two N the two return the same
 doubles), so importing the package loads no scipy module.  ``forward``
 hands ``rfft2`` one output array that both of its stages write into.
 
-Symbols and masks are built and cached in the full FFT layout; ``half`` is
-the view of one that multiplies a half spectrum.  The half layout holds
-conjugate-symmetric content only.  On the k2 = 0 and k2 = N/2 columns the
-real inverse drops an unpaired odd part, as taking ``.real`` of a complex
-inverse did; but on the k1 = N/2 row it pairs each stored value with its
-conjugate, so unpaired odd content there would come out as a spurious real
-term.  Odd symbols (Riesz, first derivatives) therefore stay
-``GridSpec.hermitian_part``-projected, which zeroes that content first.
+Symbols and masks are built in the full FFT layout, which the public
+builders and the tests' oracles keep; ``half`` is the view of one that
+multiplies a half spectrum.  The hot multiplies of the solver and the
+trajectory norms read contiguous half copies instead
+(``operators._half_symbol``), cut from full symbols that are not kept.
+The half layout holds conjugate-symmetric content only.  On the k2 = 0 and
+k2 = N/2 columns the real inverse drops an unpaired odd part, as taking
+``.real`` of a complex inverse did; but on the k1 = N/2 row it pairs each
+stored value with its conjugate, so unpaired odd content there would come
+out as a spurious real term.  Odd symbols (Riesz, first derivatives)
+therefore stay ``GridSpec.hermitian_part``-projected, which zeroes that
+content first.
 
 ``forward`` and ``inverse_into`` take an optional ``width``: their column
 stage (the transform along the rows axis) then runs on the columns

@@ -589,6 +589,27 @@ class TestTrajectoryNorms:
         assert abs(report.parts["besov"] - math.exp(-1)) <= 1e-3
         assert report.parts["orders"] == [1, 0]
 
+    def test_x_norm_peak_does_not_grow_with_node_count(self, grid64, params):
+        # the snapshot spectra are made when read, not held: 32 nodes peak
+        # within one 8-node stack of half spectra of what 8 nodes do
+        data = 1e-3 * wellposedness_data(grid64)
+        times = TimeGrid(1.0, 32).times
+
+        def traced_peak(count):
+            nodes = times[::32 // count]
+            traj = Trajectory(nodes, tuple(float(np.exp(-t)) * data for t in nodes))
+            x_norm(traj, params)   # fills the per-grid caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                x_norm(traj, params)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        stack8 = 8 * 64 * spectral.half_width(64) * np.dtype(complex).itemsize
+        assert traced_peak(32) - traced_peak(8) < stack8
+
     def test_xk_rejects_negative_order(self, grid32, params):
         f = field_from_function(grid32, lambda x1, x2: np.sin(x1))
         traj = caloric_trajectory(f, params, np.array([0.5, 1.0]))
@@ -1076,9 +1097,10 @@ class TestBesovPruning:
         report = caloric_minus1_norm(RealField.zero(grid32), params)
         assert report.attaining_time == caloric_coverage_times(grid32, params)[0]
 
-    def test_x_norm_transforms_each_snapshot_once(self, monkeypatch):
-        # one forward transform per snapshot plus one per box sum: the
-        # Carleson and Besov passes read the held half spectra
+    def test_x_norm_forwards_each_snapshot_when_read(self, monkeypatch):
+        # no snapshot spectrum is held: one forward transform per snapshot
+        # for the measures, one per node that the Carleson stream reads
+        # (28 of 32) or the Besov pass visits (1), and one per box sum
         cfg = ExperimentConfig()
         traj, _ = picard_solve(1e-3 * wellposedness_data(cfg.grid), cfg.params,
                                cfg.solver_config())
@@ -1097,7 +1119,8 @@ class TestBesovPruning:
         monkeypatch.setattr(spectral, "forward", counting_forward)
         monkeypatch.setattr(norms, "box_sums", counting_box_sums)
         x_norm(traj, cfg.params, cfg.sweep)
-        assert len(forwards) == len(traj) + len(sums) == 34
+        assert len(sums) == 2
+        assert len(forwards) == len(traj) + 28 + 1 + len(sums) == 63
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_raises(self, smooth32, params, bad):
@@ -1123,13 +1146,24 @@ def test_spectrum_measures_scale_exactly_up_to_the_largest_doubles(grid32):
     assert huge == (math.ldexp(bound, 900), e + 900, q)
 
 
-def test_x_norm_of_huge_finite_data_raises(grid16, params):
-    # finite 1e306 snapshots, under pytest's RuntimeWarning filter: their
-    # Wiener sums are finite, their block sups overflow
+def test_x_norm_of_huge_finite_data_is_homogeneous(grid16, params):
+    # finite 1e306 snapshots, under pytest's RuntimeWarning filter: both
+    # passes run on spectra scaled by the same power of two, so neither the
+    # Riesz energies nor the block inverses overflow; a power-of-two
+    # amplitude gives the unit value's doubles scaled exactly
     times = np.array([0.25, 0.5, 1.0])
-    data = 1e306 * wellposedness_data(grid16)
-    with pytest.raises(NonFiniteError):
-        x_norm(Trajectory(times, tuple(data for _ in times)), params)
+    unit = wellposedness_data(grid16)
+
+    def parts(c):
+        report = x_norm(Trajectory(times, tuple(c * unit for _ in times)), params)
+        return np.array([report.parts["besov"], report.parts["carleson"], report.value])
+
+    base = parts(1.0)
+    assert (base > 0).all()
+    huge = parts(1e306)
+    assert np.isfinite(huge).all()
+    assert (np.abs(huge - 1e306 * base) <= 1e-12 * 1e306 * base).all()
+    assert np.array_equal(parts(2.0 ** 1016), np.ldexp(base, 1016))
 
 
 def amplitude_estimators(params):

@@ -15,11 +15,13 @@ from qsqg import (
     riesz_transform,
     sqg_velocity,
     to_spectral,
+    x_norm,
 )
 from qsqg import spectral
 from qsqg.operators import (
     _annulus_mask,
     _decays,
+    _half_symbol,
     _propagators,
     apply_lattice_symbol,
     derivative_symbol,
@@ -28,7 +30,7 @@ from qsqg.operators import (
     mixed_derivative_symbol,
     riesz_symbol,
 )
-from qsqg.solver import TimeGrid
+from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 
 L = 2 * np.pi
 
@@ -270,3 +272,38 @@ class TestSemigroupCore:
         assert np.array_equal(g1.values, render(derivative_symbol(grid, 1) * full))
         assert np.array_equal(g2.values, render(derivative_symbol(grid, 2) * full))
         assert np.array_equal(rk.values, render(riesz_symbol(grid, 1) * full))
+
+
+class TestHalfSymbols:
+    """The hot multiplies read contiguous half copies of the symbols
+    (``_half_symbol``); the public builders keep the full layout."""
+
+    BUILDERS = [
+        (riesz_symbol, (1,)),
+        (riesz_symbol, (2,)),
+        (derivative_symbol, (1,)),
+        (derivative_symbol, (2,)),
+        (mixed_derivative_symbol, (0, 0)),
+        (mixed_derivative_symbol, (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("n", [16, 48, 256])
+    @pytest.mark.parametrize("builder, args", BUILDERS)
+    def test_copy_is_the_half_view_bit_for_bit(self, n, builder, args):
+        grid = GridSpec(n, L)
+        copy = _half_symbol(builder, grid, *args)
+        view = spectral.half(builder(grid, *args))
+        assert copy.shape == view.shape == (n, spectral.half_width(n))
+        # int64 views: signed zeros and NaN payloads count too
+        assert np.array_equal(copy.view(np.int64), view.view(np.int64))
+        assert copy.flags.c_contiguous and not copy.flags.writeable
+        assert _half_symbol(builder, grid, *args) is copy
+
+    def test_solver_and_x_norm_build_no_full_symbol(self, params):
+        builders = (riesz_symbol, derivative_symbol, mixed_derivative_symbol)
+        grid = GridSpec(32, 4 * L)   # new to every cache, so a call would miss
+        theta0 = 1e-3 * field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(x2))
+        misses = [builder.cache_info().misses for builder in builders]
+        traj, _ = picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
+        x_norm(traj, params)
+        assert [builder.cache_info().misses for builder in builders] == misses

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,26 +302,46 @@ class TestPicard:
             picard_solve(10.0 * wellposedness_data(cfg.grid), cfg.params, config)
         assert info.value.iteration == 26
 
-    def test_unmeasurable_data_raises_divergence_error(self, grid16, params):
-        # finite data whose spectrum overflows: the linear flow's norm is not
-        # finite, which is divergence at iteration 0, not an estimator error
+    def test_huge_two_mode_data_diverges_at_first_sweep(self, grid16, params):
+        # finite 1e306 data: the linear flow's norm is finite (both passes
+        # of the norm run on scaled spectra), and the first sweep's density
+        # overflows, which is divergence at iteration 1, not an estimator
+        # error
         theta0 = 1e306 * field_from_function(
             grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2)
         )
         with pytest.raises(DivergenceError) as info:   # under pytest's RuntimeWarning filter
             picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
-        assert info.value.iteration == 0
-
+        assert info.value.iteration == 1
 
     def test_huge_data_diverges_at_first_norm_under_warning_filter(self, grid16, params):
-        # 1e306 data under pytest's RuntimeWarning filter: the Wiener sums of
-        # its nodes, scaled before they are summed, are finite, but its
-        # block sups overflow, so the norm of iterate 0 is not finite, as it
-        # is without the filter
+        # 1e306 data under pytest's RuntimeWarning filter: the Wiener sums,
+        # Riesz energies and block sups of its nodes are made from spectra
+        # scaled by a power of two, so the norm of iterate 0 is finite and
+        # the solve diverges in the first sweep, where its density overflows
         theta0 = 1e306 * wellposedness_data(grid16)
         with pytest.raises(DivergenceError) as info:
             picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
-        assert info.value.iteration == 0
+        assert info.value.iteration == 1
+
+    def test_peak_holds_at_most_two_iterate_stacks(self, params):
+        # iterates are (M, N, N/2+1) half-spectrum stacks and only the
+        # current and the next one are alive: the linear flow is made again
+        # node by node in each sweep, not held as a third stack
+        grid, m = GridSpec(128, L), 32
+        theta0 = 1e-3 * wellposedness_data(grid)
+        config = SolverConfig(TimeGrid(1.0, m))
+        picard_solve(theta0, params, config)   # fills the per-grid caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, report = picard_solve(theta0, params, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert report.iterations >= 2
+        stack = m * grid.n * spectral.half_width(grid.n) * np.dtype(complex).itemsize
+        assert peak < 2.5 * stack
 
 
 class TestLinearFlow:
