@@ -655,12 +655,11 @@ def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
 @lru_cache(maxsize=16)
 def _gradient_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Im d1, Im d2 and |grad| = hypot(|d1|, |d2|) on the half spectrum, with
-    d_j the half derivative symbols (``operators._half_symbol``), which are
-    purely imaginary; read-only.  Im d_j are contiguous copies: with strided
-    views of the complex symbols the corpus-q benchmark pass ran 8-10%
-    slower."""
-    d1 = ops._half_symbol(ops.derivative_symbol, grid, 1)
-    d2 = ops._half_symbol(ops.derivative_symbol, grid, 2)
+    d_j the derivative symbols, which are purely imaginary; read-only.
+    Im d_j are contiguous copies: with strided views of the complex symbols
+    the corpus-q benchmark pass ran 8-10% slower."""
+    d1 = spectral.half(ops.derivative_symbol(grid, 1))
+    d2 = spectral.half(ops.derivative_symbol(grid, 2))
     parts = (d1.imag.copy(), d2.imag.copy(), np.hypot(np.abs(d1), np.abs(d2)))
     for part in parts:
         part.setflags(write=False)

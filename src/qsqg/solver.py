@@ -193,8 +193,7 @@ def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
     ``density_at(j)`` gives the density's half spectrum at times[j].  Each
     density is made when the first cell that needs it is reached, and only
     the current one is held.  Each cell's (E, phi1) comes from
-    ``operators._propagators`` as the cell is reached.  The sum is updated
-    in place, so the plane yielded at one node is overwritten at the next."""
+    ``operators._propagators`` as the cell is reached."""
     acc = np.zeros((grid.n, spectral.half_width(grid.n)), dtype=complex)
     g, made = None, -1
     steps = np.diff(times, prepend=0.0)
@@ -203,8 +202,7 @@ def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
         if j != made:
             g = None  # dropped before the next density is made
             g, made = density_at(j), j
-        acc *= decay
-        acc += phi1 * g
+        acc = decay * acc + phi1 * g
         acc[0, 0] = 0.0  # modes do not mix, so this only zeroes the output mean
         yield acc
 
@@ -266,7 +264,8 @@ def picard_solve(
     grid = theta0.grid
     sweep = norms._sweep_for(grid, config.sweep)
     times = config.timegrid.times
-    spec0 = spectral.forward(theta0.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # iterate 0's norm decides
+        spec0 = spectral.forward(theta0.values)
     spec0[0, 0] = 0.0  # the norms measure the mean-zero part
 
     def measure(spectrum, it: int) -> float:
@@ -290,7 +289,8 @@ def picard_solve(
                 plane += next(duhamel)
         return stack
 
-    current = flow_into(np.empty((len(times),) + spec0.shape, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # its norm decides
+        current = flow_into(np.empty((len(times),) + spec0.shape, dtype=complex))
     nxt = np.empty_like(current)
     iterate_norms = [measure(lambda m: current[m], 0)]
     increments: list[float] = []
