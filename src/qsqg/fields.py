@@ -212,15 +212,17 @@ class RealField:
     __rmul__ = __mul__
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        # summed scaled by 2^-e, |values| < max(1, 2^e): exact, and no overflow
+        e = max(int(np.frexp(self.max_abs())[1]), 0)
+        return float(np.ldexp(np.ldexp(self.values, -e).mean(), e))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 
     def require_mean_zero(self, what: str) -> None:
-        if abs(self.mean()) > MEAN_TOL * max(1.0, self.max_abs()):
-            raise ValueError(f"{what} requires a mean-zero field "
-                             f"(mean = {self.mean():.3e})")
+        mean = self.mean()
+        if not abs(mean) <= MEAN_TOL * max(1.0, self.max_abs()):
+            raise ValueError(f"{what} requires a mean-zero field (mean = {mean:.3e})")
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "RealField":

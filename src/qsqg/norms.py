@@ -316,9 +316,12 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
     weight * (sum of the sups made + sum of the W_l still to come).  Once
     weight times the sups made alone is not beaten, no later check can
     abandon the node, and its remaining blocks are inverted together (one
-    call at N = 64).  The sups of a node not abandoned are the batched
-    call's doubles."""
+    call at N = 64); when that holds before any block, as for the first
+    node visited, no W_l is summed.  The sups of a node not abandoned are
+    the batched call's doubles."""
     n = grid.n
+    if not _beaten(0.0, best):
+        return _spectrum_block_sups(spec, masks, n)
     mags = np.abs(spec)
     mags *= _column_weights(n) / (n * n)
     wiener = np.bincount(_block_index(grid).ravel(), mags.ravel(), len(masks) + 1)[:-1]
@@ -778,12 +781,11 @@ def _solution_parts(
       is made again (``spectrum(m)``) and scaled by 2^-e in one product,
       1.3 us at N = 64, where scaling each block as it is copied in (a
       masked multiply in place of ``np.copyto``) adds about 4 us per
-      block.  The first node's blocks go through
-      one batched inverse; every later node's go one per call, largest
-      Wiener sum W_l first, and the node is abandoned once t^w times its
-      sups so far plus its remaining W_l is beaten, or its remaining blocks
-      go through one batched call once it can no longer be abandoned
-      (``_block_sups_below``).
+      block.  A node's blocks go one per call, largest Wiener sum W_l first,
+      and it is abandoned once t^w times its sups so far plus its remaining
+      W_l is beaten, or its remaining blocks go through one batched call
+      once it can no longer be abandoned, as the first node (maximum -1)
+      cannot (``_block_sups_below``).
       A node that is not abandoned has every block made and sums its sups
       in level order, so its value is the batched pass's double.  A node
       whose block sum reaches the maximum is never abandoned, and with
@@ -814,12 +816,9 @@ def _solution_parts(
             break
         weight = times[m] ** sup_weight
         spec = np.multiply(spectrum(m), factor)
-        if best_m is None:
-            sups = _spectrum_block_sups(spec, masks, grid.n)
-        else:
-            sups = _block_sups_below(spec, grid, masks, weight, besov)
-            if sups is None:
-                continue
+        sups = _block_sups_below(spec, grid, masks, weight, besov)
+        if sups is None:
+            continue
         bval = weight * float(sups.sum())
         if not math.isfinite(bval):
             raise NonFiniteError("block sum of a trajectory node is not finite")

@@ -54,6 +54,18 @@ class TestHelpers:
         value, closed = gamma_constant_quadrature(SpaceParams(a, b))
         assert abs(value - closed) <= 1e-8
 
+    def test_lifting_constant_rule_over_admissible_range(self):
+        # p = (a - b + 3)/(2b) fills (1, 3) over the admissible pairs; each p
+        # is met at the b midway in its admissible interval
+        # (2/(p + 1), min(3/(2p), 1)), with a = 2bp + b - 3
+        worst = 0.0
+        for i in range(1, 401):
+            p = 1 + 2 * i / 401
+            b = (2 / (p + 1) + min(3 / (2 * p), 1.0)) / 2
+            value, closed = gamma_constant_quadrature(SpaceParams(2 * b * p + b - 3, b))
+            worst = max(worst, abs(value - closed) / closed)
+        assert worst <= 1e-14
+
     def test_wellposedness_data_is_mean_zero(self, grid32):
         wellposedness_data(grid32).require_mean_zero("test")
 

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ class TestRealField:
         g = RealField(grid16, np.ones((16, 16)))
         with pytest.raises(ValueError):
             g.require_mean_zero("test")
+
+    def test_mean_zero_gate_at_overflowing_amplitude(self, grid16):
+        # finite data whose plain sum overflows to inf - inf = NaN: the gate
+        # still passes a mean-zero field, fails one with a mean, and warns not
+        f = 5e306 * field_from_function(grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
+        g = 5e306 * field_from_function(grid16, lambda x1, x2: 1 + np.sin(x1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f.require_mean_zero("test")
+            with pytest.raises(ValueError):
+                g.require_mean_zero("test")
 
     def test_field_from_function_samples_grid(self, grid16):
         f = field_from_function(grid16, lambda x1, x2: x1 + 10 * x2)

@@ -1,7 +1,7 @@
 """The package's public names resolve, and so do the functions the benchmark
 traces, so a stale ``__all__`` entry or a deleted traced name fails here
-rather than only in the benchmark run.  A fresh import loads no scipy
-module."""
+rather than only in the benchmark run.  No package module imports scipy,
+and the package runs with scipy unimportable."""
 import ast
 import importlib
 import os
@@ -47,8 +47,8 @@ def test_traced_layer_functions_exist():
 
 def test_import_loads_no_scipy():
     """A fresh ``import qsqg, qsqg.cli`` leaves no scipy module in
-    ``sys.modules``: the transforms are numpy's, and only the lifting-constant
-    quadrature of the identity experiment imports scipy, when it runs."""
+    ``sys.modules``: the transforms and the identity experiment's
+    lifting-constant quadrature are numpy's."""
     probe = ("import sys, qsqg, qsqg.cli\n"
              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -56,3 +56,36 @@ def test_import_loads_no_scipy():
                             cwd=ROOT, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def test_no_package_module_imports_scipy():
+    found = []
+    for path in sorted((ROOT / "src" / "qsqg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported at {found}"
+
+
+def test_identity_experiment_runs_without_scipy():
+    """With scipy unimportable, the identity experiment, the last one that
+    used scipy, runs at a small config and passes its hard checks."""
+    probe = ("import math, sys\n"
+             "sys.modules['scipy'] = None\n"
+             "from qsqg.experiments import ExperimentConfig, run_space_identity\n"
+             "from qsqg.fields import GridSpec\n"
+             "cfg = ExperimentConfig(grid=GridSpec(32, 2 * math.pi), corpus_size=2)\n"
+             "report = run_space_identity(cfg)\n"
+             "print(report.hard_failures)")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            cwd=ROOT, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,17 @@ class TestPicard:
             picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
         assert info.value.iteration == 0
         assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_overflowing_mean_diverges_without_warning(self, grid16, params):
+        # the plain sum of 5e306 (sin x1 + cos 2 x2) overflows; the mean-zero
+        # check passes it without a warning and the solve diverges
+        theta0 = 5e306 * field_from_function(
+            grid16, lambda x1, x2: np.sin(x1) + np.cos(2 * x2)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
 
     def test_huge_data_diverges_at_first_norm_under_warning_filter(self, grid16, params):
         # 1e306 data under pytest's RuntimeWarning filter: the Wiener sums,
