@@ -24,9 +24,15 @@ times the cell area (L/N)^2.
 Operators that are homogeneous or singular at xi = 0 send the mean to zero,
 and the norm estimators remove the mean on ingestion; constants are invisible
 to every seminorm in this package.
+
+This module owns exact amplitude scaling: ``scaled_values`` is a field times
+2^-e (e its ``binary_exponent``), optionally centered, and ``unscaled`` scales
+a result back by 2^e or raises NonFiniteError.  So every degree-one map (the
+multipliers and norm estimators) is exact and finite at any finite amplitude.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridMismatchError, SymmetryError
+from .errors import GridMismatchError, NonFiniteError, SymmetryError
 
 FILE_MAGIC = b"QSF1"
 
@@ -212,9 +218,8 @@ class RealField:
     __rmul__ = __mul__
 
     def mean(self) -> float:
-        # summed scaled by 2^-e, |values| < max(1, 2^e): exact, and no overflow
-        e = max(int(np.frexp(self.max_abs())[1]), 0)
-        return float(np.ldexp(np.ldexp(self.values, -e).mean(), e))
+        v, e = scaled_values(self)
+        return float(np.ldexp(v.mean(), e))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
@@ -227,6 +232,46 @@ class RealField:
     @classmethod
     def zero(cls, grid: GridSpec) -> "RealField":
         return cls(grid, np.zeros((grid.n, grid.n)))
+
+
+def binary_exponent(x: float) -> int:
+    """The binary exponent e of x (|x| < 2^e), clamped to [-1022, 1000], so
+    that |x| 2^-e < 2^24 and 2^-e is a normal float whose products with the
+    Riesz symbols (nonzero entries above 2^-22 for N up to 2^21) are normal
+    too.  Multiplying by 2^-e, or by a symbol scaled by it, is then exact,
+    as ``np.ldexp`` would be, and as fast as any product."""
+    return min(max(int(np.frexp(x)[1]), -1022), 1000)
+
+
+def scaled_values(f: RealField, centered: bool = False,
+                  exponent: "int | None" = None) -> tuple[np.ndarray, int]:
+    """f's values times 2^-e, and e: ``binary_exponent(f.max_abs())``, or
+    ``exponent`` (one exponent for all the snapshots of a trajectory, say).
+    ``centered`` then subtracts the mean of the scaled values, which is
+    2^-e times the mean of f.  Neither step can overflow."""
+    e = binary_exponent(f.max_abs()) if exponent is None else exponent
+    v = f.values * math.ldexp(1.0, -e)
+    if centered:
+        v -= v.mean()
+    return v, e
+
+
+def unscaled(value, e: int):
+    """value * 2^e of a float (by ``math.ldexp``, 0.2 us against 3 us on the
+    array path) or, in place, of an array; NonFiniteError if not finite."""
+    if isinstance(value, np.ndarray):
+        with np.errstate(over="ignore"):
+            value = np.ldexp(value, e, out=value)
+        finite = np.isfinite(value).all()
+    else:
+        try:
+            value = math.ldexp(value, e)
+        except OverflowError:
+            value = math.inf
+        finite = math.isfinite(value)
+    if not finite:
+        raise NonFiniteError("value overflows")
+    return value
 
 
 def field_from_function(grid: GridSpec, fn) -> RealField:

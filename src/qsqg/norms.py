@@ -7,6 +7,11 @@ subtracted on ingestion (except the L1 Carleson functional, which is defined
 for arbitrary integrands).  Suprema over boxes are taken over the finite
 family described by a BoxSweepConfig and are therefore certified lower bounds
 of the continuum quantities; enlarging the sweep never decreases a report.
+
+Every estimator runs on ``fields.scaled_values`` (one exponent per
+trajectory) and scales its value back with ``fields.unscaled``, so it is
+finite and homogeneous at any finite amplitude, or raises NonFiniteError, as
+a non-finite value smuggled past RealField's constructor does downstream.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonFiniteError
-from .fields import GridSpec, RealField, SpaceParams, Trajectory
+from .fields import (GridSpec, RealField, SpaceParams, Trajectory, binary_exponent,
+                     scaled_values, unscaled)
 from . import operators as ops
 from . import spectral
 from .operators import _rate_levels
@@ -64,44 +70,6 @@ def _sweep_for(grid: GridSpec, sweep: "BoxSweepConfig | None") -> BoxSweepConfig
     sweep = sweep if sweep is not None else BoxSweepConfig()
     sweep.validate_for(grid)
     return sweep
-
-
-def _centered(f: RealField) -> np.ndarray:
-    v = f.values
-    return v - v.mean()
-
-
-def _binary_scaled(v: np.ndarray, what: str) -> tuple[np.ndarray, int]:
-    """v times 2^-e and e, the binary exponent of v's largest magnitude.
-
-    Power-of-two scaling is exact, so a value computed from the scaled array
-    and multiplied back by 2^e (``_unscaled``) is the value of v itself,
-    while squares of the scaled entries neither overflow nor underflow.
-    Raises NonFiniteError when v is not finite."""
-    if not np.isfinite(v).all():
-        raise NonFiniteError(f"{what} is not finite")
-    scale = int(np.frexp(np.abs(v).max())[1])
-    return np.ldexp(v, -scale), scale
-
-
-def _unscaled(value: float, scale: int) -> float:
-    """value * 2^scale, or NonFiniteError when that is not a finite float."""
-    try:
-        value = math.ldexp(value, scale)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NonFiniteError("value overflows")
-    return value
-
-
-def _binary_exponent(x: float) -> int:
-    """The binary exponent e of x (|x| < 2^e), clamped to [-1022, 1000], so
-    that |x| 2^-e < 2^24 and 2^-e is a normal float whose products with the
-    Riesz symbols (nonzero entries above 2^-22 for N up to 2^21) are normal
-    too.  Multiplying by 2^-e, or by a symbol scaled by it, is then exact,
-    as ``np.ldexp`` would be, and as fast as any product."""
-    return min(max(int(np.frexp(x)[1]), -1022), 1000)
 
 
 # -- radius sweeps -------------------------------------------------------------
@@ -350,21 +318,23 @@ def _block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarr
 
 def besov_sum_norm(f: RealField) -> NormReport:
     """Sum over dyadic blocks of the block sup norm (regularity-0, summed)."""
-    levels, sups = _block_sups(_centered(f), f.grid)
+    v, scale = scaled_values(f, centered=True)
+    levels, sups = _block_sups(v, f.grid)
     i = int(np.argmax(sups))
     return NormReport(
-        value=float(sups.sum()),
+        value=unscaled(float(sups.sum()), scale),
         attaining_level=levels[i],
     )
 
 
 def besov_sup_norm(f: RealField, s: float) -> NormReport:
     """Weighted block supremum sup_l 2^(l s) * sup |block_l f|."""
-    levels, sups = _block_sups(_centered(f), f.grid)
+    v, scale = scaled_values(f, centered=True)
+    levels, sups = _block_sups(v, f.grid)
     weighted = sups * np.power(2.0, s * np.asarray(levels, dtype=float))
     i = int(np.argmax(weighted))
     return NormReport(
-        value=float(weighted[i]),
+        value=unscaled(float(weighted[i]), scale),
         attaining_level=levels[i],
     )
 
@@ -375,16 +345,12 @@ def morrey_norm(f: RealField, p: float, lam: float,
                 sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """sup over swept cubes I of ( l(I)^(-lam) * integral_I |f - f_I|^p )^(1/p)
     with l(I) = 2r and f_I the cube average, for p = 2, the paper's L^(2,lam)
-    Morrey spaces; any other p raises ValueError.
-
-    The centered field is scaled by a power of two before its box sums are
-    squared, so the value is finite and homogeneous at any finite amplitude,
-    or NonFiniteError is raised."""
+    Morrey spaces; any other p raises ValueError."""
     if p != 2:
         raise ValueError(f"only the integrability exponent p = 2 is computed, got {p}")
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
-    v, scale = _binary_scaled(_centered(f), "centered field")
+    v, scale = scaled_values(f, centered=True)
     area = grid.cell_area
     search = _RadiusSweep(grid, sweep)
     for i, r in enumerate(sweep.radii(grid)):
@@ -394,7 +360,7 @@ def morrey_norm(f: RealField, p: float, lam: float,
         osc = np.maximum(s2 - s1 * s1 / count, 0.0)
         search.offer(i, (2.0 * r) ** (-lam) * area * osc)
     return NormReport(
-        value=_unscaled(float(search.best) ** (1.0 / p), scale),
+        value=unscaled(float(search.best) ** (1.0 / p), scale),
         attaining_box=search.box,
     )
 
@@ -422,16 +388,11 @@ def q_norm_direct(f: RealField, params: SpaceParams,
         l(I)^(2a+2b-4) * iint_{I x I} |f(x)-f(y)|^2 / |x-y|^(2a-2b+4) dx dy
 
     over cubes I of edge l(I) = 2r, distances on the torus, diagonal cells
-    excluded (a = alpha, b = beta, two space dimensions).
-
-    The centered field is scaled by 2^-e, e the binary exponent of its
-    largest magnitude, and the value by 2^e, both exact, so the squared
-    differences neither overflow nor underflow at any finite amplitude.
-    Raises NonFiniteError on a non-finite centered field or box value."""
+    excluded (a = alpha, b = beta, two space dimensions)."""
     grid = f.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
-    v, scale = _binary_scaled(_centered(f), "centered field")
+    v, scale = scaled_values(f, centered=True)
     kernel_spec = _difference_kernel_spectrum(grid, 2 * a - 2 * b + 4)
     h4 = grid.cell_area ** 2
 
@@ -451,7 +412,7 @@ def q_norm_direct(f: RealField, params: SpaceParams,
         edge_factor = (2.0 * r) ** (2 * a + 2 * b - 4)
         search.offer(i, edge_factor * h4 * np.maximum(double_sums, 0.0))
     return NormReport(
-        value=_unscaled(math.sqrt(max(search.best, 0.0)), scale),
+        value=unscaled(math.sqrt(max(search.best, 0.0)), scale),
         attaining_box=search.box,
     )
 
@@ -541,14 +502,9 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, ladder, param: float,
     The derivative symbols are i times real arrays (``_gradient_symbols``),
     so node g's rows (decay_g * (i f^)) * Im d_j are d_j * (decay_g * f^)
     entry for entry, up to the sign of a zero, and the energies are the
-    same doubles.
-
-    The centered field is scaled by 2^-e, e the binary exponent of its
-    largest magnitude, and the value by 2^e.  Both are exact, so the squared
-    energies neither overflow nor underflow at any finite amplitude.  Raises
-    NonFiniteError on a non-finite centered field, density or value."""
+    same doubles."""
     grid = f.grid
-    v, scale = _binary_scaled(_centered(f), "centered field")
+    v, scale = scaled_values(f, centered=True)
     spec = spectral.forward(v)
     weights, prefactors, table, squares, index = _ladder_plan(grid, sweep, ladder, param, beta)
     im1, im2, magnitude = _gradient_symbols(grid)
@@ -571,7 +527,7 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, ladder, param: float,
 
     search = _RadiusSweep(grid, sweep, prefactors)
     search.stream(weights, masses, gradients, energy, 2)
-    return _unscaled(math.sqrt(max(search.best, 0.0)), scale), search.box
+    return unscaled(math.sqrt(max(search.best, 0.0)), scale), search.box
 
 
 def q_norm_semigroup(f: RealField, params: SpaceParams,
@@ -586,8 +542,7 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
     steps; when that is an integer (b = 3/4) the shared nodes are made once
     (see ``_ladder_sweep``).  Once a radius is finished, radii whose energy
     bound cannot beat it are dropped and the nodes only they hold never
-    made; the value and box are the exhaustive sweep's, bit for bit.  Finite
-    and homogeneous at any finite amplitude, or NonFiniteError."""
+    made; the value and box are the exhaustive sweep's, bit for bit."""
     sweep = _sweep_for(f.grid, sweep)
     value, box = _ladder_sweep(f, sweep, _q_ladder, params.alpha, params.beta)
     return NormReport(
@@ -608,8 +563,7 @@ def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
     of radius r shifted by log 2 / log(TIME_RATIO) = 4 steps for every b,
     and shared nodes are made once (see ``_ladder_sweep``).
     Radii that cannot beat a finished one are dropped, as in
-    ``q_norm_semigroup``, with the exhaustive sweep's value and box.
-    Finite and homogeneous at any finite amplitude, or NonFiniteError."""
+    ``q_norm_semigroup``, with the exhaustive sweep's value and box."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     sweep = _sweep_for(f.grid, sweep)
@@ -644,14 +598,14 @@ def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
     of squares sum_half colw |spec|^2 / N^2 (Parseval), with e the binary
     exponent of max |spec|.  Both sums run on |spec| scaled by 2^-e, which
     is exact, so they neither overflow nor underflow, and W is the sum
-    scaled back (``_unscaled``: NonFiniteError when W is not finite).
+    scaled back (``fields.unscaled``: NonFiniteError when W is not finite).
 
     W bounds sum_l sup |P_l f|, max |f| and max |R_j f|, because the dyadic
     annuli partition the nonzero modes and |sum c_j e^(i j x)| <= sum |c_j|."""
     mags = np.abs(spec)
-    scale = _binary_exponent(mags.max())
+    scale = binary_exponent(mags.max())
     mags *= math.ldexp(1.0, -scale)
-    bound = _unscaled(_half_sum(mags, n), scale)
+    bound = unscaled(_half_sum(mags, n), scale)
     return bound, scale, _half_sum(np.square(mags, out=mags), n)
 
 
@@ -695,7 +649,7 @@ def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, table: np.n
     levels, level_of = _rate_levels(grid, beta)
     n = grid.n
     mags = np.abs(spec)
-    scale = _binary_exponent(mags.max())
+    scale = binary_exponent(mags.max())
     mags *= math.ldexp(1.0, -scale)
     weighted = _column_weights(n) * mags / (n * n)
     first = np.bincount(level_of.ravel(), weighted.ravel(), levels.size)
@@ -706,9 +660,9 @@ def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, table: np.n
 
 
 def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
-    """Carleson part, its box and the partial-coverage flag, from planes
-    scaled by 2^-scale: each node's snapshot row is scaled as it is copied
-    into the batch, and its Riesz rows are products of that row.
+    """Carleson part times 2^-scale, its box and the partial-coverage flag,
+    from planes scaled by 2^-scale: each node's snapshot row is scaled as it
+    is copied into the batch, and its Riesz rows are products of that row.
 
     Each streamed node's three rows are inverted in place with their batch,
     and its planes are reduced in place:
@@ -742,8 +696,7 @@ def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
 
     search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
     search.stream(np.array([w for w, _ in cells]), masses, rows, energy, 3)
-    carleson = _unscaled(math.sqrt(max(search.best, 0.0)), scale)
-    return carleson, search.box, any(flag for _, flag in cells)
+    return math.sqrt(max(search.best, 0.0)), search.box, any(flag for _, flag in cells)
 
 
 def _solution_parts(
@@ -754,17 +707,19 @@ def _solution_parts(
     k: int,
     sweep: BoxSweepConfig,
     measures=None,
+    outer: int = 0,
 ) -> dict:
     """Block-sup part plus Carleson part of the trajectory whose centered
-    snapshot at times[m] has half spectrum ``spectrum(m)``.  Three steps:
+    snapshot at times[m] has half spectrum 2^outer ``spectrum(m)``, outer
+    the exponent of the caller's ``fields.scaled_values``.  Three steps:
 
     * Measures, before any plane.  One |f^| pass per node gives its Wiener
       bound W and its sum of squares (``_spectrum_measures``), unless the
       caller passes them as ``measures``.  The energy total of node m is at
       most 2 t_m^(k/b) times its sum of squares, since |R1|^2 + |R2|^2 <= 1.
-      One binary exponent e (``_binary_exponent``) of the largest W is fixed
-      here: both passes run on spectra scaled by 2^-e and both parts are
-      scaled back by 2^e (``_unscaled``), all exact, so neither the squares
+      One binary exponent e (``fields.binary_exponent``) of the largest W is
+      fixed here: both passes run on spectra scaled by 2^-e and both parts
+      are scaled back by 2^(e + outer), all exact, so neither the squares
       of the Carleson pass nor the block inverses of the Besov pass
       overflow or underflow at any finite amplitude.  A non-finite node
       raises NonFiniteError.
@@ -800,7 +755,7 @@ def _solution_parts(
     l1 = np.array([bound for bound, _, _ in measures])
     if not np.isfinite(l1).all():
         raise NonFiniteError("a trajectory node is not finite")
-    scale = _binary_exponent(l1.max())
+    scale = binary_exponent(l1.max())
     factor = math.ldexp(1.0, -scale)
     masses = 2 * times ** (k / b) * np.array(
         [math.ldexp(q, 2 * (e - scale)) for _, e, q in measures])
@@ -825,8 +780,8 @@ def _solution_parts(
         if bval > besov or (bval == besov and m < best_m):
             besov, best_m = bval, m
     return {
-        "besov": _unscaled(besov, scale),
-        "carleson": carleson,
+        "besov": unscaled(besov, scale + outer),
+        "carleson": unscaled(carleson, scale + outer),
         "time": float(times[best_m]),
         "box": box,
         "partial": partial,
@@ -837,19 +792,22 @@ def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
                sweep: BoxSweepConfig) -> tuple[dict, tuple[int, int]]:
     """The largest ``_solution_parts`` value over the multi-indices |a| = k
     of t^(k/(2b)) d^a f, with its parts and orders (a1, a2); on an exact tie
-    the larger a1 wins.  No snapshot spectrum is held: a centered snapshot
+    the larger a1 wins.  No snapshot spectrum is held: a centered snapshot,
+    scaled by 2^-e with one e for the trajectory (``fields.scaled_values``),
     is forward-transformed whenever ``_solution_parts`` asks for its node
     (for its measures, again if the Carleson stream reaches it, and again
     if the Besov pass visits it), and the multi-index's half symbol
     (``operators._half_symbol``), exactly 1 when k = 0, is applied to it.
     Holding the M spectra instead took 16 MiB at N = 256, M = 32."""
     grid = traj.grid
+    e = binary_exponent(max(s.max_abs() for s in traj.snapshots))
     best, best_value, orders = None, None, None
     for a1 in range(k, -1, -1):
         symbol = ops._half_symbol(ops.mixed_derivative_symbol, grid, a1, k - a1)
         comp = _solution_parts(
-            traj.times, lambda m: symbol * spectral.forward(_centered(traj.snapshots[m])),
-            grid, params, k, sweep)
+            traj.times, lambda m: symbol * spectral.forward(
+                scaled_values(traj.snapshots[m], centered=True, exponent=e)[0]),
+            grid, params, k, sweep, outer=e)
         value = comp["besov"] + comp["carleson"]
         if best is None or value > best_value:
             best, best_value, orders = comp, value, (a1, k - a1)
@@ -908,12 +866,12 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
 def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
                            sweep: "BoxSweepConfig | None" = None) -> NormReport:
     """Swept supremum of r^(2a+2b-4) * iint_box |f(t,y)| t^(-a/b) dy dt,
-    degree-1 homogeneous in the trajectory; no mean subtraction.  Raises
-    NonFiniteError when a radius's density is not finite."""
+    degree-1 homogeneous in the trajectory; no mean subtraction."""
     grid = traj.grid
     sweep = _sweep_for(grid, sweep)
     a, b = params.alpha, params.beta
-    magnitudes = [np.abs(s.values) for s in traj.snapshots]
+    e = binary_exponent(max(s.max_abs() for s in traj.snapshots))
+    magnitudes = [np.abs(scaled_values(s, exponent=e)[0]) for s in traj.snapshots]
     radii = sweep.radii(grid)
 
     search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
@@ -927,7 +885,7 @@ def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
                 density += w * g
         search.finish(i, density)
     return NormReport(
-        value=float(max(search.best, 0.0)),
+        value=unscaled(max(search.best, 0.0), e),
         attaining_box=search.box,
         partial_coverage=partial,
     )
@@ -964,23 +922,17 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     at the nodes the Carleson pass streams, and again at the nodes whose
     block-sum bound can still set the sup.  Its decay plane and every node's
     Wiener bound and energy come from one node table, built once per grid
-    (``_caloric_plan``, ``_caloric_measures``).
-
-    The centered data is scaled by 2^-e, e the binary exponent of its
-    largest magnitude, and both parts by 2^e; both steps are exact, so the
-    value is homogeneous at any finite amplitude.  Raises NonFiniteError on
-    non-finite data or a value that overflows."""
+    (``_caloric_plan``, ``_caloric_measures``).  The sum of the two parts
+    can still overflow, and raises NonFiniteError."""
     grid = u0.grid
     sweep = _sweep_for(grid, sweep)
     times, table, squares = _caloric_plan(grid, params)
-    v, scale = _binary_scaled(_centered(u0), "centered data")
+    v, scale = scaled_values(u0, centered=True)
     spec = spectral.forward(v)
     measures = _caloric_measures(spec, grid, params.beta, table, squares)
     level_of = _rate_levels(grid, params.beta)[1]
     comp = _solution_parts(times, lambda m: table[m].take(level_of) * spec,
-                           grid, params, 0, sweep, measures)
-    comp["besov"] = _unscaled(comp["besov"], scale)
-    comp["carleson"] = _unscaled(comp["carleson"], scale)
+                           grid, params, 0, sweep, measures, scale)
     report = _solution_report(comp)
     if not math.isfinite(report.value):
         raise NonFiniteError("value overflows")

@@ -2,11 +2,13 @@
 
 Every operator here is diagonal in frequency: transform to the half spectrum,
 multiply by the half view of a lattice symbol, transform back with the real
-inverse.  The solver and the trajectory norms multiply by contiguous half
-copies (``_half_symbol``) instead.  Lattice symbols are passed through
-``GridSpec.hermitian_part`` once at build time, which zeroes the unpaired odd
-content on Nyquist rows; without that step odd symbols such as i*xi_1 would
-leave a spurious real term on the k1 = N/2 row (see ``qsqg.spectral``).
+inverse, all in ``apply_lattice_symbol`` on ``fields.scaled_values`` of the
+field, so no finite field overflows a transform.  The solver and the
+trajectory norms multiply by contiguous half copies (``_half_symbol``).
+Lattice symbols are passed through ``GridSpec.hermitian_part`` once at build
+time, which zeroes the unpaired odd content on Nyquist rows; without that
+step odd symbols such as i*xi_1 would leave a spurious real term on the
+k1 = N/2 row (see ``qsqg.spectral``).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GridSpec, RealField, SpaceParams
+from .fields import GridSpec, RealField, SpaceParams, scaled_values, unscaled
 from . import spectral
 
 __all__ = [
@@ -32,8 +34,9 @@ __all__ = [
 
 def apply_lattice_symbol(f: RealField, symbol: np.ndarray) -> RealField:
     """Multiply the spectrum of f by a prebuilt (Hermitian) lattice symbol."""
-    out = spectral.inverse(spectral.half(symbol) * spectral.forward(f.values), f.grid.n)
-    return RealField(f.grid, out)
+    v, e = scaled_values(f)
+    out = spectral.inverse(spectral.half(symbol) * spectral.forward(v), f.grid.n)
+    return RealField(f.grid, unscaled(out, e))
 
 
 # -- cached symbol builders --------------------------------------------------
@@ -202,8 +205,7 @@ def _dealias(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def dealias_field(f: RealField) -> RealField:
     """Zero all modes outside the grid's 2/3-rule ``dealias_mask``."""
-    spec = _dealias(spectral.forward(f.values), f.grid)
-    return RealField(f.grid, spectral.inverse(spec, f.grid.n))
+    return apply_lattice_symbol(f, f.grid.dealias_mask)
 
 
 # -- Littlewood-Paley blocks -------------------------------------------------

@@ -100,12 +100,13 @@ class TestAxioms:
         for est in self.field_estimators(params):
             assert est(zero) == 0.0
 
-    def test_field_homogeneity(self, smooth32, params):
-        c = -2.375
-        for est in self.field_estimators(params):
-            base = est(smooth32)
-            scaled = est(c * smooth32)
-            assert abs(scaled - abs(c) * base) <= 1e-12 * max(1.0, abs(c) * base)
+    def test_field_homogeneity(self, smooth32, grid16, params):
+        # the plain mean and spectrum of 5e306 (sin x1 + cos 2 x2) overflow
+        for f, c in ((smooth32, -2.375), (wellposedness_data(grid16), 5e306)):
+            for est in self.field_estimators(params):
+                base = est(f)
+                scaled = est(c * f)
+                assert abs(scaled - abs(c) * base) <= 1e-12 * max(1.0, abs(c) * base)
 
     def test_zero_trajectory(self, grid32, params):
         times = np.array([0.25, 0.5, 1.0])
@@ -488,12 +489,12 @@ class TestLadderSweep:
         values = np.zeros((32, 32))
         values[3, 5] = np.inf
         object.__setattr__(bad, "values", values)   # past RealField's own check
-        # finite values whose mean overflows leave a non-finite centered field
-        huge = RealField(grid32, np.full((32, 32), 1.5e308))
         with np.errstate(over="ignore", invalid="ignore"):
-            for field in (bad, huge):
-                with pytest.raises(NonFiniteError):
-                    est(field)
+            with pytest.raises(NonFiniteError):
+                est(bad)
+        # a finite constant near the largest double has zero seminorm
+        huge = RealField(grid32, np.full((32, 32), 1.5e308))
+        assert est(huge).value == 0.0
 
 
 class TestRateTable:
@@ -687,7 +688,7 @@ class TestTorusDoubling:
             assert abs(large - small) < ratio_tol * small
 
 
-AMPLITUDES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300)
+AMPLITUDES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300, 5e306)
 
 
 def exhaustive_parts(times, spectra, snapshots, grid, params, k, sweep):

@@ -18,6 +18,7 @@ from qsqg import (
     x_norm,
 )
 from qsqg import spectral
+from qsqg.experiments import wellposedness_data
 from qsqg.operators import (
     _annulus_mask,
     _decays,
@@ -64,6 +65,16 @@ class TestApplyMultiplier:
         f = field_from_function(smooth32.grid, lambda a, b: np.sin(a))
         assert max_err(apply_lattice_symbol(f, inv), f) <= 1e-12
         assert abs(out.mean()) <= 1e-12
+
+    @pytest.mark.parametrize("op, axis", [(riesz_transform, 1), (riesz_transform, 2),
+                                          (partial_derivative, 1), (partial_derivative, 2)])
+    def test_homogeneous_where_the_transform_overflows(self, grid16, op, axis):
+        # the plain spectrum of 5e306 (sin x1 + cos 2 x2) overflows; the
+        # scaled one does not, and the output is 5e306 times the unit one
+        unit = op(wellposedness_data(grid16), axis).values
+        huge = op(5e306 * wellposedness_data(grid16), axis).values
+        assert np.isfinite(huge).all()
+        assert np.abs(huge - 5e306 * unit).max() <= 1e-12 * 5e306 * np.abs(unit).max()
 
     def test_composition_of_multipliers(self, smooth32):
         # (i xi1)(i xi2) applied as one symbol equals the two derivatives in turn

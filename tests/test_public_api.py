@@ -1,7 +1,8 @@
 """The package's public names resolve, and so do the functions the benchmark
 traces, so a stale ``__all__`` entry or a deleted traced name fails here
 rather than only in the benchmark run.  No package module imports scipy,
-and the package runs with scipy unimportable."""
+and the package runs with scipy unimportable.  Only ``qsqg.fields`` calls
+frexp, so exact amplitude scaling keeps one owner."""
 import ast
 import importlib
 import os
@@ -71,6 +72,18 @@ def test_no_package_module_imports_scipy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imported at {found}"
+
+
+def test_only_fields_calls_frexp():
+    """Exact amplitude scaling has one owner: every binary exponent comes
+    from ``fields.binary_exponent``, so no other module calls frexp."""
+    found = []
+    for path in sorted((ROOT / "src" / "qsqg").glob("*.py")):
+        if path.name != "fields.py":
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr == "frexp"
+                      or isinstance(node, ast.Name) and node.id == "frexp"]
+    assert not found, f"frexp called at {found}"
 
 
 def test_identity_experiment_runs_without_scipy():
