@@ -2,17 +2,14 @@
 equation on the periodic square: Fourier multiplier operators, Carleson-box
 norm estimators, a Picard mild-solution solver, and an experiment harness.
 """
-from .errors import DivergenceError, GridMismatchError, NonFiniteError, SymmetryError
+from .errors import DivergenceError, GridMismatchError, NonFiniteError
 from .fields import (
     GridSpec,
     RealField,
     SpaceParams,
-    SpectralField,
     Trajectory,
     field_from_function,
     read_field,
-    to_physical,
-    to_spectral,
     write_field,
 )
 from .operators import (
@@ -71,8 +68,6 @@ __all__ = [
     "RealField",
     "SolverConfig",
     "SpaceParams",
-    "SpectralField",
-    "SymmetryError",
     "TimeGrid",
     "Trajectory",
     "band_limited_corpus",
@@ -104,8 +99,6 @@ __all__ = [
     "save_trajectory",
     "scaling_transform",
     "sqg_velocity",
-    "to_physical",
-    "to_spectral",
     "write_field",
     "x_k_norm",
     "x_norm",

@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
-from .corpus import DEFAULT_SEED
 from .fields import GridSpec, SpaceParams
 from .sweep import BoxSweepConfig
 from .experiments import RUNNERS, ExperimentConfig, persist
@@ -29,23 +27,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "equation on the periodic plane.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
+    default = ExperimentConfig()
     for name in list(RUNNERS) + ["all"]:
         p = sub.add_parser(name, help=f"run the '{name}' experiment" if name != "all"
                            else "run every experiment in sequence")
-        p.add_argument("--alpha", type=float, default=0.25)
-        p.add_argument("--beta", type=float, default=0.75)
-        p.add_argument("--grid", type=int, default=64, metavar="N",
+        p.add_argument("--alpha", type=float, default=default.params.alpha)
+        p.add_argument("--beta", type=float, default=default.params.beta)
+        p.add_argument("--grid", type=int, default=default.grid.side_points, metavar="N",
                        help="points per side (even)")
-        p.add_argument("--length", type=float, default=2 * math.pi,
+        p.add_argument("--length", type=float, default=default.grid.domain_length,
                        help="domain side length")
-        p.add_argument("--horizon", type=float, default=1.0,
+        p.add_argument("--horizon", type=float, default=default.horizon,
                        help="final time of the solver grid")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--corpus-size", type=int, default=50)
-        p.add_argument("--solver-nodes", type=int, default=32)
-        p.add_argument("--radii", type=int, default=3,
+        p.add_argument("--seed", type=int, default=default.seed)
+        p.add_argument("--corpus-size", type=int, default=default.corpus_size)
+        p.add_argument("--solver-nodes", type=int, default=default.solver_nodes)
+        p.add_argument("--radii", type=int, default=default.sweep.num_radii,
                        help="number of dyadic box radii in norm sweeps")
-        p.add_argument("--time-nodes", type=int, default=16,
+        p.add_argument("--time-nodes", type=int, default=default.sweep.time_nodes,
                        help="quadrature nodes per semigroup time ladder")
         p.add_argument("--out", type=Path, default=Path("qsqg-out"),
                        help="artifact directory")

@@ -5,11 +5,6 @@ class GridMismatchError(ValueError):
     """Operands live on different grids."""
 
 
-class SymmetryError(ValueError):
-    """A Fourier symbol or coefficient array lacks the conjugate symmetry
-    required for a real physical field."""
-
-
 class DivergenceError(RuntimeError):
     """An iteration or time integration produced NaN or overflow."""
 

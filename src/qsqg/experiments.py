@@ -522,7 +522,8 @@ def _l2_sq(spec: np.ndarray, grid: GridSpec) -> float:
     return float(total) * grid.cell_area ** 2 / grid.length ** 2
 
 
-def _lemma_constants(traj: Trajectory, params: SpaceParams) -> tuple[float, float, float]:
+def _lemma_constants(traj: Trajectory, params: SpaceParams,
+                     sweep: BoxSweepConfig) -> tuple[float, float, float]:
     """The memory ratio and the smoothing constants b(0), b(1) of ``traj``,
     from one stacked forward transform, one box functional and one mass.
 
@@ -531,8 +532,8 @@ def _lemma_constants(traj: Trajectory, params: SpaceParams) -> tuple[float, floa
     with weight t^(-a/b).  b(k) is the empirical constant in the smoothing
     bound for the time-cumulative density: weighted L2 of
     t^(k/2) (-Lap)^((k b + 1)/2) e^(-(t/2)(-Lap)^b) int_0^t f ds (decay
-    e^(-t(-Lap)^b) at k = 0) against the box functional times the plain
-    weighted mass."""
+    e^(-t(-Lap)^b) at k = 0) against the box functional, swept over
+    ``sweep``'s radii, times the plain weighted mass."""
     grid = traj.grid
     a, b = params.alpha, params.beta
     lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
@@ -558,7 +559,7 @@ def _lemma_constants(traj: Trajectory, params: SpaceParams) -> tuple[float, floa
         for k in (0, 1):
             smoothing[k] += weights[m] * t ** k * _l2_sq(smooth[k] * decay[k] * cum, grid)
         mass += weights[m] * float(np.abs(traj.snapshots[m].values).sum()) * grid.cell_area
-    rhs = carleson_l1_functional(traj, params).value * mass
+    rhs = carleson_l1_functional(traj, params, sweep).value * mass
     b0, b1 = (v / rhs if rhs > 0 else float("nan") for v in smoothing)
     return memory, b0, b1
 
@@ -572,7 +573,8 @@ def run_lemma_checks(cfg: ExperimentConfig) -> ExperimentReport:
     hard, warn = [], []
     tg = TimeGrid(cfg.horizon, cfg.solver_nodes)
     constants = [
-        (_lemma_constants(traj, cfg.params), _lemma_constants(fine, cfg.params))
+        (_lemma_constants(traj, cfg.params, cfg.sweep),
+         _lemma_constants(fine, cfg.params, cfg.sweep))
         for traj, fine in _random_trajectories(cfg, (tg, tg.refined(2)))
     ]
 

@@ -8,7 +8,7 @@ Conventions, fixed once for the whole package:
   stored in FFT layout, so the partial derivative along axis j acts as
   multiplication by i xi_j.
 
-Package code transforms through ``qsqg.spectral``, an unnormalized real FFT
+Every transform goes through ``qsqg.spectral``, an unnormalized real FFT
 fhat(xi) = sum_x f(x) exp(-i xi . x) that keeps only the half spectrum:
 columns k2 = 0 .. N/2 of the FFT layout, shape (N, N/2 + 1), the rest being
 fixed by conjugate symmetry.  Symbols and masks are built here in the full
@@ -17,9 +17,6 @@ Odd symbols stay projected by ``GridSpec.hermitian_part``: the real inverse
 drops unpaired odd content on the k2 = 0, N/2 columns as ``.real`` of
 a complex inverse does, but on the k1 = N/2 row it would turn that content
 into a spurious real term, so it must be zeroed before it is applied.
-``SpectralField`` and ``to_spectral``/``to_physical`` keep the full complex
-layout and carry the continuum scaling: their coefficients are that sum
-times the cell area (L/N)^2.
 
 Operators that are homogeneous or singular at xi = 0 send the mean to zero,
 and the norm estimators remove the mean on ingestion; constants are invisible
@@ -40,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridMismatchError, NonFiniteError, SymmetryError
+from .errors import GridMismatchError, NonFiniteError
 
 FILE_MAGIC = b"QSF1"
 
@@ -278,44 +275,6 @@ def field_from_function(grid: GridSpec, fn) -> RealField:
     """Sample fn(x1, x2) on the lattice (meshgrid arrays, axis 0 = x1)."""
     x1, x2 = np.meshgrid(grid.coords, grid.coords, indexing="ij")
     return RealField(grid, np.asarray(fn(x1, x2), dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Fourier coefficients of a real field.
-
-    Coefficients follow the package transform convention (forward sum times
-    (L/N)^2) in FFT layout, and must be conjugate-symmetric so the physical
-    field is real.
-    """
-
-    grid: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n
-        c = np.array(self.coefficients, dtype=complex)
-        if c.shape != (n, n):
-            raise ValueError(f"expected coefficients of shape {(n, n)}, got {c.shape}")
-        if not np.isfinite(c.view(float)).all():
-            raise ValueError("coefficients must be finite")
-        scale = max(1.0, float(np.abs(c).max()))
-        defect = float(np.abs(c - self.grid.conjugate_flip(c)).max())
-        if defect > 1e-9 * scale:
-            raise SymmetryError(
-                f"coefficients break conjugate symmetry (defect {defect:.3e})"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-
-def to_spectral(f: RealField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fft2(f.values) * f.grid.cell_area)
-
-
-def to_physical(s: SpectralField) -> RealField:
-    values = np.fft.ifft2(s.coefficients / s.grid.cell_area).real
-    return RealField(s.grid, values)
 
 
 @dataclass(frozen=True, eq=False)

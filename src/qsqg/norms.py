@@ -33,6 +33,7 @@ from .sweep import (
     best_center,
     box_sums,
     geometric_ladder,
+    graded_times,
     linear_weight,
     mask_point_count,
     power_weight,
@@ -894,9 +895,7 @@ def carleson_l1_functional(traj: Trajectory, params: SpaceParams,
 def caloric_coverage_times(grid: GridSpec, params: SpaceParams,
                            num_nodes: int = 48) -> np.ndarray:
     """Graded times covering (0, r_max^(2 beta)] for the sweep's largest box."""
-    horizon = (grid.length / 2) ** (2 * params.beta)
-    steps = np.arange(1, num_nodes + 1, dtype=float) / num_nodes
-    return horizon * steps ** 2
+    return graded_times((grid.length / 2) ** (2 * params.beta), num_nodes)
 
 
 @lru_cache(maxsize=16)

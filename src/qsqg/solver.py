@@ -43,7 +43,7 @@ from .fields import GridSpec, RealField, SpaceParams, Trajectory, read_field, wr
 from . import operators as ops
 from . import spectral
 from . import norms
-from .sweep import BoxSweepConfig
+from .sweep import BoxSweepConfig, graded_times
 
 __all__ = [
     "TimeGrid",
@@ -60,14 +60,10 @@ __all__ = [
 ]
 
 
-# Exponent q of the solver's graded time nodes t_m = T (m/M)^q: nodes
-# cluster near t = 0, where the mild solution's weights are singular.
-GRADING = 2.0
-
-
 @dataclass(frozen=True)
 class TimeGrid:
-    """Graded time nodes t_m = T (m/M)^GRADING, m = 1..M, plus t_0 = 0."""
+    """Graded time nodes t_m = T (m/M)^GRADING (``sweep.graded_times``),
+    m = 1..M, plus t_0 = 0."""
 
     horizon: float
     num_nodes: int = 32
@@ -80,8 +76,7 @@ class TimeGrid:
 
     @cached_property
     def times(self) -> np.ndarray:
-        m = np.arange(1, self.num_nodes + 1, dtype=float)
-        t = self.horizon * (m / self.num_nodes) ** GRADING
+        t = graded_times(self.horizon, self.num_nodes)
         t.setflags(write=False)
         return t
 

@@ -1,5 +1,5 @@
 """Real-data 2-D transforms.  Every transform in the package goes through
-here, except the full-layout ``fields.to_spectral``/``to_physical``.
+here, and no other module names ``numpy.fft``.
 
 Fields are real, so their spectra are conjugate-symmetric and the columns
 k2 = 0 .. N/2 of the FFT layout determine the rest.  ``forward`` keeps only

@@ -146,6 +146,18 @@ def best_center(vals: np.ndarray, grid: GridSpec, stride: int) -> tuple[float, t
 
 # -- time quadrature ----------------------------------------------------------
 
+# Exponent q of the graded time nodes t_m = T (m/M)^q of the solver's time
+# grid and of the caloric norm: nodes cluster near t = 0, where the path
+# norms' time weights t^(-alpha/beta) are singular.
+GRADING = 2.0
+
+
+def graded_times(horizon: float, num_nodes: int) -> np.ndarray:
+    """Graded nodes t_m = horizon (m/M)^GRADING, m = 1..M, M = num_nodes."""
+    m = np.arange(1, num_nodes + 1, dtype=float)
+    return horizon * (m / num_nodes) ** GRADING
+
+
 def geometric_ladder(upper: float, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending cell bounds and midpoints of the top-anchored geometric
     ladder upper * TIME_RATIO^-(nodes-1) < ... < upper (nodes-1 cells)."""

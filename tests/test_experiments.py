@@ -1,4 +1,5 @@
 """Experiment harness and CLI tests at smoke scale (N=32, small corpus)."""
+import dataclasses
 import json
 import math
 
@@ -115,6 +116,19 @@ class TestRunners:
             assert any(k.startswith("plots/") for k in ta), name
             assert ta == tb, name
 
+    def test_lemma_checks_sweep_the_configured_radii(self, cfg32, monkeypatch):
+        seen = []
+        l1 = experiments.carleson_l1_functional
+
+        def spy(traj, params, sweep=None):
+            seen.append(sweep)
+            return l1(traj, params, sweep)
+
+        monkeypatch.setattr(experiments, "carleson_l1_functional", spy)
+        cfg = dataclasses.replace(cfg32, sweep=BoxSweepConfig(4))
+        experiments.run_lemma_checks(cfg)
+        assert seen and all(sweep == cfg.sweep for sweep in seen)
+
     def test_zero_field_ratio_is_undefined(self, cfg32, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "band_limited_corpus",
                             lambda grid, *args: [RealField.zero(grid)])
@@ -200,6 +214,11 @@ class TestCli:
         assert "FAILED: synthetic failure" in capsys.readouterr().out
         text = (tmp_path / "riesz" / "summary.txt").read_text()
         assert "result: FAIL" in text
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS) + ["all"])
+    def test_flag_defaults_are_config_defaults(self, name):
+        args = cli.build_parser().parse_args([name])
+        assert cli.config_from_args(args) == ExperimentConfig()
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -9,13 +9,9 @@ from qsqg import (
     GridSpec,
     RealField,
     SpaceParams,
-    SpectralField,
-    SymmetryError,
     Trajectory,
     field_from_function,
     read_field,
-    to_physical,
-    to_spectral,
     write_field,
 )
 from qsqg.fields import FILE_MAGIC
@@ -162,32 +158,6 @@ class TestRealField:
         f = field_from_function(grid16, lambda x1, x2: x1 + 10 * x2)
         x = grid16.coords
         assert f.values[2, 3] == pytest.approx(x[2] + 10 * x[3])
-
-
-class TestSpectralField:
-    def test_forward_transform_convention(self, grid32):
-        # hat f(xi) = sum f(x) exp(-i xi.x) h^2; sin(x1) puts -i L^2/2 at (1,0)
-        f = field_from_function(grid32, lambda x1, x2: np.sin(x1))
-        s = to_spectral(f)
-        np.testing.assert_allclose(s.coefficients[1, 0], -1j * L**2 / 2, atol=1e-10)
-        np.testing.assert_allclose(s.coefficients[-1, 0], 1j * L**2 / 2, atol=1e-10)
-
-    def test_round_trip(self, smooth32):
-        back = to_physical(to_spectral(smooth32))
-        err = np.abs(back.values - smooth32.values).max()
-        assert err <= 1e-13
-
-    def test_rejects_conjugate_asymmetry(self, grid16):
-        coeff = np.zeros((16, 16), dtype=complex)
-        coeff[1, 2] = 1.0 + 0.5j   # no matching conjugate at (-1, -2)
-        with pytest.raises(SymmetryError):
-            SpectralField(grid16, coeff)
-
-    def test_accepts_hermitian_spectrum(self, grid16):
-        coeff = np.zeros((16, 16), dtype=complex)
-        coeff[1, 2] = 1.0 + 0.5j
-        coeff[-1, -2] = 1.0 - 0.5j
-        SpectralField(grid16, coeff)
 
 
 class TestTrajectory:

@@ -1200,7 +1200,9 @@ def test_trajectory_homogeneous_over_all_amplitudes(params, corpus32, kind):
 def test_carleson_l1_overflowing_density_raises(grid32, params):
     times = np.array([0.25, 0.5, 1.0])
     huge = RealField(grid32, np.full((32, 32), 1.7e308))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+    # the scaled density is finite; the value, above the largest double, is not
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="value overflows"):
         carleson_l1_functional(Trajectory(times, (huge, huge, huge)), params)
 
 

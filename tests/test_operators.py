@@ -14,7 +14,6 @@ from qsqg import (
     partial_derivative,
     riesz_transform,
     sqg_velocity,
-    to_spectral,
     x_norm,
 )
 from qsqg import spectral

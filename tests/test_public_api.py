@@ -2,7 +2,8 @@
 traces, so a stale ``__all__`` entry or a deleted traced name fails here
 rather than only in the benchmark run.  No package module imports scipy,
 and the package runs with scipy unimportable.  Only ``qsqg.fields`` calls
-frexp, so exact amplitude scaling keeps one owner."""
+frexp, so exact amplitude scaling keeps one owner, and only
+``qsqg.spectral`` names ``numpy.fft``, so transforms keep one too."""
 import ast
 import importlib
 import os
@@ -59,31 +60,55 @@ def test_import_loads_no_scipy():
     assert result.stdout.split() == []
 
 
+def named(node) -> list[str]:
+    """The dotted names ``node`` brings in or refers to: each module of an
+    import, ``module.name`` for each name a from-import takes, or the chain
+    of a name or attribute access (``np.fft.rfft2`` reads numpy.fft.rfft2;
+    a chain on a call or subscript starts with an empty part)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return [module] + [f"{module}.{alias.name}" for alias in node.names]
+    if not isinstance(node, (ast.Attribute, ast.Name)):
+        return []
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    parts.append(("numpy" if node.id == "np" else node.id) if isinstance(node, ast.Name) else "")
+    return [".".join(reversed(parts))]
+
+
+PACKAGE = {path.name: ast.parse(path.read_text())
+           for path in sorted((ROOT / "src" / "qsqg").glob("*.py"))}
+
+
+def found(matches, owner: "str | None" = None) -> list[str]:
+    """file:line of each name that ``matches`` accepts, in every package
+    module except ``owner``."""
+    return sorted({f"{module}:{node.lineno}" for module, tree in PACKAGE.items() if module != owner
+                   for node in ast.walk(tree) if any(map(matches, named(node)))})
+
+
 def test_no_package_module_imports_scipy():
-    found = []
-    for path in sorted((ROOT / "src" / "qsqg").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for name in names
-                      if name.split(".")[0] == "scipy"]
-    assert not found, f"scipy imported at {found}"
+    hits = found(lambda name: name.split(".")[0] == "scipy")
+    assert not hits, f"scipy imported at {hits}"
 
 
 def test_only_fields_calls_frexp():
     """Exact amplitude scaling has one owner: every binary exponent comes
     from ``fields.binary_exponent``, so no other module calls frexp."""
-    found = []
-    for path in sorted((ROOT / "src" / "qsqg").glob("*.py")):
-        if path.name != "fields.py":
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
-                      if isinstance(node, ast.Attribute) and node.attr == "frexp"
-                      or isinstance(node, ast.Name) and node.id == "frexp"]
-    assert not found, f"frexp called at {found}"
+    hits = found(lambda name: name.split(".")[-1] == "frexp", owner="fields.py")
+    assert not hits, f"frexp called at {hits}"
+
+
+def test_only_spectral_names_numpy_fft():
+    """One module transforms: no other package module imports or calls
+    ``numpy.fft``."""
+    hits = found(lambda name: name == "numpy.fft" or name.startswith("numpy.fft."),
+                 owner="spectral.py")
+    assert not hits, f"numpy.fft named at {hits}"
 
 
 def test_identity_experiment_runs_without_scipy():

@@ -34,6 +34,7 @@ from qsqg import (
 )
 from qsqg import solver, spectral
 from qsqg.experiments import ExperimentConfig, wellposedness_data
+from qsqg.norms import caloric_coverage_times
 from qsqg.operators import derivative_symbol, riesz_symbol
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
@@ -47,6 +48,12 @@ class TestTimeGrid:
         assert len(t) == 16
         assert t[-1] == 1.0
         np.testing.assert_allclose(t, (np.arange(1, 17) / 16.0) ** 2)
+        # the caloric norm's coverage grid is the same graded grid, bit for bit
+        grid, params = GridSpec(32, L), SpaceParams(0.25, 0.75)
+        for nodes in (16, 24, 40, 48, 96):
+            horizon = (L / 2) ** (2 * params.beta)
+            assert np.array_equal(caloric_coverage_times(grid, params, nodes),
+                                  TimeGrid(horizon, nodes).times), nodes
 
     def test_refinement_nests(self):
         tg = TimeGrid(2.0, 16)
