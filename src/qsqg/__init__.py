@@ -14,24 +14,17 @@ from .fields import (
 )
 from .operators import (
     block_levels,
-    dealias_field,
     fractional_laplacian,
-    heat_semigroup,
     kernel_fields,
     partial_derivative,
     riesz_transform,
-    sqg_velocity,
 )
 from .sweep import BoxSweepConfig, CarlesonBox
 from .norms import (
     NormReport,
-    besov_sum_norm,
-    besov_sup_norm,
     caloric_minus1_norm,
     carleson_l1_functional,
     morrey_norm,
-    morrey_semigroup_functional,
-    q_norm_direct,
     q_norm_semigroup,
     x_k_norm,
     x_norm,
@@ -71,34 +64,27 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "band_limited_corpus",
-    "besov_sum_norm",
-    "besov_sup_norm",
     "block_levels",
     "caloric_minus1_norm",
     "carleson_l1_functional",
-    "dealias_field",
     "duhamel_bilinear",
     "field_from_function",
     "fractional_laplacian",
     "half_lattice_modes",
-    "heat_semigroup",
     "kernel_fields",
     "linear_flow",
     "load_trajectory",
     "morrey_norm",
-    "morrey_semigroup_functional",
     "nonlinear_density",
     "partial_derivative",
     "persist",
     "picard_solve",
-    "q_norm_direct",
     "q_norm_semigroup",
     "read_field",
     "reference_solve",
     "riesz_transform",
     "save_trajectory",
     "scaling_transform",
-    "sqg_velocity",
     "write_field",
     "x_k_norm",
     "x_norm",

@@ -53,9 +53,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cast(old, value, key: str):
+    """``value`` cast to the type of ``old``; SystemExit naming ``key`` when
+    the cast fails or changes the value (8191.9 or "64" for an int), or
+    when a bool is given for a number."""
+    kind = type(old)
+    try:
+        new = kind(value)
+    except (TypeError, ValueError):
+        new = None
+    if new is None or new != value or (isinstance(value, bool) and kind is not bool):
+        raise SystemExit(f"config {key}: expected {kind.__name__}, got {value!r}")
+    return new
+
+
 def _override(base, raw, prefix: str = ""):
-    """``base`` with the fields ``raw`` names replaced and cast to their types;
-    a nested object (``params``, ``grid``, ``sweep``) replaces only its keys."""
+    """``base`` with the fields ``raw`` names replaced and cast, exactly, to
+    their types (``_cast``); a nested object (``params``, ``grid``,
+    ``sweep``) replaces only its keys."""
     if not isinstance(raw, dict):
         raise SystemExit(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
     unknown = set(raw) - {f.name for f in dataclasses.fields(base)}
@@ -65,7 +80,7 @@ def _override(base, raw, prefix: str = ""):
     for key, value in raw.items():
         old = getattr(base, key)
         changes[key] = (_override(old, value, f"{prefix}{key}.")
-                        if dataclasses.is_dataclass(old) else type(old)(value))
+                        if dataclasses.is_dataclass(old) else _cast(old, value, prefix + key))
     return dataclasses.replace(base, **changes)
 
 

@@ -259,7 +259,7 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
         if lo and hi:
             summary[f"ratio_width_N{n_}"] = hi / lo
             if hi / lo > 20:
-               warn.append(f"equivalence interval wider than 20x at N={n_}")
+                warn.append(f"equivalence interval wider than 20x at N={n_}")
     lo0, hi0 = intervals[cfg.grid.n]
     lo1, hi1 = intervals[2 * cfg.grid.n]
     if all(v is not None for v in (lo0, hi0, lo1, hi1)):

@@ -135,19 +135,17 @@ class GridSpec:
         numbers both lie in -c .. c."""
         return (int(np.count_nonzero(self.dealias_mask[0])) - 1) // 2
 
-    def conjugate_flip(self, arr: np.ndarray) -> np.ndarray:
-        """conj(arr) sampled at -k mod N, the reality partner of arr."""
-        p = (-np.arange(self.n)) % self.n
-        return np.conj(arr[np.ix_(p, p)])
-
     def hermitian_part(self, symbol: np.ndarray) -> np.ndarray:
-        """Project a lattice symbol onto the conjugate-symmetric part.
+        """Project a lattice symbol onto the conjugate-symmetric part: the
+        mean of the symbol and its reality partner, its conjugate sampled at
+        -k mod N.
 
         Leaves genuinely Hermitian symbols untouched and zeroes the unpaired
         odd content on the Nyquist rows, which is what keeps multiplier
         output real on an even grid.
         """
-        return 0.5 * (symbol + self.conjugate_flip(symbol))
+        p = (-np.arange(self.n)) % self.n
+        return 0.5 * (symbol + np.conj(symbol[np.ix_(p, p)]))
 
 
 @dataclass(frozen=True)

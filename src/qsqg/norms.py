@@ -1,6 +1,6 @@
-"""Norm estimators: cube oscillation norms, double-difference and semigroup
-Carleson characterizations, dyadic-block norms, and the solution-space norms
-built from trajectories.
+"""Norm estimators: the cube oscillation (Morrey) norm, the semigroup
+(Carleson) characterization of the Q norm, and the solution-space norms
+built from trajectories, whose block part is a dyadic-block sup norm.
 
 All estimators here are seminorms modulo constants: the spatial mean is
 subtracted on ingestion (except the L1 Carleson functional, which is defined
@@ -34,7 +34,6 @@ from .sweep import (
     box_sums,
     geometric_ladder,
     graded_times,
-    linear_weight,
     mask_point_count,
     power_weight,
     trajectory_weights,
@@ -43,11 +42,7 @@ from .sweep import (
 __all__ = [
     "NormReport",
     "morrey_norm",
-    "q_norm_direct",
     "q_norm_semigroup",
-    "morrey_semigroup_functional",
-    "besov_sum_norm",
-    "besov_sup_norm",
     "caloric_minus1_norm",
     "x_norm",
     "x_k_norm",
@@ -61,7 +56,6 @@ class NormReport:
 
     value: float
     attaining_box: "CarlesonBox | None" = None
-    attaining_level: "int | None" = None
     attaining_time: "float | None" = None
     partial_coverage: bool = False
     parts: dict = dataclass_field(default_factory=dict)
@@ -310,36 +304,6 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
     return sups
 
 
-def _block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarray]:
-    """Sup norm of every dyadic frequency block (one forward transform, the
-    block inverses batched)."""
-    sups = _spectrum_block_sups(spectral.forward(values), _block_masks(grid), grid.n)
-    return list(ops.block_levels(grid)), sups
-
-
-def besov_sum_norm(f: RealField) -> NormReport:
-    """Sum over dyadic blocks of the block sup norm (regularity-0, summed)."""
-    v, scale = scaled_values(f, centered=True)
-    levels, sups = _block_sups(v, f.grid)
-    i = int(np.argmax(sups))
-    return NormReport(
-        value=unscaled(float(sups.sum()), scale),
-        attaining_level=levels[i],
-    )
-
-
-def besov_sup_norm(f: RealField, s: float) -> NormReport:
-    """Weighted block supremum sup_l 2^(l s) * sup |block_l f|."""
-    v, scale = scaled_values(f, centered=True)
-    levels, sups = _block_sups(v, f.grid)
-    weighted = sups * np.power(2.0, s * np.asarray(levels, dtype=float))
-    i = int(np.argmax(weighted))
-    return NormReport(
-        value=unscaled(float(weighted[i]), scale),
-        attaining_level=levels[i],
-    )
-
-
 # -- cube oscillation (Morrey) norm -------------------------------------------
 
 def morrey_norm(f: RealField, p: float, lam: float,
@@ -366,59 +330,7 @@ def morrey_norm(f: RealField, p: float, lam: float,
     )
 
 
-# -- double-difference cube norm ----------------------------------------------
-
-@lru_cache(maxsize=64)
-def _difference_kernel_spectrum(grid: GridSpec, exponent: float) -> np.ndarray:
-    """FFT of the torus kernel |d|^(-exponent) with the diagonal cell zeroed."""
-    d = grid.signed_coords
-    d1, d2 = np.meshgrid(d, d, indexing="ij")
-    dist = np.hypot(d1, d2)
-    with np.errstate(divide="ignore"):
-        kern = dist ** (-exponent)
-    kern[dist < grid.spacing / 2] = 0.0
-    spec = spectral.forward(kern)
-    spec.setflags(write=False)
-    return spec
-
-
-def q_norm_direct(f: RealField, params: SpaceParams,
-                  sweep: "BoxSweepConfig | None" = None) -> NormReport:
-    """Square root of the swept supremum of
-
-        l(I)^(2a+2b-4) * iint_{I x I} |f(x)-f(y)|^2 / |x-y|^(2a-2b+4) dx dy
-
-    over cubes I of edge l(I) = 2r, distances on the torus, diagonal cells
-    excluded (a = alpha, b = beta, two space dimensions)."""
-    grid = f.grid
-    sweep = _sweep_for(grid, sweep)
-    a, b = params.alpha, params.beta
-    v, scale = scaled_values(f, centered=True)
-    kernel_spec = _difference_kernel_spectrum(grid, 2 * a - 2 * b + 4)
-    h4 = grid.cell_area ** 2
-
-    search = _RadiusSweep(grid, sweep)
-    for i, (r, stride) in enumerate(zip(search.radii, search.strides)):
-        half = int(round(r / grid.spacing))
-        offs = np.arange(-(half - 1), half)
-        mask0 = np.zeros((grid.n, grid.n))
-        mask0[np.ix_(offs % grid.n, offs % grid.n)] = 1.0
-        conv_mask = spectral.inverse(spectral.forward(mask0) * kernel_spec, grid.n)
-        double_sums = np.zeros((grid.n, grid.n))
-        for ci in range(0, grid.n, stride):
-            for cj in range(0, grid.n, stride):
-                g = np.roll(v, (-ci, -cj), axis=(0, 1)) * mask0
-                conv_g = spectral.inverse(spectral.forward(g) * kernel_spec, grid.n)
-                double_sums[ci, cj] = 2.0 * float((g * g * conv_mask).sum() - (g * conv_g).sum())
-        edge_factor = (2.0 * r) ** (2 * a + 2 * b - 4)
-        search.offer(i, edge_factor * h4 * np.maximum(double_sums, 0.0))
-    return NormReport(
-        value=unscaled(math.sqrt(max(search.best, 0.0)), scale),
-        attaining_box=search.box,
-    )
-
-
-# -- semigroup characterizations ----------------------------------------------
+# -- semigroup (Carleson) characterization of the Q norm ----------------------
 
 # Two ladder nodes are one node when their decay times agree to this relative
 # tolerance.  Nodes shared by dyadic-radius ladders agree to ~1e-15 and
@@ -434,27 +346,17 @@ def _q_ladder(r: float, time_nodes: int, a: float, b: float):
     return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
 
 
-def _morrey_ladder(r: float, time_nodes: int, gamma: float, b: float):
-    """Ladder of ``morrey_semigroup_functional``'s radius r: decay times
-    t^(2b) for t on the ladder below r, the exact integrals of t over their
-    cells, and the prefactor r^(2 gamma - 2)."""
-    lows, highs, mids = geometric_ladder(r, time_nodes)
-    return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
-
-
 @lru_cache(maxsize=16)
-def _ladder_plan(grid: GridSpec, sweep: BoxSweepConfig, ladder, param: float, beta: float):
+def _ladder_plan(grid: GridSpec, sweep: BoxSweepConfig, alpha: float, beta: float):
     """The part of ``_ladder_sweep`` that does not depend on the field, read-
     only: the weights (radii x merged nodes), the radii's prefactors, the
     node table exp(-s_g lam) over the rate levels and its square, and the
     modes' level indices as intp (``take`` then converts nothing).
 
-    ``ladder(r, time_nodes, param, beta)`` gives radius r's ascending decay
-    times s_r, weights w_r and prefactor p_r; it is a module function, so
-    the plan is keyed on the ladder's parameters.  Nodes of different radii
-    whose decay times agree to _MERGE_RTOL are one node, timed by the
-    largest radius holding it."""
-    ladders = [ladder(r, sweep.time_nodes, param, beta) for r in sweep.radii(grid)]
+    ``_q_ladder`` gives each radius's ascending decay times, weights and
+    prefactor.  Nodes of different radii whose decay times agree to
+    _MERGE_RTOL are one node, timed by the largest radius holding it."""
+    ladders = [_q_ladder(r, sweep.time_nodes, alpha, beta) for r in sweep.radii(grid)]
     nodes = []          # ascending [decay time, owner radius, [(radius, weight)]]
     for s, k, w in sorted((s, k, w) for k, (times, weights, _) in enumerate(ladders)
                           for s, w in zip(times, weights)):
@@ -474,15 +376,15 @@ def _ladder_plan(grid: GridSpec, sweep: BoxSweepConfig, ladder, param: float, be
     return weights, tuple(p for _, _, p in ladders), table, squares, index
 
 
-def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, ladder, param: float,
+def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, alpha: float,
                   beta: float) -> tuple[float, CarlesonBox]:
     """Square root of the swept supremum over the radii r of ``sweep`` of
 
         p_r * h^2 * sum_{|y-x|<r} sum_i w_ri |grad e^(-s_ri (-Lap)^beta) f(y)|^2
 
-    and the box attaining it, where ``ladder(r, sweep.time_nodes, param,
-    beta)`` gives the ascending decay times s_r, the weights w_r and the
-    prefactor p_r of radius r, and h^2 is the cell area.
+    and the box attaining it, where ``_q_ladder`` gives the ascending decay
+    times s_r, the weights w_r and the prefactor p_r of radius r, and h^2 is
+    the cell area.
 
     The ladders of dyadic radii overlap, and their merged nodes, weights,
     prefactors and node table are built once per grid (``_ladder_plan``).
@@ -507,7 +409,7 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, ladder, param: float,
     grid = f.grid
     v, scale = scaled_values(f, centered=True)
     spec = spectral.forward(v)
-    weights, prefactors, table, squares, index = _ladder_plan(grid, sweep, ladder, param, beta)
+    weights, prefactors, table, squares, index = _ladder_plan(grid, sweep, alpha, beta)
     im1, im2, magnitude = _gradient_symbols(grid)
     measures = _caloric_measures(magnitude * np.abs(spec), grid, beta, table, squares)
     masses = [math.ldexp(q, 2 * e) for _, e, q in measures]
@@ -545,30 +447,7 @@ def q_norm_semigroup(f: RealField, params: SpaceParams,
     bound cannot beat it are dropped and the nodes only they hold never
     made; the value and box are the exhaustive sweep's, bit for bit."""
     sweep = _sweep_for(f.grid, sweep)
-    value, box = _ladder_sweep(f, sweep, _q_ladder, params.alpha, params.beta)
-    return NormReport(
-        value=value,
-        attaining_box=box,
-    )
-
-
-def morrey_semigroup_functional(f: RealField, gamma: float, params: SpaceParams,
-                                sweep: "BoxSweepConfig | None" = None) -> NormReport:
-    """Square root of the swept supremum of
-
-        r^(2 gamma - 2) * int_0^r int_{|y-x|<r}
-            |grad e^(-t^(2b) (-Lap)^b) f|^2 t dy dt
-
-    the box functional equivalent to the cube oscillation norm of index
-    lam = 2 - 2 gamma (0 < gamma < 1).  The ladder in t of radius r/2 is that
-    of radius r shifted by log 2 / log(TIME_RATIO) = 4 steps for every b,
-    and shared nodes are made once (see ``_ladder_sweep``).
-    Radii that cannot beat a finished one are dropped, as in
-    ``q_norm_semigroup``, with the exhaustive sweep's value and box."""
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    sweep = _sweep_for(f.grid, sweep)
-    value, box = _ladder_sweep(f, sweep, _morrey_ladder, gamma, params.beta)
+    value, box = _ladder_sweep(f, sweep, params.alpha, params.beta)
     return NormReport(
         value=value,
         attaining_box=box,

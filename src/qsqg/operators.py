@@ -23,12 +23,9 @@ from . import spectral
 __all__ = [
     "fractional_laplacian",
     "riesz_transform",
-    "heat_semigroup",
-    "sqg_velocity",
     "block_levels",
     "kernel_fields",
     "partial_derivative",
-    "dealias_field",
 ]
 
 
@@ -91,13 +88,6 @@ def _half_symbol(builder, grid: GridSpec, *args) -> np.ndarray:
     return s
 
 
-def heat_symbol(grid: GridSpec, beta: float, t: float) -> np.ndarray:
-    """exp(-t |xi|^(2 beta)); zero mode stays 1, so the mean is conserved.
-    The full-plane form of ``_decays``, kept for ``heat_semigroup`` and as
-    the tests' oracle."""
-    return np.exp(-t * dissipation_symbol(grid, 2.0 * beta))
-
-
 # -- semigroup core ------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -125,7 +115,8 @@ def _decays(grid: GridSpec, beta: float, times):
 
     Each plane is exp over the rate levels gathered onto the modes: every
     mode's entry is exp of the same product -t * lam of the same doubles as
-    in a full-plane exp, so the plane is ``heat_symbol``'s half bit for bit.
+    in a full-plane exp(-t |xi|^(2 beta)), so the plane is that exp's half
+    bit for bit.
     Planes are made one at a time; no (times x levels) table is held."""
     levels, level_of = _rate_levels(grid, beta)
     for t in times:
@@ -168,23 +159,6 @@ def riesz_transform(f: RealField, axis: int) -> RealField:
     return apply_lattice_symbol(f, riesz_symbol(f.grid, axis))
 
 
-def heat_semigroup(f: RealField, t: float, params: SpaceParams) -> RealField:
-    """Fractional heat flow exp(-t (-Laplace)^beta); t must be >= 0."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    if t == 0:
-        return f
-    return apply_lattice_symbol(f, heat_symbol(f.grid, params.beta, t))
-
-
-def sqg_velocity(theta: RealField) -> tuple[RealField, RealField]:
-    """Velocity u = (-R2 theta, R1 theta), the divergence-free transport field."""
-    theta.require_mean_zero("sqg_velocity")
-    u1 = apply_lattice_symbol(theta, riesz_symbol(theta.grid, 2))
-    u2 = apply_lattice_symbol(theta, riesz_symbol(theta.grid, 1))
-    return -u1, u2
-
-
 def partial_derivative(f: RealField, axis: int) -> RealField:
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
@@ -201,11 +175,6 @@ def _dealias(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
     spec[..., c + 1:grid.n - c, :] = 0.0
     spec[..., c + 1:] = 0.0
     return spec
-
-
-def dealias_field(f: RealField) -> RealField:
-    """Zero all modes outside the grid's 2/3-rule ``dealias_mask``."""
-    return apply_lattice_symbol(f, f.grid.dealias_mask)
 
 
 # -- Littlewood-Paley blocks -------------------------------------------------

@@ -20,11 +20,11 @@ count); trajectory-based estimators take their cells from the data's time
 grid, head cell (0, t_1] included, with the integrand frozen at the right
 node of each cell.
 
-The ladders of dyadic radii overlap.  Halving r lowers a ladder's top by a
-factor 2^(2 beta) (top r^(2 beta)) or 2 (top r); when that factor is a
-whole number of ratio steps, the smaller radius's ladder is the larger one
-shifted down by that many steps, so its upper nodes are the larger one's
-lower nodes.  The semigroup estimators make each shared node once
+The ladders of dyadic radii overlap.  Halving r lowers a ladder's top
+r^(2 beta) by a factor 2^(2 beta); when that factor is a whole number of
+ratio steps, the smaller radius's ladder is the larger one shifted down by
+that many steps, so its upper nodes are the larger one's lower nodes.  The
+semigroup estimator of the Q norm makes each shared node once
 (``norms._ladder_sweep``).  Nodes whose times agree to 1e-12 relative are
 one node, timed by the largest radius holding it, and each radius adds its
 own weighted energies in ascending time order.  So the largest radius's
@@ -62,10 +62,9 @@ class CarlesonBox:
             raise ValueError("box radius must be positive")
 
 
-# Ratio of successive nodes of the semigroup estimators' time ladders.  A
-# radius halving is then a whole number of ladder steps (4 for the Morrey
-# functional; 8 beta for the Q-norm, 6 at beta = 3/4), so dyadic radii share
-# nodes.
+# Ratio of successive nodes of the Q-norm semigroup estimator's time ladders.
+# A radius halving is 8 beta ladder steps, a whole number (6) at beta = 3/4,
+# where dyadic radii share nodes.
 TIME_RATIO = 2.0 ** 0.25
 
 
@@ -74,7 +73,7 @@ class BoxSweepConfig:
     """Sweep sizes: dyadic radii L/2 .. L/2^num_radii, geometric time ladder.
 
     ``time_nodes`` nodes of ratio ``TIME_RATIO`` make the ladder used by the
-    semigroup-characterization estimators; trajectory-based estimators take
+    semigroup characterization of the Q norm; trajectory-based estimators take
     their time resolution from the data instead.
     """
 
@@ -172,11 +171,6 @@ def power_weight(lo: np.ndarray, hi: np.ndarray, exponent: float) -> np.ndarray:
         raise ValueError("weight exponent must be < 1 for an integrable head")
     p = 1.0 - exponent
     return (np.asarray(hi) ** p - np.asarray(lo) ** p) / p
-
-
-def linear_weight(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact integral of t over [lo, hi]."""
-    return 0.5 * (np.asarray(hi) ** 2 - np.asarray(lo) ** 2)
 
 
 def trajectory_weights(times: np.ndarray, upper: float, exponent: float) -> tuple[np.ndarray, bool]:

@@ -195,6 +195,17 @@ class TestCli:
             with pytest.raises(SystemExit, match=rf"unknown config keys: \['{key}'\]"):
                 cli.main(["riesz", "--config", str(cfg_file), "--out", str(tmp_path)])
 
+    def test_config_value_changed_by_its_cast_rejected(self, tmp_path):
+        # a fraction or a bool for an int would run another config silently
+        cases = [({"seed": 8191.9}, "seed"), ({"corpus_size": True}, "corpus_size"),
+                 ({"grid": {"side_points": 64.7}}, "grid.side_points")]
+        cfg_file = tmp_path / "cast.json"
+        for raw, key in cases:
+            cfg_file.write_text(json.dumps(raw))
+            with pytest.raises(SystemExit, match=rf"config {key}: expected int, got "):
+                cli.main(["riesz", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert not (tmp_path / "riesz").exists()
+
     def test_flat_grid_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "old.json"
         cfg_file.write_text(json.dumps({"grid": 32}))

@@ -12,15 +12,11 @@ from qsqg import (
     SpaceParams,
     Trajectory,
     band_limited_corpus,
-    besov_sum_norm,
-    besov_sup_norm,
     caloric_minus1_norm,
     carleson_l1_functional,
     field_from_function,
     linear_flow,
     morrey_norm,
-    morrey_semigroup_functional,
-    q_norm_direct,
     q_norm_semigroup,
     x_k_norm,
     x_norm,
@@ -35,12 +31,11 @@ from qsqg.sweep import (
     CarlesonBox,
     best_center,
     box_sums,
-    geometric_ladder,
-    linear_weight,
     mask_point_count,
-    power_weight,
     trajectory_weights,
 )
+
+from oracles import besov_sup_norm, ladder_oracle, q_norm_direct, shared_ladder_oracle
 
 L = 2 * np.pi
 
@@ -86,12 +81,10 @@ class TestAxioms:
 
     def field_estimators(self, params):
         return [
-            lambda f: besov_sum_norm(f).value,
             lambda f: besov_sup_norm(f, 1 - 2 * params.beta).value,
             lambda f: morrey_norm(f, 2, 1.0).value,
             lambda f: q_norm_direct(f, params).value,
             lambda f: q_norm_semigroup(f, params).value,
-            lambda f: morrey_semigroup_functional(f, 0.5, params).value,
             lambda f: caloric_minus1_norm(f, params).value,
         ]
 
@@ -126,20 +119,10 @@ class TestAxioms:
 
 
 class TestBesov:
-    def test_single_mode_block_sum(self, grid32):
-        f = field_from_function(grid32, lambda x1, x2: np.cos(2 * x1))
-        r = besov_sum_norm(f)
-        assert r.value == pytest.approx(1.0, abs=1e-12)
-        assert r.attaining_level == 1
-
     def test_weighted_sup(self, grid32):
         f = field_from_function(grid32, lambda x1, x2: np.cos(2 * x1))
         r = besov_sup_norm(f, -0.5)
         assert r.value == pytest.approx(2.0**-0.5, abs=1e-12)
-
-    def test_sum_dominates_sup_at_zero_weight(self, smooth32):
-        assert besov_sum_norm(smooth32).value >= besov_sup_norm(smooth32, 0.0).value - 1e-15
-
 
 class TestMorrey:
     def brute_force(self, f, p, lam, sweep):
@@ -239,7 +222,7 @@ class TestQNormDirect:
         gamma = 0.5
         ratios = []
         for f in corpus32:
-            box = morrey_semigroup_functional(f, gamma, params).value
+            box = ladder_oracle(f, params, BoxSweepConfig(), "morrey", gamma)
             osc = morrey_norm(f, 2, 2 - 2 * gamma).value
             ratios.append(box / osc)
         assert max(ratios) / min(ratios) <= 20.0
@@ -254,7 +237,6 @@ class TestSweepMonotonicity:
             lambda s: morrey_norm(smooth32, 2, 1.0, s).value,
             lambda s: q_norm_direct(smooth32, params, s).value,
             lambda s: q_norm_semigroup(smooth32, params, s).value,
-            lambda s: morrey_semigroup_functional(smooth32, 0.5, params, s).value,
             lambda s: caloric_minus1_norm(smooth32, params, s).value,
         ]
         for est in pairs:
@@ -279,104 +261,10 @@ class TestSweepMonotonicity:
             q_norm_semigroup(smooth32, params, big).value
             >= q_norm_semigroup(smooth32, params, small).value
         )
-        assert (
-            morrey_semigroup_functional(smooth32, 0.5, params, big).value
-            >= morrey_semigroup_functional(smooth32, 0.5, params, small).value
-        )
-
-
-def ladder(params, sweep, kind, r, gamma=0.5):
-    """(decay times, weights, prefactor) of radius r, as the estimator of
-    ``kind`` builds them."""
-    a, b = params.alpha, params.beta
-    if kind == "q":
-        lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes)
-        return mids, power_weight(lows, highs, a / b), r ** (2 * a + 2 * b - 4)
-    lows, highs, mids = geometric_ladder(r, sweep.time_nodes)
-    return [t ** (2 * b) for t in mids], linear_weight(lows, highs), r ** (2 * gamma - 2)
-
-
-def ladder_oracle(f, params, sweep, kind, gamma=0.5):
-    """Per-radius semigroup sweep: a fresh ladder for every radius, each
-    node's gradient from a full complex inverse FFT, energies added in
-    ascending time order (kind "q": q_norm_semigroup, "morrey":
-    morrey_semigroup_functional)."""
-    grid = f.grid
-    a, b = params.alpha, params.beta
-    spec = np.fft.fft2(f.values - f.values.mean())
-    lam = ops.dissipation_symbol(grid, 2 * b)
-    d1, d2 = ops.derivative_symbol(grid, 1), ops.derivative_symbol(grid, 2)
-    best = -1.0
-    for m, r in enumerate(sweep.radii(grid), start=1):
-        if kind == "q":
-            lows, highs, mids = geometric_ladder(r ** (2 * b), sweep.time_nodes)
-            times, weights = mids, power_weight(lows, highs, a / b)
-            prefactor = r ** (2 * a + 2 * b - 4)
-        else:
-            lows, highs, mids = geometric_ladder(r, sweep.time_nodes)
-            times, weights = mids ** (2 * b), linear_weight(lows, highs)
-            prefactor = r ** (2 * gamma - 2)
-        density = np.zeros((grid.n, grid.n))
-        for s, w in zip(times, weights):
-            decayed = np.exp(-s * lam) * spec
-            gx = np.fft.ifft2(d1 * decayed).real
-            gy = np.fft.ifft2(d2 * decayed).real
-            density += w * (gx * gx + gy * gy)
-        vals = prefactor * grid.cell_area * box_sums(density, grid, r, "ball")
-        best = max(best, best_center(vals, grid, sweep.stride(grid, m))[0])
-    return math.sqrt(max(best, 0.0))
-
-
-def semigroup_estimators(params):
-    return {
-        "q": lambda f, s=None: q_norm_semigroup(f, params, s),
-        "morrey": lambda f, s=None: morrey_semigroup_functional(f, 0.5, params, s),
-    }
-
-
-def shared_ladder_oracle(f, params, sweep, kind):
-    """(value, box) of the exhaustive shared-node sweep: nodes of all radii
-    merged at 1e-12 relative and timed by the largest radius holding them,
-    every node's gradient planes made, one inverse per plane, every radius
-    box-summed, and the radii compared in order so the larger keeps a tie."""
-    grid = f.grid
-    v = f.values - f.values.mean()
-    scale = int(np.frexp(np.abs(v).max())[1])
-    spec = spectral.forward(np.ldexp(v, -scale))
-    radii = sweep.radii(grid)
-    ladders = [ladder(params, sweep, kind, r) for r in radii]
-    nodes = []
-    for s, k, w in sorted((s, k, w) for k, (times, weights, _) in enumerate(ladders)
-                          for s, w in zip(times, weights)):
-        if not nodes or s - nodes[-1][0] > 1e-12 * s:
-            nodes.append([s, k, []])
-        elif k < nodes[-1][1]:
-            nodes[-1][:2] = s, k
-        nodes[-1][2].append((k, w))
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * params.beta))
-    d1 = spectral.half(ops.derivative_symbol(grid, 1))
-    d2 = spectral.half(ops.derivative_symbol(grid, 2))
-    densities = [None] * len(radii)
-    for s, _, users in nodes:
-        decayed = np.exp(-s * lam) * spec
-        gx, gy = spectral.inverse(d1 * decayed, grid.n), spectral.inverse(d2 * decayed, grid.n)
-        energy = gx * gx + gy * gy
-        for k, w in users:
-            if densities[k] is None:
-                densities[k] = w * energy
-            else:
-                densities[k] += w * energy
-    best, box = -1.0, None
-    for m, (r, (_, _, prefactor), density) in enumerate(zip(radii, ladders, densities), start=1):
-        vals = prefactor * grid.cell_area * box_sums(density, grid, r, "ball")
-        val, center = best_center(vals, grid, sweep.stride(grid, m))
-        if val > best:
-            best, box = val, CarlesonBox(center, r)
-    return math.ldexp(math.sqrt(max(best, 0.0)), scale), box
 
 
 class TestLadderSweep:
-    """`norms._ladder_sweep`, the shared-node sweep behind the two semigroup estimators."""
+    """`norms._ladder_sweep`, the shared-node sweep behind `q_norm_semigroup`."""
 
     @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
     @pytest.mark.parametrize("n,radii", [(32, 3), (64, 5), (128, 3)])
@@ -387,15 +275,13 @@ class TestLadderSweep:
         fields = list(band_limited_corpus(grid, count=3, max_mode=n // 6, seed=8191))
         fields.append(field_from_function(grid, lambda x1, x2: np.sin(x1)))
         for f in fields:
-            for kind, est in semigroup_estimators(params).items():
-                report = est(f, sweep)
-                assert (report.value, report.attaining_box) == \
-                    shared_ladder_oracle(f, params, sweep, kind), (kind, n, radii)
+            report = q_norm_semigroup(f, params, sweep)
+            assert (report.value, report.attaining_box) == \
+                shared_ladder_oracle(f, params, sweep), (n, radii)
 
-    @pytest.mark.parametrize("kind", ["q", "morrey"])
-    def test_zero_field_ties_keep_the_largest_radius(self, grid32, params, kind):
+    def test_zero_field_ties_keep_the_largest_radius(self, grid32, params):
         # every radius is worth exactly 0 and the smallest finishes first
-        report = semigroup_estimators(params)[kind](RealField.zero(grid32))
+        report = q_norm_semigroup(RealField.zero(grid32), params)
         assert report.value == 0.0
         assert report.attaining_box.radius == L / 2
 
@@ -405,34 +291,33 @@ class TestLadderSweep:
         params = SpaceParams(a, b)
         sweep = BoxSweepConfig(radii)
         for f in band_limited_corpus(GridSpec(n, L), count=2, max_mode=n // 6, seed=8191):
-            for kind, est in semigroup_estimators(params).items():
-                got = est(f, sweep).value
-                want = ladder_oracle(f, params, sweep, kind)
-                assert got == pytest.approx(want, rel=1e-13, abs=0), (kind, n, radii)
+            got = q_norm_semigroup(f, params, sweep).value
+            want = ladder_oracle(f, params, sweep, "q")
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (n, radii)
 
-    @pytest.mark.parametrize("a,b,kind,planes", [
-        (0.25, 0.75, "q", 54),        # shift of 6 nodes: 15 + 6 + 6 distinct
-        (0.25, 0.75, "morrey", 46),   # shift of 4 nodes: 15 + 4 + 4 distinct
-        (0.3, 0.8, "q", 90),          # shift of 6.4 nodes: nothing shared
+    @pytest.mark.parametrize("a,b,radii,nodes,ball_bounds,planes", [
+        (0.25, 0.75, 3, 15, 0, 54),   # shift of 6 nodes: 15 + 6 + 6 distinct
+        (0.3, 0.8, 3, 27, 0, 90),     # shift of 6.4 nodes: nothing shared
+        (0.25, 0.75, 4, 15, 1, 66),   # 15 + 6 + 6 + 6 distinct
     ])
-    def test_transform_budget(self, grid64, monkeypatch, a, b, kind, planes):
+    def test_transform_budget(self, grid64, monkeypatch, a, b, radii, nodes, ball_bounds, planes):
         f = band_limited_corpus(grid64, count=1, max_mode=10, seed=8191)[0]
-        est = semigroup_estimators(SpaceParams(a, b))[kind]
+        params, sweep = SpaceParams(a, b), BoxSweepConfig(radii)
         counted = count_inverse_planes(monkeypatch)
-        est(f)
+        q_norm_semigroup(f, params, sweep)
         # Gradient planes of whole nodes, in batches of 3 nodes (6 planes at
         # N = 64), up to the smallest radius's last node (node 15, or 27 when
         # nothing is shared), which ends a batch; then box sums: the smallest
         # radius attains the sup and the larger ones fall to their bounds,
-        # transform-free but for one morrey radius's ball-sum bound.
-        nodes = {(0.25, 0.75, "q"): 15, (0.25, 0.75, "morrey"): 15,
-                 (0.3, 0.8, "q"): 27}[a, b, kind]
+        # transform-free but for one ball-sum bound when four radii are
+        # swept: radius L/8's partial density is box-summed and dropped.
         assert counted[:nodes // 3] == [6] * (nodes // 3)
-        assert sum(counted) == 2 * nodes + (2 if kind == "morrey" else 1)
+        assert sum(counted) == 2 * nodes + 1 + ball_bounds
         counted.clear()
         monkeypatch.setattr(norms._RadiusSweep, "_beaten_at", lambda *args: False)
-        est(f)
-        assert sum(counted) == planes + 3   # unpruned: every node's gradient planes, then box sums
+        q_norm_semigroup(f, params, sweep)
+        # unpruned: every node's gradient planes, then one box sum per radius
+        assert sum(counted) == planes + radii
 
     @pytest.mark.parametrize("n,kib", [(64, 1285), (128, 2168)])
     def test_traced_peak_of_one_call(self, n, kib):
@@ -452,7 +337,7 @@ class TestLadderSweep:
 
     def test_ladder_plan_is_cached_and_read_only(self, smooth32, params):
         sweep = BoxSweepConfig()
-        plan = norms._ladder_plan(smooth32.grid, sweep, norms._q_ladder, params.alpha, params.beta)
+        plan = norms._ladder_plan(smooth32.grid, sweep, params.alpha, params.beta)
         hits = norms._ladder_plan.cache_info().hits
         q_norm_semigroup(smooth32, params, sweep)
         assert norms._ladder_plan.cache_info().hits == hits + 1
@@ -460,41 +345,38 @@ class TestLadderSweep:
             if isinstance(part, np.ndarray):
                 assert not part.flags.writeable
 
-    def test_added_radius_leaves_common_radii_bit_identical(self, params, corpus32):
+    def test_added_radius_leaves_common_radii_bit_identical(self, grid32, params):
+        # modes |k| <= 2: four of these six fields attain the Q norm at L/8
         compared = 0
-        for est in semigroup_estimators(params).values():
-            for f in corpus32:
-                small, big = est(f, BoxSweepConfig(3)), est(f, BoxSweepConfig(4))
-                if big.attaining_box.radius >= L / 8:
-                    assert big.value == small.value
-                    assert big.attaining_box == small.attaining_box
-                    compared += 1
+        for f in band_limited_corpus(grid32, count=6, max_mode=2, seed=7113):
+            small = q_norm_semigroup(f, params, BoxSweepConfig(3))
+            big = q_norm_semigroup(f, params, BoxSweepConfig(4))
+            if big.attaining_box.radius >= L / 8:
+                assert big.value == small.value
+                assert big.attaining_box == small.attaining_box
+                compared += 1
         assert compared > 0
 
-    @pytest.mark.parametrize("kind", ["q", "morrey"])
-    def test_homogeneous_over_all_amplitudes(self, params, corpus32, kind):
-        est = semigroup_estimators(params)[kind]
+    def test_homogeneous_over_all_amplitudes(self, params, corpus32):
         f = corpus32[0]
-        base = est(f).value
+        base = q_norm_semigroup(f, params).value
         assert base > 0
         for c in (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300):
-            value = est(c * f).value
+            value = q_norm_semigroup(c * f, params).value
             assert math.isfinite(value)
             assert abs(value - c * base) <= 1e-12 * c * base, c
 
-    @pytest.mark.parametrize("kind", ["q", "morrey"])
-    def test_non_finite_input_raises(self, params, grid32, kind):
-        est = semigroup_estimators(params)[kind]
+    def test_non_finite_input_raises(self, params, grid32):
         bad = RealField.zero(grid32)
         values = np.zeros((32, 32))
         values[3, 5] = np.inf
         object.__setattr__(bad, "values", values)   # past RealField's own check
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError):
-                est(bad)
+                q_norm_semigroup(bad, params)
         # a finite constant near the largest double has zero seminorm
         huge = RealField(grid32, np.full((32, 32), 1.5e308))
-        assert est(huge).value == 0.0
+        assert q_norm_semigroup(huge, params).value == 0.0
 
 
 class TestRateTable:

@@ -6,14 +6,11 @@ from qsqg import (
     RealField,
     SpaceParams,
     block_levels,
-    dealias_field,
     field_from_function,
     fractional_laplacian,
-    heat_semigroup,
     kernel_fields,
     partial_derivative,
     riesz_transform,
-    sqg_velocity,
     x_norm,
 )
 from qsqg import spectral
@@ -26,11 +23,12 @@ from qsqg.operators import (
     apply_lattice_symbol,
     derivative_symbol,
     dissipation_symbol,
-    heat_symbol,
     mixed_derivative_symbol,
     riesz_symbol,
 )
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve
+
+from oracles import dealias_field, heat_semigroup, heat_symbol, sqg_velocity
 
 L = 2 * np.pi
 

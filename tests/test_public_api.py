@@ -3,7 +3,8 @@ traces, so a stale ``__all__`` entry or a deleted traced name fails here
 rather than only in the benchmark run.  No package module imports scipy,
 and the package runs with scipy unimportable.  Only ``qsqg.fields`` calls
 frexp, so exact amplitude scaling keeps one owner, and only
-``qsqg.spectral`` names ``numpy.fft``, so transforms keep one too."""
+``qsqg.spectral`` names ``numpy.fft``, so transforms keep one too.  Every
+public name has a use in the package or the benchmark."""
 import ast
 import importlib
 import os
@@ -109,6 +110,25 @@ def test_only_spectral_names_numpy_fft():
     hits = found(lambda name: name == "numpy.fft" or name.startswith("numpy.fft."),
                  owner="spectral.py")
     assert not hits, f"numpy.fft named at {hits}"
+
+
+def test_every_public_name_is_used():
+    """Every ``qsqg.__all__`` name is used: a package module names it outside
+    its own definition (the re-export in ``__init__`` does not count), or
+    perfbench calls or traces it.  Oracles that only the tests use live in
+    ``tests/oracles.py``."""
+    bench = [node for path in sorted((ROOT / "perfbench").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))]
+
+    def used(name):
+        def matches(dotted):
+            return dotted.split(".")[-1] == name
+        return bool(found(matches, owner="__init__.py")) or any(
+            (isinstance(node, ast.Constant) and node.value == name) or any(map(matches, named(node)))
+            for node in bench)
+
+    unused = [name for name in qsqg.__all__ if not used(name)]
+    assert not unused, f"public names with no package or benchmark use: {unused}"
 
 
 def test_identity_experiment_runs_without_scipy():

@@ -14,12 +14,9 @@ from qsqg import (
     SpaceParams,
     Trajectory,
     band_limited_corpus,
-    besov_sup_norm,
     caloric_minus1_norm,
-    dealias_field,
     duhamel_bilinear,
     field_from_function,
-    heat_semigroup,
     linear_flow,
     load_trajectory,
     nonlinear_density,
@@ -29,7 +26,6 @@ from qsqg import (
     riesz_transform,
     save_trajectory,
     scaling_transform,
-    sqg_velocity,
     x_norm,
 )
 from qsqg import solver, spectral
@@ -37,6 +33,8 @@ from qsqg.experiments import ExperimentConfig, wellposedness_data
 from qsqg.norms import caloric_coverage_times
 from qsqg.operators import derivative_symbol, riesz_symbol
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
+
+from oracles import besov_sup_norm, dealias_field, heat_semigroup, sqg_velocity
 
 L = 2 * np.pi
 

@@ -7,7 +7,6 @@ from qsqg.sweep import (
     best_center,
     box_sums,
     geometric_ladder,
-    linear_weight,
     mask_point_count,
     power_weight,
     trajectory_weights,
@@ -113,9 +112,6 @@ class TestTimeQuadrature:
     def test_power_weight_rejects_non_integrable(self):
         with pytest.raises(ValueError):
             power_weight(np.array([0.1]), np.array([1.0]), 1.0)
-
-    def test_linear_weight(self):
-        assert linear_weight(np.array([1.0]), np.array([3.0]))[0] == pytest.approx(4.0)
 
     def test_trajectory_weights_plain_lengths(self):
         # exponent 0: weights are the cell lengths, head (0, t1] included
