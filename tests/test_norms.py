@@ -279,9 +279,11 @@ class TestLadderSweep:
             assert (report.value, report.attaining_box) == \
                 shared_ladder_oracle(f, params, sweep), (n, radii)
 
-    def test_zero_field_ties_keep_the_largest_radius(self, grid32, params):
+    # the two ladder shapes: nodes shared between radii, and nothing shared
+    @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
+    def test_zero_field_ties_keep_the_largest_radius(self, grid32, a, b):
         # every radius is worth exactly 0 and the smallest finishes first
-        report = q_norm_semigroup(RealField.zero(grid32), params)
+        report = q_norm_semigroup(RealField.zero(grid32), SpaceParams(a, b))
         assert report.value == 0.0
         assert report.attaining_box.radius == L / 2
 
@@ -299,6 +301,7 @@ class TestLadderSweep:
         (0.25, 0.75, 3, 15, 0, 54),   # shift of 6 nodes: 15 + 6 + 6 distinct
         (0.3, 0.8, 3, 27, 0, 90),     # shift of 6.4 nodes: nothing shared
         (0.25, 0.75, 4, 15, 1, 66),   # 15 + 6 + 6 + 6 distinct
+        (0.3, 0.8, 4, 27, 1, 120),    # the same bound with nothing shared
     ])
     def test_transform_budget(self, grid64, monkeypatch, a, b, radii, nodes, ball_bounds, planes):
         f = band_limited_corpus(grid64, count=1, max_mode=10, seed=8191)[0]
@@ -357,7 +360,9 @@ class TestLadderSweep:
                 compared += 1
         assert compared > 0
 
-    def test_homogeneous_over_all_amplitudes(self, params, corpus32):
+    @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
+    def test_homogeneous_over_all_amplitudes(self, corpus32, a, b):
+        params = SpaceParams(a, b)
         f = corpus32[0]
         base = q_norm_semigroup(f, params).value
         assert base > 0
@@ -366,7 +371,9 @@ class TestLadderSweep:
             assert math.isfinite(value)
             assert abs(value - c * base) <= 1e-12 * c * base, c
 
-    def test_non_finite_input_raises(self, params, grid32):
+    @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.3, 0.8)])
+    def test_non_finite_input_raises(self, grid32, a, b):
+        params = SpaceParams(a, b)
         bad = RealField.zero(grid32)
         values = np.zeros((32, 32))
         values[3, 5] = np.inf
