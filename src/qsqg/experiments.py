@@ -18,11 +18,11 @@ import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import DEFAULT_SEED, band_limited_corpus
+from .corpus import DEFAULT_SEED, _render_corpus
 from .errors import DivergenceError
 from .fields import GridSpec, RealField, SpaceParams, Trajectory, field_from_function
 from . import operators as ops
@@ -148,8 +148,7 @@ def run_riesz_boundedness(cfg: ExperimentConfig) -> ExperimentReport:
     grids = [cfg.grid, GridSpec(2 * cfg.grid.n, cfg.grid.length)]
     band = cfg.grid.n // 6
     for grid in grids:
-        corpus = band_limited_corpus(grid, cfg.corpus_size, band, cfg.seed)
-        for fid, f in enumerate(corpus):
+        for fid, f in enumerate(_render_corpus(grid, cfg.corpus_size, band, cfg.seed)):
             norm_f = q_norm_semigroup(f, cfg.params, cfg.sweep).value
             for j in (1, 2):
                 rj = ops.riesz_transform(f, j)
@@ -241,9 +240,8 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
     band = cfg.grid.n // 6
     intervals = {}
     for grid in (cfg.grid, GridSpec(2 * cfg.grid.n, cfg.grid.length)):
-        corpus = band_limited_corpus(grid, cfg.corpus_size, band, cfg.seed)
         ratios = []
-        for fid, f in enumerate(corpus):
+        for fid, f in enumerate(_render_corpus(grid, cfg.corpus_size, band, cfg.seed)):
             lifted = ops.fractional_laplacian(f, lift)
             m = morrey_norm(lifted, 2, morrey_index, cfg.sweep).value
             q = q_norm_semigroup(f, cfg.params, cfg.sweep).value
@@ -307,11 +305,10 @@ def run_scaling_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     to the grid's limit so the attaining box of a rescaled field stays
     inside the scanned radius range for lam = 2."""
     band = max(2, cfg.grid.n // 8 - 1)
-    corpus = band_limited_corpus(cfg.grid, cfg.corpus_size, band, cfg.seed)
     sweep = deepest_sweep(cfg.grid, cfg.sweep)
     b = cfg.params.beta
     rows = []
-    for fid, f in enumerate(corpus):
+    for fid, f in enumerate(_render_corpus(cfg.grid, cfg.corpus_size, band, cfg.seed)):
         base = caloric_minus1_norm(f, cfg.params, sweep).value
         identity = caloric_minus1_norm(
             scaling_transform(f, 1, cfg.params), cfg.params, sweep
@@ -497,10 +494,11 @@ def run_regularity_decay(cfg: ExperimentConfig) -> ExperimentReport:
 LEMMA_TRAJECTORIES = 20
 
 
-def _random_trajectories(cfg: ExperimentConfig, timegrids) -> list[tuple[Trajectory, ...]]:
+def _random_trajectories(cfg: ExperimentConfig, timegrids) -> Iterator[tuple[Trajectory, ...]]:
     """Smooth deterministic test trajectories g1 phi(t) + g2 psi(t), one per
-    corpus pair (g1, g2), each sampled on every grid of ``timegrids``."""
-    corpus = band_limited_corpus(cfg.grid, 2 * LEMMA_TRAJECTORIES, cfg.grid.n // 6, cfg.seed + 1)
+    consecutive corpus pair (g1, g2), each sampled on every grid of
+    ``timegrids``; made one pair at a time, as they are asked for."""
+    corpus = _render_corpus(cfg.grid, 2 * LEMMA_TRAJECTORIES, cfg.grid.n // 6, cfg.seed + 1)
 
     def trajectory(g1, g2, timegrid):
         T = timegrid.horizon
@@ -509,8 +507,8 @@ def _random_trajectories(cfg: ExperimentConfig, timegrids) -> list[tuple[Traject
             for s in timegrid.times
         ))
 
-    return [tuple(trajectory(g1.values, g2.values, tg) for tg in timegrids)
-            for g1, g2 in zip(corpus[0::2], corpus[1::2])]
+    return (tuple(trajectory(g1.values, g2.values, tg) for tg in timegrids)
+            for g1, g2 in zip(corpus, corpus))
 
 
 def _l2_sq(spec: np.ndarray, grid: GridSpec) -> float:

@@ -353,4 +353,4 @@ def read_field(path: "str | Path") -> RealField:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for N={n}, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n)
-    return RealField(GridSpec(int(n), float(length)), values.astype(float))
+    return RealField(GridSpec(int(n), float(length)), values)

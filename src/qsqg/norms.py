@@ -545,8 +545,8 @@ def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
     is copied into the batch, and its Riesz rows are products of that row.
 
     Each streamed node's three rows are inverted in place with their batch,
-    and its planes are reduced in place:
-    the energies |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b), go into one
+    and its planes are reduced in place: the energies
+    |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b) when k >= 1, go into one
     Carleson density per swept radius, with exact trajectory-cell weights
     for t^(-alpha/beta).  Cells clip only at a radius's last node, so the
     unfinished radii share one partial density.  ``masses[m]`` bounds node
@@ -571,7 +571,8 @@ def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
         e = np.square(v, out=v)
         e += np.square(p1, out=p1)
         e += np.square(p2, out=p2)
-        e *= times[m] ** carleson_weight
+        if carleson_weight:
+            e *= times[m] ** carleson_weight
         return e
 
     search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
@@ -677,17 +678,22 @@ def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
     is forward-transformed whenever ``_solution_parts`` asks for its node
     (for its measures, again if the Carleson stream reaches it, and again
     if the Besov pass visits it), and the multi-index's half symbol
-    (``operators._half_symbol``), exactly 1 when k = 0, is applied to it.
+    (``operators._half_symbol``) is applied to it when k >= 1; at k = 0 it is
+    exactly 1, and neither made nor applied.
     Holding the M spectra instead took 16 MiB at N = 256, M = 32."""
     grid = traj.grid
     e = binary_exponent(max(s.max_abs() for s in traj.snapshots))
+
+    def snapshot_spectrum(m):
+        return spectral.forward(scaled_values(traj.snapshots[m], centered=True, exponent=e)[0])
+
     best, best_value, orders = None, None, None
     for a1 in range(k, -1, -1):
-        symbol = ops._half_symbol(ops.mixed_derivative_symbol, grid, a1, k - a1)
-        comp = _solution_parts(
-            traj.times, lambda m: symbol * spectral.forward(
-                scaled_values(traj.snapshots[m], centered=True, exponent=e)[0]),
-            grid, params, k, sweep, outer=e)
+        spectrum = snapshot_spectrum
+        if k:
+            symbol = ops._half_symbol(ops.mixed_derivative_symbol, grid, a1, k - a1)
+            spectrum = lambda m: symbol * snapshot_spectrum(m)
+        comp = _solution_parts(traj.times, spectrum, grid, params, k, sweep, outer=e)
         value = comp["besov"] + comp["carleson"]
         if best is None or value > best_value:
             best, best_value, orders = comp, value, (a1, k - a1)

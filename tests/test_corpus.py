@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsqg import GridSpec, band_limited_corpus, half_lattice_modes, spectral
+from qsqg.corpus import _render_corpus
 
 L = 2 * np.pi
 
@@ -80,9 +81,14 @@ class TestCorpus:
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_matches_per_mode_placement(self, n):
+        # the list and the stream the experiments iterate, at the bands the
+        # experiments draw at N too: N/6 (riesz, identity, lemmas), N/12
+        # (riesz and identity when N is their refined grid), N/8 - 1 (scaling)
         grid = GridSpec(n, L)
-        for max_mode in sorted({5, 10, n // 6}):
+        for max_mode in sorted({5, 10, n // 6, n // 12, max(2, n // 8 - 1)}):
             got = band_limited_corpus(grid, count=4, max_mode=max_mode, seed=8191)
+            streamed = _render_corpus(grid, 4, max_mode, 8191)
             want = per_mode_corpus(grid, 4, max_mode, 8191)
-            for f, values in zip(got, want, strict=True):
+            for f, g, values in zip(got, streamed, want, strict=True):
                 assert np.array_equal(f.values, values), (n, max_mode)
+                assert np.array_equal(g.values, values), (n, max_mode)

@@ -2,7 +2,9 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qsqg import cli, experiments
@@ -19,6 +21,8 @@ from qsqg.experiments import (
     gamma_constant_quadrature,
     persist,
     run_riesz_boundedness,
+    run_scaling_invariance,
+    run_space_identity,
     run_wellposedness_sweep,
     wellposedness_data,
 )
@@ -130,7 +134,7 @@ class TestRunners:
         assert seen and all(sweep == cfg.sweep for sweep in seen)
 
     def test_zero_field_ratio_is_undefined(self, cfg32, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "band_limited_corpus",
+        monkeypatch.setattr(experiments, "_render_corpus",
                             lambda grid, *args: [RealField.zero(grid)])
         report = run_riesz_boundedness(cfg32)
         assert report.passed
@@ -139,6 +143,27 @@ class TestRunners:
         base = persist(report, tmp_path)
         assert UNDEFINED in (base / "rows.csv").read_text()
         assert UNDEFINED in (base / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("runner", [run_riesz_boundedness, run_space_identity,
+                                        run_scaling_invariance])
+    def test_peak_does_not_grow_with_corpus_size(self, grid32, runner):
+        # each corpus field is rendered as its case runs and dropped after
+        # it, so from 2 fields to 10 the traced peak grows by the rows
+        # alone, less than one field of the refined grid; holding a grid's
+        # corpus grows it by 8 fields
+        def traced_peak(size):
+            cfg = ExperimentConfig(grid=grid32, corpus_size=size)
+            runner(cfg)   # fills the per-grid caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                runner(cfg)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        fine_field = (2 * grid32.n) ** 2 * np.dtype(float).itemsize
+        assert traced_peak(10) - traced_peak(2) < fine_field
 
 
 class TestCli:

@@ -14,6 +14,7 @@ from qsqg import (
     x_norm,
 )
 from qsqg import spectral
+from qsqg.fields import Trajectory
 from qsqg.experiments import wellposedness_data
 from qsqg.operators import (
     _annulus_mask,
@@ -315,3 +316,18 @@ class TestHalfSymbols:
         traj, _ = picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
         x_norm(traj, params)
         assert [builder.cache_info().misses for builder in builders] == misses
+
+    def test_x_norm_caches_no_identity_symbol(self, params):
+        # at k = 0 the multi-index symbol is exactly 1: x_norm neither makes
+        # nor applies it, and caches only the Riesz halves it streams
+        grid = GridSpec(32, 3 * L)   # new to every cache, so a call would miss
+        f = field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
+        x_norm(Trajectory(np.array([0.5, 1.0]), (f, 0.5 * f)), params)
+
+        def cached(builder, *args):
+            misses = _half_symbol.cache_info().misses
+            _half_symbol(builder, grid, *args)
+            return _half_symbol.cache_info().misses == misses
+
+        assert cached(riesz_symbol, 1) and cached(riesz_symbol, 2)
+        assert not cached(mixed_derivative_symbol, 0, 0)
