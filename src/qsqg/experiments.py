@@ -38,7 +38,7 @@ from .norms import (
 from .solver import (
     SolverConfig,
     TimeGrid,
-    duhamel_bilinear,
+    fixed_point_residual,
     linear_flow,
     picard_solve,
     reference_solve,
@@ -396,8 +396,7 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
             traj, rep = picard_solve(data, cfg.params, solver_cfg)
             converged, iterations = rep.converged, rep.iterations
             contraction = rep.contraction_ratio if math.isfinite(rep.contraction_ratio) else None
-            base = linear_flow(data, solver_cfg.timegrid, cfg.params)
-            resid_traj = traj - (base + duhamel_bilinear(traj, traj, cfg.params))
+            resid_traj = fixed_point_residual(traj, data, cfg.params)
             residual = x_norm(resid_traj, cfg.params, cfg.sweep).value
             if converged:
                 largest = eps if largest is None else max(largest, eps)

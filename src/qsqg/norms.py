@@ -673,26 +673,32 @@ def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
                sweep: BoxSweepConfig) -> tuple[dict, tuple[int, int]]:
     """The largest ``_solution_parts`` value over the multi-indices |a| = k
     of t^(k/(2b)) d^a f, with its parts and orders (a1, a2); on an exact tie
-    the larger a1 wins.  No snapshot spectrum is held: a centered snapshot,
+    the larger a1 wins.  A snapshot's spectrum is its centered values,
     scaled by 2^-e with one e for the trajectory (``fields.scaled_values``),
-    is forward-transformed whenever ``_solution_parts`` asks for its node
-    (for its measures, again if the Carleson stream reaches it, and again
-    if the Besov pass visits it), and the multi-index's half symbol
-    (``operators._half_symbol``) is applied to it when k >= 1; at k = 0 it is
-    exactly 1, and neither made nor applied.
-    Holding the M spectra instead took 16 MiB at N = 256, M = 32."""
+    forward-transformed.
+
+    At k = 0 no spectrum is held: a snapshot is transformed whenever
+    ``_solution_parts`` asks for its node (for its measures, again if the
+    Carleson stream reaches it, and again if the Besov pass visits it), as
+    holding the M spectra would take 16 MiB at N = 256, M = 32.  At k >= 1
+    the k + 1 multi-indices read every node, so the M spectra are made once
+    and held, and each read is the multi-index's half symbol
+    (``operators._half_symbol``) times the held spectrum: M transforms in
+    place of several per node and multi-index, with the same doubles."""
     grid = traj.grid
     e = binary_exponent(max(s.max_abs() for s in traj.snapshots))
 
     def snapshot_spectrum(m):
         return spectral.forward(scaled_values(traj.snapshots[m], centered=True, exponent=e)[0])
 
+    if k:
+        held = [snapshot_spectrum(m) for m in range(len(traj))]
     best, best_value, orders = None, None, None
     for a1 in range(k, -1, -1):
         spectrum = snapshot_spectrum
         if k:
             symbol = ops._half_symbol(ops.mixed_derivative_symbol, grid, a1, k - a1)
-            spectrum = lambda m: symbol * snapshot_spectrum(m)
+            spectrum = lambda m: symbol * held[m]
         comp = _solution_parts(traj.times, spectrum, grid, params, k, sweep, outer=e)
         value = comp["besov"] + comp["carleson"]
         if best is None or value > best_value:
@@ -737,8 +743,9 @@ def x_k_norm(traj: Trajectory, params: SpaceParams, k: int,
     t^((2b-1+k)/(2b)), maximum over the k+1 multi-indices reported with its
     orders in ``parts["orders"]``.
 
-    Each multi-index runs both passes, and a snapshot is forward-transformed
-    each time a pass reads it, with no spectrum held (``_x_k_parts``).
+    Each multi-index runs both passes.  At k >= 1 each snapshot is
+    forward-transformed once and its spectrum held for all of them; at
+    k = 0 none is held, as in ``x_norm`` (``_x_k_parts``).
     k = 0 has x_norm's value, box and time."""
     if k < 0:
         raise ValueError(f"derivative order k must be >= 0, got {k}")

@@ -19,8 +19,14 @@ half spectrum per node, and the reference integrator's state is one such
 half spectrum.  Each density takes one batched inverse and one batched
 forward transform, whose column stages run on the columns that the 2/3
 rule keeps only, and the Duhamel sum runs as an O(M) recursion over the
-cells.  Physical snapshots are made once,
-for the returned Trajectory.  Blow-up is found by an explicit finiteness
+cells.  Buffers are held per solve, not per call: a density writes into a
+caller-held scratch and output (``_density``), the Duhamel sum is updated
+in one plane, and a reference substep writes into the planes its solve
+holds, so neither a density nor a substep allocates a spectrum plane.  A
+plane yielded by the Duhamel sum or the reference integrator is therefore
+valid until the next one is requested, and each consumer adds or inverts
+it at once.  Physical snapshots are made once, for the returned
+Trajectory.  Blow-up is found by an explicit finiteness
 check on each Picard iterate and each reference substep, which raises
 DivergenceError; no other exception is read as divergence.  The Duhamel
 loop of a Picard sweep and the substeps of a reference node run under
@@ -52,6 +58,7 @@ __all__ = [
     "nonlinear_density",
     "linear_flow",
     "duhamel_bilinear",
+    "fixed_point_residual",
     "picard_solve",
     "reference_solve",
     "scaling_transform",
@@ -120,19 +127,38 @@ class PicardReport:
 
 # -- nonlinearity --------------------------------------------------------------
 
-def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _half_planes(grid: GridSpec, count: int) -> np.ndarray:
+    """``count`` uninitialized (N, N/2+1) half-spectrum planes in one buffer."""
+    return np.empty((count, grid.n, spectral.half_width(grid.n)), dtype=complex)
+
+
+def _density_scratch(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The scratch of ``_density``: three factor half planes and three real
+    planes."""
+    return _half_planes(grid, 3), np.empty((3, grid.n, grid.n))
+
+
+def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec,
+             scratch: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
     """Half spectrum of d1(v R2 u) - d2(v R1 u) from the half spectra of u
     and v, factors and products dealiased: one batched inverse of
     (v, R2 u, R1 u), one batched forward of the two products.  The factors
-    are built in one buffer and the products formed in the inverse's output,
-    so no plane is stacked or masked into a copy; the symbols are the
-    contiguous half copies of ``operators._half_symbol``.
+    are built in the scratch's half planes and the products formed in its
+    real planes, so no plane is stacked or masked into a copy; the symbols
+    are the contiguous half copies of ``operators._half_symbol``.
+
+    ``scratch`` is a ``_density_scratch`` of the grid and ``out`` a pair of
+    half planes (``_half_planes(grid, 2)``): the products' spectra go into
+    ``out``, and the density is ``out[0]``, returned.  The call allocates no
+    plane.  Every entry of both buffers is written before it is read, so a
+    call has the same doubles on a reused buffer as on a fresh one.  The
+    inputs may not share memory with either buffer.
 
     Dealiased factors are zero on the columns k2 > c (c =
     ``grid.dealias_cutoff``), and the products' columns there are dropped,
     so both transforms run their column stage on columns 0 .. c only; the
     result has the doubles of full transforms, signed zeros included."""
-    factors = np.empty((3, grid.n, spectral.half_width(grid.n)), dtype=complex)
+    factors, planes = scratch
     factors[0] = spec_u  # dealiased u until R2 u and R1 u are formed, then v
     u = ops._dealias(factors[0], grid)
     np.multiply(ops._half_symbol(ops.riesz_symbol, grid, 2), u, out=factors[1])
@@ -140,9 +166,12 @@ def _density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarr
     factors[0] = spec_v
     ops._dealias(factors[0], grid)
     kept = grid.dealias_cutoff + 1  # columns k2 = 0 .. c, the rest are zero
-    planes = spectral.inverse_into(factors, np.empty((3, grid.n, grid.n)), kept)
-    planes[1:] *= planes[0]  # v R2 u and v R1 u
-    flux1, flux2 = ops._dealias(spectral.forward(planes[1:], kept), grid)
+    spectral.inverse_into(factors, planes, kept)
+    # v R2 u and v R1 u, one plane at a time: the broadcast form
+    # planes[1:] *= planes[0] copies both planes first
+    for product in planes[1:]:
+        product *= planes[0]
+    flux1, flux2 = ops._dealias(spectral.forward(planes[1:], kept, out=out), grid)
     np.multiply(ops._half_symbol(ops.derivative_symbol, grid, 1), flux1, out=flux1)
     np.multiply(ops._half_symbol(ops.derivative_symbol, grid, 2), flux2, out=flux2)
     return np.subtract(flux1, flux2, out=flux1)
@@ -160,25 +189,30 @@ def nonlinear_density(u: RealField, v: RealField) -> RealField:
     grid = u.grid
     u.require_mean_zero("nonlinear_density")
     spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
-    return RealField(grid, spectral.inverse(_density(spec_u, spec_v, grid), grid.n))
+    density = _density(spec_u, spec_v, grid, _density_scratch(grid), _half_planes(grid, 2))
+    return RealField(grid, spectral.inverse(density, grid.n))
 
 
 # -- flows ---------------------------------------------------------------------
 
 def _trajectory(times: np.ndarray, spectra, grid: GridSpec) -> Trajectory:
     """Trajectory of physical snapshots from per-node half spectra, each
-    inverted as it arrives."""
+    inverted as it arrives, so a generator may reuse its plane."""
     return Trajectory(times, tuple(RealField(grid, spectral.inverse(spec, grid.n))
                                    for spec in spectra))
+
+
+def _linear_nodes(theta0: RealField, times: np.ndarray, beta: float):
+    """Yield the half spectrum of e^(-t(-Lap)^beta) theta0 at each t of
+    ``times`` in turn, each a fresh plane."""
+    spec = spectral.forward(theta0.values)
+    return (decay * spec for decay in ops._decays(theta0.grid, beta, times))
 
 
 def linear_flow(theta0: RealField, grid: TimeGrid, params: SpaceParams) -> Trajectory:
     """Caloric trajectory e^(-t(-Lap)^beta) theta0 on the grid's nodes."""
     theta0.require_mean_zero("linear_flow")
-    g = theta0.grid
-    spec = spectral.forward(theta0.values)
-    decays = ops._decays(g, params.beta, grid.times)
-    return _trajectory(grid.times, (decay * spec for decay in decays), g)
+    return _trajectory(grid.times, _linear_nodes(theta0, grid.times, params.beta), theta0.grid)
 
 
 def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
@@ -187,9 +221,13 @@ def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
 
     ``density_at(j)`` gives the density's half spectrum at times[j].  Each
     density is made when the first cell that needs it is reached, and only
-    the current one is held.  Each cell's (E, phi1) comes from
-    ``operators._propagators`` as the cell is reached."""
+    the current one is held, so ``density_at`` may write every density into
+    one buffer.  Each cell's (E, phi1) comes from ``operators._propagators``
+    as the cell is reached.  The sum is updated in place with one scratch
+    plane, so every node is yielded in the same plane: a yielded plane is
+    valid until the next one is requested."""
     acc = np.zeros((grid.n, spectral.half_width(grid.n)), dtype=complex)
+    term = np.empty_like(acc)
     g, made = None, -1
     steps = np.diff(times, prepend=0.0)
     for k, (decay, phi1) in enumerate(ops._propagators(grid, beta, steps)):
@@ -197,9 +235,26 @@ def _duhamel(density_at, times: np.ndarray, grid: GridSpec, beta: float):
         if j != made:
             g = None  # dropped before the next density is made
             g, made = density_at(j), j
-        acc = decay * acc + phi1 * g
+        np.multiply(decay, acc, out=acc)  # acc = decay * acc + phi1 * g
+        acc += np.multiply(phi1, g, out=term)
         acc[0, 0] = 0.0  # modes do not mix, so this only zeroes the output mean
         yield acc
+
+
+def _bilinear_nodes(U: Trajectory, V: Trajectory, beta: float):
+    """``_duhamel``'s half spectra of B(U, V) at the nodes of U, with one
+    density scratch and output for the whole sum.  Each snapshot pair is
+    transformed when its density is made."""
+    grid = U.grid
+    scratch, out = _density_scratch(grid), _half_planes(grid, 2)
+
+    def density_at(j):
+        u, v = U.snapshots[j], V.snapshots[j]
+        u.require_mean_zero("duhamel_bilinear")
+        spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
+        return _density(spec_u, spec_v, grid, scratch, out)
+
+    return _duhamel(density_at, U.times, grid, beta)
 
 
 def duhamel_bilinear(
@@ -223,15 +278,24 @@ def duhamel_bilinear(
     and each node's sum is inverted as it is reached.
     """
     U._check(V)
-    grid = U.grid
+    return _trajectory(U.times, _bilinear_nodes(U, V, params.beta), U.grid)
 
-    def density_at(j):
-        u, v = U.snapshots[j], V.snapshots[j]
-        u.require_mean_zero("duhamel_bilinear")
-        spec_u, spec_v = spectral.forward(np.stack([u.values, v.values]))
-        return _density(spec_u, spec_v, grid)
 
-    return _trajectory(U.times, _duhamel(density_at, U.times, grid, params.beta), grid)
+def fixed_point_residual(traj: Trajectory, theta0: RealField,
+                         params: SpaceParams) -> Trajectory:
+    """traj - (e^(-t(-Lap)^beta) theta0 + B(traj, traj)) on the nodes of
+    traj, the doubles of that expression on ``linear_flow`` and
+    ``duhamel_bilinear``, made one node at a time from their node
+    generators: no linear, B or sum trajectory is held."""
+    theta0.require_mean_zero("fixed_point_residual")
+    if theta0.grid != traj.grid:
+        raise GridMismatchError("data and trajectory live on different grids")
+    n = traj.grid.n
+    nodes = zip(traj.snapshots, _linear_nodes(theta0, traj.times, params.beta),
+                _bilinear_nodes(traj, traj, params.beta))
+    return Trajectory(traj.times, tuple(
+        RealField(traj.grid, snap.values - (spectral.inverse(lin, n) + spectral.inverse(b, n)))
+        for snap, lin, b in nodes))
 
 
 def picard_solve(
@@ -244,8 +308,9 @@ def picard_solve(
     alive: the current iterate and the next, whose buffers swap after each
     sweep.  The linear flow is a stack only as iterate 0; each sweep makes
     its node m again from ``operators._decays`` as it adds B's node m, the
-    same doubles as a held copy.  B is summed on the stacks directly, and
-    each norm is ``x_norm``'s two passes
+    same doubles as a held copy.  B is summed on the stacks directly, every
+    density of the solve written into one density scratch and output held
+    for the solve (``_density``), and each norm is ``x_norm``'s two passes
     (``norms._solution_parts``) read node by node from the stack, with no
     forward transform: the increment's node m is nxt[m] - cur[m], made once
     for its Wiener bound and energy, again if the Carleson stream reaches
@@ -262,6 +327,7 @@ def picard_solve(
     with np.errstate(over="ignore", invalid="ignore"):  # iterate 0's norm decides
         spec0 = spectral.forward(theta0.values)
     spec0[0, 0] = 0.0  # the norms measure the mean-zero part
+    scratch, out = _density_scratch(grid), _half_planes(grid, 2)
 
     def measure(spectrum, it: int) -> float:
         """x_norm value of the trajectory whose node m has the mean-zero half
@@ -294,8 +360,9 @@ def picard_solve(
     for it in range(1, config.max_iter + 1):
         iterations = it
         with np.errstate(over="ignore", invalid="ignore"):  # the check below decides
-            flow_into(nxt, _duhamel(lambda j: _density(current[j], current[j], grid),
-                                    times, grid, params.beta))
+            flow_into(nxt, _duhamel(
+                lambda j: _density(current[j], current[j], grid, scratch, out),
+                times, grid, params.beta))
         if not np.isfinite(nxt).all():
             raise DivergenceError(f"picard iterate {it} has NaN/overflow", iteration=it)
         increments.append(measure(lambda m: nxt[m] - current[m], it))
@@ -306,7 +373,7 @@ def picard_solve(
         if increments[-1] <= config.picard_tol * (iterate_norms[-1] + 1.0):
             converged = True
             break
-    del nxt  # the previous iterate, freed before the trajectory's planes are made
+    del nxt, scratch, out  # freed before the trajectory's planes are made
     ratios = [
         increments[i + 1] / increments[i]
         for i in range(len(increments) - 1)
@@ -328,11 +395,16 @@ def reference_solve(theta0: RealField, params: SpaceParams, config: SolverConfig
     substep of size h maps theta to
 
         predictor   theta* = E theta + phi1 N(theta)
-        corrector   theta' = E theta + phi1 (N(theta) + N(theta*)) / 2
+        corrector   theta' = E theta + (phi1 / 2) (N(theta) + N(theta*))
 
     with E = e^(-h |xi|^(2b)) and phi1 = (1 - E)/|xi|^(2b) exact per mode.
-    The state stays a half spectrum throughout; a substep that leaves a
-    non-finite value raises DivergenceError with the node time reached.
+    The state stays a half spectrum throughout, updated in place: the solve
+    holds one density scratch, two density outputs (N(theta) is alive while
+    N(theta*) is made), and the E theta, predictor and state planes, so a
+    substep allocates no complex plane, only the finiteness check's boolean
+    mask.  Each node's state is yielded in the state plane and inverted at
+    once.  A substep that leaves a non-finite value raises DivergenceError
+    with the node time reached.
     """
     theta0.require_mean_zero("reference_solve")
     grid = theta0.grid
@@ -340,20 +412,26 @@ def reference_solve(theta0: RealField, params: SpaceParams, config: SolverConfig
     steps = np.diff(times, prepend=0.0) / config.reference_refine
 
     def at_nodes():
-        spec = spectral.forward(theta0.values)
+        state = spectral.forward(theta0.values)
+        scratch = _density_scratch(grid)
+        first, second = _half_planes(grid, 2), _half_planes(grid, 2)
+        decayed, pred = _half_planes(grid, 2)
         for t, (decay, phi1) in zip(times, ops._propagators(grid, params.beta, steps)):
+            half_phi1 = phi1 * 0.5  # the corrector's (phi1 * 0.5), once per cell
             # no yield inside: the scope must not leak into the consumer
             with np.errstate(over="ignore", invalid="ignore"):  # the check decides
                 for _ in range(config.reference_refine):
-                    n0 = _density(spec, spec, grid)
-                    decayed = decay * spec
-                    pred = decayed + phi1 * n0
-                    spec = decayed + phi1 * 0.5 * (n0 + _density(pred, pred, grid))
-                    if not np.isfinite(spec).all():
+                    n0 = _density(state, state, grid, scratch, first)
+                    np.multiply(decay, state, out=decayed)
+                    np.add(decayed, np.multiply(phi1, n0, out=pred), out=pred)
+                    corr = _density(pred, pred, grid, scratch, second)
+                    np.add(n0, corr, out=corr)
+                    np.add(decayed, np.multiply(half_phi1, corr, out=corr), out=state)
+                    if not np.isfinite(state).all():
                         raise DivergenceError(
                             f"reference solution blew up by t = {t:.6g}", time=float(t)
                         )
-            yield spec
+            yield state
 
     return _trajectory(times, at_nodes(), grid)
 

@@ -38,6 +38,7 @@ about a third of the columns.
 ``inverse_into`` is ``inverse`` without allocation: it transforms a
 caller-held batch of half spectra in place and writes the planes into a
 caller-held real buffer, so a loop over batches allocates nothing per batch.
+``forward`` takes a caller-held output the same way (``out``).
 ``batch_count`` sizes such batches.
 """
 from __future__ import annotations
@@ -61,13 +62,17 @@ def half(full: np.ndarray) -> np.ndarray:
     return full[..., : half_width(full.shape[-1])]
 
 
-def forward(values: np.ndarray, width: int | None = None) -> np.ndarray:
-    """Unnormalized half spectrum of real planes over the last two axes.
+def forward(values: np.ndarray, width: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized half spectrum of real planes over the last two axes,
+    written into ``out`` (shape values.shape[:-1] + (N/2 + 1,)) when given
+    and returned.
 
     With ``width``, the column stage runs on columns 0 .. width - 1 only and
     the columns from ``width`` on are returned as zeros; the kept columns
     are ``rfft2``'s doubles, since these are its two stages."""
-    out = np.empty(values.shape[:-1] + (half_width(values.shape[-1]),), dtype=complex)
+    if out is None:
+        out = np.empty(values.shape[:-1] + (half_width(values.shape[-1]),), dtype=complex)
     if width is None:
         return np.fft.rfft2(values, out=out)
     np.fft.rfft(values, axis=-1, out=out)

@@ -5,7 +5,8 @@ package computes another way (a full-plane heat symbol against the rate-level
 semigroup core, the double-difference Q norm against its semigroup
 characterization, per-radius ladders against the shared-node sweep), or an
 operator the tests need to build their data (the SQG velocity, 2/3-rule
-dealiasing).
+dealiasing), or the allocating form of a solver loop that the package runs
+on held buffers.
 """
 import math
 from functools import lru_cache
@@ -13,11 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from qsqg import spectral
-from qsqg.fields import GridSpec, RealField, SpaceParams, scaled_values, unscaled
+from qsqg.fields import GridSpec, RealField, SpaceParams, Trajectory, scaled_values, unscaled
 from qsqg.norms import (NormReport, _RadiusSweep, _block_masks, _spectrum_block_sups,
                         _sweep_for)
-from qsqg.operators import (apply_lattice_symbol, block_levels, derivative_symbol,
-                            dissipation_symbol, riesz_symbol)
+from qsqg.operators import (_propagators, apply_lattice_symbol, block_levels,
+                            derivative_symbol, dissipation_symbol, riesz_symbol)
+from qsqg.solver import _density, _density_scratch, _half_planes
 from qsqg.sweep import (BoxSweepConfig, CarlesonBox, best_center, box_sums, geometric_ladder,
                         power_weight)
 
@@ -50,6 +52,33 @@ def sqg_velocity(theta: RealField) -> tuple[RealField, RealField]:
 def dealias_field(f: RealField) -> RealField:
     """Zero all modes outside the grid's 2/3-rule ``dealias_mask``."""
     return apply_lattice_symbol(f, f.grid.dealias_mask)
+
+
+# -- solver --------------------------------------------------------------------
+
+def fresh_density(spec_u: np.ndarray, spec_v: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``solver._density`` on a scratch and output made for this call."""
+    return _density(spec_u, spec_v, grid, _density_scratch(grid), _half_planes(grid, 2))
+
+
+def reference_oracle(theta0: RealField, params: SpaceParams, config) -> Trajectory:
+    """``solver.reference_solve`` with a fresh array for every density and
+    every term of a substep, in its operation order:
+    pred = E theta + phi1 N(theta) and
+    theta' = E theta + (phi1 * 0.5) (N(theta) + N(pred))."""
+    grid = theta0.grid
+    times = config.timegrid.times
+    steps = np.diff(times, prepend=0.0) / config.reference_refine
+    spec = spectral.forward(theta0.values)
+    snapshots = []
+    for decay, phi1 in _propagators(grid, params.beta, steps):
+        for _ in range(config.reference_refine):
+            n0 = fresh_density(spec, spec, grid)
+            decayed = decay * spec
+            pred = decayed + phi1 * n0
+            spec = decayed + phi1 * 0.5 * (n0 + fresh_density(pred, pred, grid))
+        snapshots.append(RealField(grid, spectral.inverse(spec, grid.n)))
+    return Trajectory(times, snapshots)
 
 
 # -- dyadic block norm ---------------------------------------------------------

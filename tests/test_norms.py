@@ -479,6 +479,30 @@ class TestTrajectoryNorms:
         assert abs(report.parts["besov"] - math.exp(-1)) <= 1e-3
         assert report.parts["orders"] == [1, 0]
 
+    def test_xk_transforms_each_snapshot_once(self, grid32, params, monkeypatch):
+        # at k >= 1 the snapshot spectra are held for all k + 1 multi-indices
+        # and both passes: one forward transform per snapshot, and one per
+        # box sum
+        f = field_from_function(grid32, lambda x1, x2: np.sin(x1) + 0.3 * np.cos(2 * x2 - x1))
+        traj = linear_flow(f, TimeGrid(1.0, 32), params)
+        x_k_norm(traj, params, 2)   # fills the mask-spectrum caches
+        forwards, sums = [], []
+        forward, real_box_sums = spectral.forward, norms.box_sums
+
+        def counting_forward(values):
+            forwards.append(values.shape)
+            return forward(values)
+
+        def counting_box_sums(*args):
+            sums.append(args[2])
+            return real_box_sums(*args)
+
+        monkeypatch.setattr(spectral, "forward", counting_forward)
+        monkeypatch.setattr(norms, "box_sums", counting_box_sums)
+        x_k_norm(traj, params, 2)
+        assert forwards.count((32, 32)) == len(forwards)
+        assert len(forwards) == len(traj) + len(sums)
+
     def test_x_norm_peak_does_not_grow_with_node_count(self, grid64, params):
         # the snapshot spectra are made when read, not held: 32 nodes peak
         # within one 8-node stack of half spectra of what 8 nodes do

@@ -34,7 +34,8 @@ from qsqg.norms import caloric_coverage_times
 from qsqg.operators import derivative_symbol, riesz_symbol
 from qsqg.solver import PicardReport, SolverConfig, TimeGrid
 
-from oracles import besov_sup_norm, dealias_field, heat_semigroup, sqg_velocity
+from oracles import (besov_sup_norm, dealias_field, fresh_density, heat_semigroup,
+                     reference_oracle, sqg_velocity)
 
 L = 2 * np.pi
 
@@ -146,7 +147,7 @@ class TestNonlinearity:
 
     def test_spectral_core_matches_public_density(self, grid32):
         u, v = band_limited_corpus(grid32, count=2, max_mode=6, seed=5)
-        core = solver._density(
+        core = fresh_density(
             spectral.forward(u.values), spectral.forward(v.values), grid32
         )
         public = nonlinear_density(u, v).values
@@ -185,7 +186,7 @@ class TestNonlinearity:
         flux = np.where(keep, spectral.forward(np.stack([vv * r2u, vv * r1u])), 0.0)
         ref = (spectral.half(derivative_symbol(grid, 1)) * flux[0]
                - spectral.half(derivative_symbol(grid, 2)) * flux[1])
-        got = solver._density(spec_u, spec_v, grid)
+        got = fresh_density(spec_u, spec_v, grid)
         assert np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # the sign of every zero too
 
@@ -197,10 +198,38 @@ class TestNonlinearity:
                 calls[_name].append(args[-1])
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectral, name, counted)
-        solver._density(spec, spec, smooth32.grid)
+        fresh_density(spec, spec, smooth32.grid)
         # one batched inverse and one batched forward, both on the kept columns
         kept = smooth32.grid.dealias_cutoff + 1
         assert calls == {"forward": [kept], "inverse_into": [kept], "inverse": []}
+
+    def test_held_buffers_give_fresh_doubles(self):
+        """Consecutive calls on one scratch and output, each with other
+        inputs, give the bytes of calls on fresh buffers: nothing a call
+        leaves in the buffers, dropped modes included, reaches the next."""
+        grid = GridSpec(64, L)
+        fields = band_limited_corpus(grid, count=3, max_mode=30, seed=4)
+        specs = [spectral.forward(f.values) for f in fields]  # content on dropped modes
+        specs[0][32, 32] = np.inf
+        specs[0][1, 32] = np.nan
+        scratch, out = solver._density_scratch(grid), solver._half_planes(grid, 2)
+        for u, v in [(0, 1), (2, 2), (1, 0), (2, 1)]:
+            got = solver._density(specs[u], specs[v], grid, scratch, out)
+            assert got.tobytes() == fresh_density(specs[u], specs[v], grid).tobytes()
+
+    def test_density_on_held_buffers_allocates_no_plane(self):
+        grid = GridSpec(64, L)
+        u, v = band_limited_corpus(grid, count=2, max_mode=10, seed=7)
+        spec_u, spec_v = spectral.forward(u.values), spectral.forward(v.values)
+        scratch, out = solver._density_scratch(grid), solver._half_planes(grid, 2)
+        solver._density(spec_u, spec_v, grid, scratch, out)  # fills the symbol caches
+        tracemalloc.start()
+        try:
+            solver._density(spec_u, spec_v, grid, scratch, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.n * spectral.half_width(grid.n) * np.dtype(complex).itemsize
 
 
 def duhamel_with_density(density, times, grid, params):
@@ -264,6 +293,18 @@ class TestDuhamel:
         scale = max(np.abs(w).max() for w in want)
         err = max(np.abs(s.values - w).max() for s, w in zip(got.snapshots, want))
         assert err <= 1e-13 * scale
+
+    def test_fixed_point_residual_is_the_trajectory_expression(self, grid32, params):
+        # node by node, the bytes of traj - (linear_flow + B(traj, traj))
+        theta0 = 0.5 * band_limited_corpus(grid32, count=1, max_mode=8, seed=2)[0]
+        tg = TimeGrid(1.0, 16)
+        traj, _ = picard_solve(theta0, params, SolverConfig(tg, max_iter=2))
+        want = traj - (linear_flow(theta0, tg, params) + duhamel_bilinear(traj, traj, params))
+        got = solver.fixed_point_residual(traj, theta0, params)
+        assert np.array_equal(got.times, want.times)
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(got.snapshots, want.snapshots))
+        assert max(s.max_abs() for s in got.snapshots) > 0
 
 
 class TestPicard:
@@ -394,6 +435,16 @@ class TestReference:
         with pytest.raises(DivergenceError) as info:   # under pytest's RuntimeWarning filter
             reference_solve(theta0, params, config)
         assert info.value.time in config.timegrid.times
+
+    @pytest.mark.parametrize("refine", [1, 4])
+    def test_matches_allocating_predictor_corrector(self, grid32, params, refine):
+        # the in-place substeps on held buffers give the allocating form's doubles
+        theta0 = 0.5 * band_limited_corpus(grid32, count=1, max_mode=12, seed=9)[0]
+        config = SolverConfig(TimeGrid(1.0, 16), reference_refine=refine)
+        got = reference_solve(theta0, params, config)
+        want = reference_oracle(theta0, params, config)
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(got.snapshots, want.snapshots))
 
     def test_self_convergence_order(self, params):
         grid = GridSpec(32, L)
