@@ -129,11 +129,10 @@ class _RadiusSweep:
     def stream(self, weights: np.ndarray, masses, rows, energy, per_node: int) -> None:
         """Sup over the radii of the densities sum_g weights[i, g] * energy_g.
 
-        Nodes g go in ascending order, in batches of whole nodes holding at
-        most ``spectral.CHUNK_BYTES`` of half spectra (at least one node).
-        ``rows(g, out)`` writes node g's ``per_node`` half spectra into
-        ``out``, the batch is inverted in place (``spectral.inverse_into``),
-        and ``energy(g, planes)`` reduces node g's planes, in place, to its
+        Nodes g go in ascending order, one at a time: ``rows(g, out)``
+        writes node g's ``per_node`` half spectra into ``out``, they are
+        inverted in place (``spectral.inverse_into``), and
+        ``energy(g, planes)`` reduces node g's planes, in place, to its
         nonnegative energy.  A radius is finished, and its density dropped,
         once its last node (nonzero weight) is in.  When every radius weighs
         each node before its last as the largest radius does (trajectory
@@ -153,12 +152,11 @@ class _RadiusSweep:
         A dropped radius is strictly below the final maximum, so the value and
         box are those of the exhaustive sweep bit for bit.
 
-        A batch takes the next nodes that an unfinished radius holds, and the
-        stream stops when every radius is finished or dropped.  A node of
-        the batch that a drop has made moot is skipped, so read-ahead costs
-        at most one batch.  The batch buffers and the one scratch plane that
-        takes each weight * energy are allocated once per call."""
-        n, count = self.grid.n, weights.shape[1]
+        A node is made only if an unfinished radius holds it, and the stream
+        stops once every radius is finished or dropped.  The spectrum and
+        plane buffers of one node and the one scratch plane that takes each
+        weight * energy are allocated once per call."""
+        n = self.grid.n
         last = [int(np.flatnonzero(row)[-1]) for row in weights]
         shared = all((row[:end] == weights[0, :end]).all() for row, end in zip(weights, last))
         table = weights.tolist()
@@ -168,55 +166,41 @@ class _RadiusSweep:
         totals = after[:, 0]
         densities = {}      # radius -> partial density (not shared)
         common = np.zeros((n, n)) if shared else None
-        need = []           # need[g]: an unfinished radius holds node g
-
-        def hold():
-            need[:] = (weights[unfinished] > 0).any(axis=0).tolist()
-
-        per = min(spectral.batch_count(n, per_node), count)
-        specs = np.empty((per, per_node, n, spectral.half_width(n)), dtype=complex)
-        planes = np.empty((per, per_node, n, n))
+        specs = np.empty((per_node, n, spectral.half_width(n)), dtype=complex)
+        planes = np.empty((per_node, n, n))
         scratch = np.empty((n, n))
-        hold()
-        ahead = 0           # the first node not yet batched
-        while unfinished:
-            batch = []
-            while len(batch) < per and ahead < count:
-                if need[ahead]:
-                    rows(ahead, specs[len(batch)])
-                    batch.append(ahead)
-                ahead += 1
-            spectral.inverse_into(specs[:len(batch)], planes[:len(batch)])
-            for g, node in zip(batch, planes):
-                if not need[g]:
-                    continue
-                e = energy(g, node)
-                ending = [i for i in unfinished if last[i] == g]
-                if shared:
-                    for i in ending:
-                        final = np.multiply(e, table[i][g], out=scratch)
-                        final += common
-                        self.finish(i, final)
-                else:
-                    for i in unfinished:
-                        w = table[i][g]
-                        if w > 0:
-                            if i in densities:
-                                densities[i] += np.multiply(e, w, out=scratch)
-                            else:
-                                densities[i] = e * w
-                    for i in ending:
-                        self.finish(i, densities.pop(i))
-                unfinished = [i for i in unfinished if last[i] != g]
-                if shared and unfinished:
-                    common += np.multiply(e, table[unfinished[0]][g], out=scratch)
-                if ending:
-                    for i in list(unfinished):
-                        partial = common if shared else densities.get(i)
-                        if self._beaten_at(i, partial, totals[i], tails[i, g]):
-                            unfinished.remove(i)
-                            densities.pop(i, None)
-                    hold()
+        for g in range(weights.shape[1]):
+            if not unfinished:
+                break
+            if not any(table[i][g] > 0 for i in unfinished):
+                continue
+            rows(g, specs)
+            e = energy(g, spectral.inverse_into(specs, planes))
+            ending = [i for i in unfinished if last[i] == g]
+            if shared:
+                for i in ending:
+                    final = np.multiply(e, table[i][g], out=scratch)
+                    final += common
+                    self.finish(i, final)
+            else:
+                for i in unfinished:
+                    w = table[i][g]
+                    if w > 0:
+                        if i in densities:
+                            densities[i] += np.multiply(e, w, out=scratch)
+                        else:
+                            densities[i] = e * w
+                for i in ending:
+                    self.finish(i, densities.pop(i))
+            unfinished = [i for i in unfinished if last[i] != g]
+            if shared and unfinished:
+                common += np.multiply(e, table[unfinished[0]][g], out=scratch)
+            if ending:
+                for i in list(unfinished):
+                    partial = common if shared else densities.get(i)
+                    if self._beaten_at(i, partial, totals[i], tails[i, g]):
+                        unfinished.remove(i)
+                        densities.pop(i, None)
 
     def _beaten_at(self, i, partial, total, tail) -> bool:
         """Whether radius i, with partial density ``partial`` (None before
@@ -239,18 +223,15 @@ def _block_masks(grid: GridSpec) -> list[np.ndarray]:
 
 def _spectrum_block_sups(spec: np.ndarray, masks: list[np.ndarray], n: int) -> np.ndarray:
     """Sup norm of the block of a half spectrum under each of ``masks``, in
-    order, the blocks inverted in place in batches of at most CHUNK_BYTES."""
-    per = min(spectral.batch_count(n), len(masks))
-    blocks = np.empty((per, n, spectral.half_width(n)), dtype=complex)
-    planes = np.empty((per, n, n))
+    order, each block inverted in place in one held block/plane pair."""
+    block = np.empty((n, spectral.half_width(n)), dtype=complex)
+    plane = np.empty((n, n))
     sups = np.empty(len(masks))
-    for start in range(0, len(masks), per):
-        chunk = masks[start:start + per]
-        for block, mask in zip(blocks, chunk):
-            block.fill(0.0)
-            np.copyto(block, spec, where=mask)
-        done = spectral.inverse_into(blocks[:len(chunk)], planes[:len(chunk)])
-        sups[start:start + len(chunk)] = np.abs(done, out=done).max(axis=(1, 2))
+    for j, mask in enumerate(masks):
+        block.fill(0.0)
+        np.copyto(block, spec, where=mask)
+        done = spectral.inverse_into(block, plane)
+        sups[j] = np.abs(done, out=done).max()
     return sups
 
 
@@ -274,14 +255,11 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
 
     Block l's Wiener sum W_l = sum over block l of colw |spec| / N^2 bounds
     sup |P_l f|, and the W_l of all blocks are one ``np.bincount`` over
-    ``_block_index``.  Blocks are inverted one per call, largest W_l first,
-    and before each the node is abandoned when ``_beaten`` holds for
-    weight * (sum of the sups made + sum of the W_l still to come).  Once
-    weight times the sups made alone is not beaten, no later check can
-    abandon the node, and its remaining blocks are inverted together (one
-    call at N = 64); when that holds before any block, as for the first
-    node visited, no W_l is summed.  The sups of a node not abandoned are
-    the batched call's doubles."""
+    ``_block_index``.  Blocks are inverted largest W_l first, and before
+    each the node is abandoned when ``_beaten`` holds for
+    weight * (sum of the sups made + sum of the W_l still to come).  When
+    no value can be beaten, as for the first node visited, no W_l is
+    summed.  Each block's sup is the same double in either order."""
     n = grid.n
     if not _beaten(0.0, best):
         return _spectrum_block_sups(spec, masks, n)
@@ -292,13 +270,9 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
     to_come = np.cumsum(wiener[order[::-1]])[::-1].tolist()
     sups = np.empty(len(masks))
     reached = 0.0
-    for j, (l, rest) in enumerate(zip(order, to_come)):
+    for l, rest in zip(order, to_come):
         if _beaten(weight * (reached + rest), best):
             return None
-        if not _beaten(weight * reached, best):
-            left = order[j:]
-            sups[left] = _spectrum_block_sups(spec, [masks[i] for i in left], n)
-            return sups
         sups[l] = _spectrum_block_sups(spec, [masks[l]], n)[0]
         reached += sups[l]
     return sups
@@ -389,14 +363,14 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, alpha: float,
     The ladders of dyadic radii overlap, and their merged nodes, weights,
     prefactors and node table are built once per grid (``_ladder_plan``).
     Each distinct node's gradient pair is made once, in ascending time
-    order, in batches inverted in place, and its energy goes into the
-    density of every radius holding it with that radius's weight
-    (``_RadiusSweep``).  A radius is box-summed, and its density dropped,
-    once its last node is in.  Node s's energy totals
-    sum_half colw e^(-2 s lam) |grad f^|^2 / N^2 (Parseval,
-    ``_caloric_measures``), so once a radius is in, a radius whose bound
-    cannot beat it is dropped, and nodes that only dropped radii hold are
-    never made; the value and box are the exhaustive sweep's.
+    order, and inverted in place, and its energy goes into the density of
+    every radius holding it with that radius's weight (``_RadiusSweep``).
+    A radius is box-summed, and its density dropped, once its last node is
+    in.  Node s's energy totals sum_half colw e^(-2 s lam) |grad f^|^2 / N^2
+    (Parseval, ``_caloric_measures``), so once a radius is in, a radius
+    whose bound cannot beat it is dropped, and nodes that only dropped
+    radii hold are never made; the value and box are the exhaustive
+    sweep's.
 
     The decay plane e^(-s lam) of node g is row g of the node table, over
     the rate levels of ``operators._rate_levels``, gathered onto the modes
@@ -542,10 +516,11 @@ def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, table: np.n
 def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
     """Carleson part times 2^-scale, its box and the partial-coverage flag,
     from planes scaled by 2^-scale: each node's snapshot row is scaled as it
-    is copied into the batch, and its Riesz rows are products of that row.
+    is copied into the held spectrum buffer, and its Riesz rows are products
+    of that row.
 
-    Each streamed node's three rows are inverted in place with their batch,
-    and its planes are reduced in place: the energies
+    Each streamed node's three rows are inverted in place, and its planes
+    are reduced in place: the energies
     |f|^2 + |R1 f|^2 + |R2 f|^2, times t^(k/b) when k >= 1, go into one
     Carleson density per swept radius, with exact trajectory-cell weights
     for t^(-alpha/beta).  Cells clip only at a radius's last node, so the
@@ -605,11 +580,10 @@ def _solution_parts(
       overflow or underflow at any finite amplitude.  A non-finite node
       raises NonFiniteError.
     * Carleson pass (``_carleson_pass``): streamed nodes in ascending time,
-      each an identity row and two Riesz rows of a batch inverted in
-      place, reduced as they arrive; radii whose bound cannot beat the best
-      finished one are dropped, and streaming stops once no unfinished
-      radius holds the next node.  The value and box are those of the
-      exhaustive sweep, bit for bit.
+      each an identity row and two Riesz rows inverted in place, reduced
+      as they arrive; radii whose bound cannot beat the best finished one
+      are dropped, and streaming stops once no radius is unfinished.  The
+      value and box are those of the exhaustive sweep, bit for bit.
     * Besov pass.  With w = (2b - 1 + k)/(2b), nodes are visited by
       descending bound t^w W >= t^w sum_l sup |P_l f|, ties in ascending
       index, and the pass stops at the first node whose bound is beaten
@@ -617,17 +591,14 @@ def _solution_parts(
       is made again (``spectrum(m)``) and scaled by 2^-e in one product,
       1.3 us at N = 64, where scaling each block as it is copied in (a
       masked multiply in place of ``np.copyto``) adds about 4 us per
-      block.  A node's blocks go one per call, largest Wiener sum W_l first,
-      and it is abandoned once t^w times its sups so far plus its remaining
-      W_l is beaten, or its remaining blocks go through one batched call
-      once it can no longer be abandoned, as the first node (maximum -1)
-      cannot (``_block_sups_below``).
-      A node that is not abandoned has every block made and sums its sups
-      in level order, so its value is the batched pass's double.  A node
-      whose block sum reaches the maximum is never abandoned, and with
-      equal sums the earliest node wins.  The value and its first attaining
-      time are therefore those of the exhaustive loop over all nodes and
-      blocks, bit for bit.
+      block.  A node's blocks are made largest Wiener sum W_l first, and it
+      is abandoned once t^w times its sups so far plus its remaining W_l is
+      beaten (``_block_sups_below``).  A node that is not abandoned has
+      every block made and sums its sups in level order, so its value is
+      the exhaustive pass's double.  A node whose block sum reaches the
+      maximum is never abandoned, and with equal sums the earliest node
+      wins.  The value and its first attaining time are therefore those of
+      the exhaustive loop over all nodes and blocks, bit for bit.
 
     No plane is held for the whole trajectory."""
     b = params.beta
@@ -707,8 +678,13 @@ def _x_k_parts(traj: Trajectory, params: SpaceParams, k: int,
 
 
 def _solution_report(comp: dict) -> NormReport:
+    """The report of ``_solution_parts``'s parts: their sum, which raises
+    NonFiniteError where it overflows although both parts are finite."""
+    value = comp["besov"] + comp["carleson"]
+    if not math.isfinite(value):
+        raise NonFiniteError("value overflows")
     return NormReport(
-        value=comp["besov"] + comp["carleson"],
+        value=value,
         attaining_box=comp["box"],
         attaining_time=comp["time"],
         partial_coverage=comp["partial"],
@@ -813,8 +789,7 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     at the nodes the Carleson pass streams, and again at the nodes whose
     block-sum bound can still set the sup.  Its decay plane and every node's
     Wiener bound and energy come from one node table, built once per grid
-    (``_caloric_plan``, ``_caloric_measures``).  The sum of the two parts
-    can still overflow, and raises NonFiniteError."""
+    (``_caloric_plan``, ``_caloric_measures``)."""
     grid = u0.grid
     sweep = _sweep_for(grid, sweep)
     times, table, squares = _caloric_plan(grid, params)
@@ -824,7 +799,4 @@ def caloric_minus1_norm(u0: RealField, params: SpaceParams,
     level_of = _rate_levels(grid, params.beta)[1]
     comp = _solution_parts(times, lambda m: table[m].take(level_of) * spec,
                            grid, params, 0, sweep, measures, scale)
-    report = _solution_report(comp)
-    if not math.isfinite(report.value):
-        raise NonFiniteError("value overflows")
-    return report
+    return _solution_report(comp)

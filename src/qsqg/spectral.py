@@ -35,22 +35,14 @@ forward returns them as zeros, so the kept columns are the doubles of the
 1971).  The nonlinear density passes the 2/3 rule's width, which skips
 about a third of the columns.
 
-``inverse_into`` is ``inverse`` without allocation: it transforms a
-caller-held batch of half spectra in place and writes the planes into a
-caller-held real buffer, so a loop over batches allocates nothing per batch.
+``inverse_into`` is ``inverse`` without allocation: it transforms
+caller-held half spectra in place and writes the planes into a caller-held
+real buffer, so a loop that reuses the two allocates nothing per call.
 ``forward`` takes a caller-held output the same way (``out``).
-``batch_count`` sizes such batches.
 """
 from __future__ import annotations
 
 import numpy as np
-
-# Input bytes handed to one batched inverse call: two or three nodes of a
-# box sweep at N = 64, one at N >= 128.  The one measurement of a larger
-# budget (1 MiB: the riesz experiment's Q-norm sweeps about 30% slower, peak
-# memory 2 MiB higher, on a 2-vCPU x86 VM) predates ``inverse_into`` and was
-# taken while every call faulted its fresh output pages in.
-CHUNK_BYTES = 256 * 1024
 
 
 def half_width(n: int) -> int:
@@ -99,8 +91,3 @@ def inverse_into(spec: np.ndarray, out: np.ndarray, width: int | None = None) ->
     # not irfft2(out=): on numpy 2.4.6 it returns wrong values and not ``out``
     return np.fft.irfft(spec, out.shape[-1], axis=-1, out=out)
 
-
-def batch_count(n: int, rows: int = 1) -> int:
-    """Items of ``rows`` N x N half spectra each that fit in CHUNK_BYTES, at
-    least one."""
-    return max(1, CHUNK_BYTES // (rows * n * half_width(n) * np.dtype(complex).itemsize))

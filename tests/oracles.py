@@ -84,8 +84,8 @@ def reference_oracle(theta0: RealField, params: SpaceParams, config) -> Trajecto
 # -- dyadic block norm ---------------------------------------------------------
 
 def block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarray]:
-    """Sup norm of every dyadic frequency block (one forward transform, the
-    block inverses batched)."""
+    """Sup norm of every dyadic frequency block (one forward transform, each
+    block inverted on its own)."""
     sups = _spectrum_block_sups(spectral.forward(values), _block_masks(grid), grid.n)
     return list(block_levels(grid)), sups
 

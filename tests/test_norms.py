@@ -299,22 +299,22 @@ class TestLadderSweep:
 
     @pytest.mark.parametrize("a,b,radii,nodes,ball_bounds,planes", [
         (0.25, 0.75, 3, 15, 0, 54),   # shift of 6 nodes: 15 + 6 + 6 distinct
-        (0.3, 0.8, 3, 27, 0, 90),     # shift of 6.4 nodes: nothing shared
+        (0.3, 0.8, 3, 25, 0, 90),     # shift of 6.4 nodes: nothing shared
         (0.25, 0.75, 4, 15, 1, 66),   # 15 + 6 + 6 + 6 distinct
-        (0.3, 0.8, 4, 27, 1, 120),    # the same bound with nothing shared
+        (0.3, 0.8, 4, 25, 1, 120),    # the same bound with nothing shared
     ])
     def test_transform_budget(self, grid64, monkeypatch, a, b, radii, nodes, ball_bounds, planes):
         f = band_limited_corpus(grid64, count=1, max_mode=10, seed=8191)[0]
         params, sweep = SpaceParams(a, b), BoxSweepConfig(radii)
         counted = count_inverse_planes(monkeypatch)
         q_norm_semigroup(f, params, sweep)
-        # Gradient planes of whole nodes, in batches of 3 nodes (6 planes at
-        # N = 64), up to the smallest radius's last node (node 15, or 27 when
-        # nothing is shared), which ends a batch; then box sums: the smallest
-        # radius attains the sup and the larger ones fall to their bounds,
-        # transform-free but for one ball-sum bound when four radii are
-        # swept: radius L/8's partial density is box-summed and dropped.
-        assert counted[:nodes // 3] == [6] * (nodes // 3)
+        # Gradient planes of one node per call up to the smallest radius's
+        # last node (node 15, or 25 when nothing is shared); then box sums:
+        # the smallest radius attains the sup and the larger ones fall to
+        # their bounds, transform-free but for one ball-sum bound when four
+        # radii are swept: radius L/8's partial density is box-summed and
+        # dropped.
+        assert counted[:nodes] == [2] * nodes
         assert sum(counted) == 2 * nodes + 1 + ball_bounds
         counted.clear()
         monkeypatch.setattr(norms._RadiusSweep, "_beaten_at", lambda *args: False)
@@ -709,8 +709,8 @@ class TestBesovPruning:
     @pytest.mark.parametrize("n", [16, 64])
     def test_unabandonable_node_batches_its_remaining_blocks(self, n, monkeypatch):
         # best is the smallest block sup, so once the first block is made
-        # weight times the sups made can no longer be beaten, and the other
-        # blocks go through one call
+        # weight times the sups made can no longer be beaten, and every
+        # block is made, one per call
         grid = GridSpec(n, L)
         masks = norms._block_masks(grid)
         v = np.random.default_rng(8196 + n).standard_normal((n, n))
@@ -718,7 +718,7 @@ class TestBesovPruning:
         sups = norms._spectrum_block_sups(spec, masks, n)
         planes = count_inverse_planes(monkeypatch)
         assert np.array_equal(norms._block_sups_below(spec, grid, masks, 1.0, sups.min()), sups)
-        assert planes == [1, len(masks) - 1]
+        assert planes == [1] * len(masks)
 
     def test_bound_margin_keeps_values_within_rounding_of_their_bound(self):
         for b in (1.0, 3.7e-300, 2.5e300):
@@ -989,19 +989,19 @@ class TestBesovPruning:
         comp = norms._solution_parts(times, spectrum, grid, params, 0, sweep)
         count = len(times)
         assert asked[:count] == list(range(count))   # the measures, in order
-        streamed = 12                                # of 48 nodes
+        streamed = 11                                # of 48 nodes
         assert asked[count:count + streamed] == list(range(streamed))   # the Carleson stream
         evaluated = asked[count + streamed:]
         assert len(set(evaluated)) == len(evaluated) == 9
         assert comp["time"] in times[evaluated]
         blocks = len(ops.block_levels(grid))
-        # snapshot and two Riesz planes of the 12 streamed nodes, in batches
-        # of 2 nodes, box sums of the two finished radii and 4 ball-sum
-        # bounds, then the first visited node's blocks in one batch, and 14
-        # block planes of the 8 later nodes, each abandoned block by block
-        # (every block of all 9 would be 54)
-        assert planes[:3] == [6] * 3
-        assert planes[-15:] == [blocks] + [1] * 14
+        # snapshot and two Riesz planes of the 11 streamed nodes, one node
+        # per call, box sums of the two finished radii and 4 ball-sum
+        # bounds, then the first visited node's blocks, and 14 block planes
+        # of the 8 later nodes, each abandoned block by block (every block
+        # of all 9 would be 54), one block per call
+        assert planes[:6] == [3] * 6
+        assert planes[-(blocks + 14):] == [1] * (blocks + 14)
         assert sum(planes) == 3 * streamed + 2 + 4 + blocks + 14
 
     def test_zero_field_reports_first_time(self, grid32, params):
@@ -1014,7 +1014,7 @@ class TestBesovPruning:
     def test_x_norm_forwards_each_snapshot_when_read(self, monkeypatch):
         # no snapshot spectrum is held: one forward transform per snapshot
         # for the measures, one per node that the Carleson stream reads
-        # (28 of 32) or the Besov pass visits (1), and one per box sum
+        # (27 of 32) or the Besov pass visits (1), and one per box sum
         cfg = ExperimentConfig()
         traj, _ = picard_solve(1e-3 * wellposedness_data(cfg.grid), cfg.params,
                                cfg.solver_config())
@@ -1034,7 +1034,63 @@ class TestBesovPruning:
         monkeypatch.setattr(norms, "box_sums", counting_box_sums)
         x_norm(traj, cfg.params, cfg.sweep)
         assert len(sums) == 2
-        assert len(forwards) == len(traj) + 28 + 1 + len(sums) == 63
+        assert len(forwards) == len(traj) + 27 + 1 + len(sums) == 62
+
+    @pytest.mark.parametrize("kind", ["x", "caloric", "q"])
+    def test_stream_makes_only_nodes_an_unfinished_radius_holds(self, corpus32, params,
+                                                                kind, monkeypatch):
+        # the shared trajectory stream (x_norm, caloric_minus1_norm) and the
+        # unshared Q ladder: each node is made while a radius that is neither
+        # finished nor dropped weighs it, is reduced before the next is made,
+        # and none is made once every radius has ended.  On sin x1 the Q
+        # ladder drops radius L/2 while L/4 is unfinished, and the nodes
+        # that only L/2 holds are skipped.
+        f = corpus32[0]
+        run = {
+            "x": lambda: x_norm(caloric_trajectory(
+                f, params, caloric_coverage_times(f.grid, params, num_nodes=24)), params),
+            "caloric": lambda: caloric_minus1_norm(f, params),
+            "q": lambda: q_norm_semigroup(
+                field_from_function(f.grid, lambda x1, x2: np.sin(x1)), SpaceParams(0.3, 0.8)),
+        }[kind]
+        real_stream = norms._RadiusSweep.stream
+        streams = []
+
+        def spying_stream(self, weights, masses, rows, energy, per_node):
+            ended, made, reduced = set(), [], []
+            finish, beaten_at = self.finish, self._beaten_at
+
+            def ending_finish(i, density):
+                ended.add(i)
+                finish(i, density)
+
+            def dropping_beaten_at(i, *args):
+                dropped = beaten_at(i, *args)
+                if dropped:
+                    ended.add(i)
+                return dropped
+
+            def spying_rows(g, out):
+                live = [i for i in range(len(weights)) if i not in ended]
+                assert live, g
+                assert any(weights[i, g] > 0 for i in live), g
+                assert made == reduced, g
+                made.append(g)
+                rows(g, out)
+
+            def spying_energy(g, planes):
+                reduced.append(g)
+                return energy(g, planes)
+
+            self.finish, self._beaten_at = ending_finish, dropping_beaten_at
+            real_stream(self, weights, masses, spying_rows, spying_energy, per_node)
+            assert made == reduced
+            assert ended == set(range(len(weights)))
+            streams.append((len(made), weights.shape[1]))
+
+        monkeypatch.setattr(norms._RadiusSweep, "stream", spying_stream)
+        run()
+        assert streams and all(made < count for made, count in streams), streams
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_raises(self, smooth32, params, bad):
@@ -1078,6 +1134,27 @@ def test_x_norm_of_huge_finite_data_is_homogeneous(grid16, params):
     assert np.isfinite(huge).all()
     assert (np.abs(huge - 1e306 * base) <= 1e-12 * 1e306 * base).all()
     assert np.array_equal(parts(2.0 ** 1016), np.ldexp(base, 1016))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_x_norm_overflowing_sum_of_finite_parts_raises(grid16, params, k):
+    # 5e307 (sin x1 + cos 2 x2): besov 1.0e308 and carleson 1.5e308 are
+    # finite, their sum is not; at 1e307 the sum is finite and homogeneous
+    times = np.linspace(0.0625, 1.0, 16)
+    unit = wellposedness_data(grid16)
+
+    def value(c):
+        return x_k_norm(Trajectory(times, tuple(c * unit for _ in times)), params, k).value
+
+    base = value(1.0)
+    huge = value(1e307)
+    assert math.isfinite(huge)
+    assert abs(huge - 1e307 * base) <= 1e-12 * 1e307 * base
+    with pytest.raises(NonFiniteError, match="value overflows"):
+        value(5e307)
+    if k == 0:
+        with pytest.raises(NonFiniteError, match="value overflows"):
+            x_norm(Trajectory(times, tuple(5e307 * unit for _ in times)), params)
 
 
 def amplitude_estimators(params):

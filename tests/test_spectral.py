@@ -120,11 +120,3 @@ def test_width_variants_equal_full_transforms(n, stack):
     assert got[..., :width].tobytes() == np.fft.rfft2(values)[..., :width].tobytes()
     assert got[..., width:].tobytes() == bytes(got[..., width:].nbytes)
 
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("rows", [1, 2, 3])
-def test_batch_count_fills_the_byte_budget(n, rows):
-    per = spectral.batch_count(n, rows)
-    item = rows * n * (n // 2 + 1) * 16
-    assert per == 1 or per * item <= spectral.CHUNK_BYTES
-    assert (per + 1) * item > spectral.CHUNK_BYTES
