@@ -1,7 +1,6 @@
 """The real-FFT spectral layer against the full-complex formulation it
 replaced, which each test keeps as its reference, and against
-``scipy.fft``, whose doubles it must reproduce.  N = 64 batches several
-planes per inverse call and N = 256 one plane per call."""
+``scipy.fft``, whose doubles it must reproduce."""
 import numpy as np
 import pytest
 import scipy.fft
@@ -120,3 +119,22 @@ def test_width_variants_equal_full_transforms(n, stack):
     assert got[..., :width].tobytes() == np.fft.rfft2(values)[..., :width].tobytes()
     assert got[..., width:].tobytes() == bytes(got[..., width:].nbytes)
 
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_node_at_a_time_inverse_equals_batched_inverse(n, rows):
+    """The Carleson stream writes each node's ``rows`` half spectra into one
+    held spectrum buffer and inverts them into one held plane buffer; node
+    by node, those planes are the bytes of one inverse of every node's
+    spectra stacked, as the batched inverse made them."""
+    nodes = 4
+    rng = np.random.default_rng(n + 10 * rows)
+    spectra = spectral.forward(rng.standard_normal((nodes, rows, n, n)))
+    want = np.fft.irfft2(spectra, s=(n, n))
+    specs = np.empty((rows, n, spectral.half_width(n)), dtype=complex)
+    planes = np.empty((rows, n, n))
+    for g in range(nodes):
+        np.copyto(specs, spectra[g])
+        assert spectral.inverse_into(specs, planes) is planes
+        assert planes.tobytes() == want[g].tobytes()
