@@ -36,6 +36,7 @@ from .sweep import (
     graded_times,
     mask_point_count,
     power_weight,
+    spectrum_box_sums,
     trajectory_weights,
 )
 
@@ -80,13 +81,17 @@ def _sweep_for(grid: GridSpec, sweep: "BoxSweepConfig | None") -> BoxSweepConfig
 #   relative: fields with all phases aligned exceed W by up to 2.5e-16 at
 #   N = 16, 64 and 256, and a delta, which attains every W_l, by 0.0.
 # * Carleson radii: an FFT box sum errs by about eps * log2(N^2) times the
-#   mass (the total) of its nonnegative density, and the Parseval masses and
-#   their sums by about eps * log2(N^2) of themselves.  The balls of radius
-#   L/2^m about the 4^(m+1) centers of its sublattice cover the torus, so a
-#   radius's bound is at least its density's mass over 4^(m+1), and relative
-#   to the bound the error is at most about eps * log2(N^2) * 4^(m+1):
-#   1.1e-11 at the deepest radius of N = 64 (m = 5), 2.3e-10 at N = 256
-#   (m = 7).
+#   mass (the total) of its nonnegative density, and the Parseval masses,
+#   the pointwise caps and their sums by about eps * log2(N^2) of
+#   themselves.  The balls of radius L/2^m about the 4^(m+1) centers of its
+#   sublattice cover the torus, so a ball's lattice point count c satisfies
+#   c * 4^(m+1) >= N^2.  A node's charge is its mass or c times its peak,
+#   and its mass is at most N^2 times its peak, so either is at least its
+#   mass over 4^(m+1); so is the max ball sum of a partial density.  A
+#   radius's bound is therefore at least its density's mass over 4^(m+1),
+#   and relative to the bound the error is at most about
+#   eps * log2(N^2) * 4^(m+1): 1.1e-11 at the deepest radius of N = 64
+#   (m = 5), 2.3e-10 at N = 256 (m = 7).
 # 1e-9 covers both.
 _BOUND_MARGIN = 1e-9
 
@@ -104,8 +109,9 @@ class _RadiusSweep:
     wins, the larger radius (lower index) on an exact tie.
 
     ``offer`` takes a radius's values on the grid, ``finish`` a radius's
-    density (``factors[i]`` times its ball sums), and ``stream`` streams the
-    nodes of per-radius densities and prunes radii that can no longer win."""
+    density (``factors[i]`` times its ball sums), ``charges`` bounds what
+    each node adds to a ball, and ``stream`` streams the nodes of per-radius
+    densities and prunes radii that can no longer win."""
 
     def __init__(self, grid: GridSpec, sweep: BoxSweepConfig, prefactors=None):
         self.grid = grid
@@ -126,6 +132,18 @@ class _RadiusSweep:
             raise NonFiniteError(f"density at radius {self.radii[i]!r} is not finite")
         self.offer(i, self.factors[i] * box_sums(density, self.grid, self.radii[i], "ball"))
 
+    def charges(self, masses, peaks) -> np.ndarray:
+        """The (radii x nodes) bounds on what node g's nonnegative energy
+        adds to any ball of radius i: the smaller of its total ``masses[g]``
+        and the ball's lattice point count times ``peaks[g]``, a bound on
+        the energy at every point.  The count is ``mask_point_count`` of the
+        mask that ``box_sums`` sums over, so the bound holds for every
+        lattice ball; a box sum with a real-valued kernel in place of the
+        indicator would need the kernel's l1 norm in place of the count.  A
+        NaN mass or peak gives a NaN charge, which never prunes."""
+        counts = [mask_point_count(self.grid, r, "ball") for r in self.radii]
+        return np.minimum(masses, np.multiply.outer(counts, peaks))
+
     def stream(self, weights: np.ndarray, masses, rows, energy, per_node: int) -> None:
         """Sup over the radii of the densities sum_g weights[i, g] * energy_g.
 
@@ -139,17 +157,21 @@ class _RadiusSweep:
         cells clip only at a radius's horizon), the unfinished radii hold
         one partial density instead of one each.
 
-        ``masses[g]`` bounds the total of energy_g.  Each time a radius
-        finishes, an unfinished radius i is dropped when ``_beaten`` holds for
+        ``masses[i, g]`` bounds the sum of energy_g over any ball of radius
+        i (``charges``); a 1-D ``masses[g]``, the total of energy_g, serves
+        every radius.  Each time a radius finishes, an unfinished radius i
+        is dropped when ``_beaten`` holds for
 
             factors[i] * (max over i's centers of the ball sums of its
                           partial density + sum over its later nodes of
-                          weight * mass)
+                          weight * masses[i, g])
 
-        which bounds its value, since the densities are nonnegative and a
-        ball holds at most the whole torus.  The transform-free bound with
-        the partial density's mass in place of its ball sums is tried first.
-        A dropped radius is strictly below the final maximum, so the value and
+        which bounds its value, since the densities are nonnegative.  The
+        transform-free bound with the sum over all of i's nodes in place of
+        the ball sums is tried first.  When the unfinished radii share one
+        partial density, it is forward-transformed at most once per round,
+        and each ball-sum bound multiplies and inverts that spectrum.  A
+        dropped radius is strictly below the final maximum, so the value and
         box are those of the exhaustive sweep bit for bit.
 
         A node is made only if an unfinished radius holds it, and the stream
@@ -196,41 +218,68 @@ class _RadiusSweep:
             if shared and unfinished:
                 common += np.multiply(e, table[unfinished[0]][g], out=scratch)
             if ending:
+                made = []       # the shared partial density's spectrum, this round
+
+                def spectrum(i):
+                    if not shared:
+                        return spectral.forward(densities[i]) if i in densities else None
+                    if not made:
+                        made.append(spectral.forward(common))
+                    return made[0]
+
                 for i in list(unfinished):
-                    partial = common if shared else densities.get(i)
-                    if self._beaten_at(i, partial, totals[i], tails[i, g]):
+                    if self._beaten_at(i, spectrum, totals[i], tails[i, g]):
                         unfinished.remove(i)
                         densities.pop(i, None)
 
-    def _beaten_at(self, i, partial, total, tail) -> bool:
-        """Whether radius i, with partial density ``partial`` (None before
-        its first node) and ``tail`` still to come, can no longer win."""
+    def _beaten_at(self, i, spectrum, total, tail) -> bool:
+        """Whether radius i can no longer win, with ``total`` bounding the
+        ball sums of its whole density and ``tail`` those of its nodes still
+        to come.  ``spectrum(i)``, asked only when ``total`` does not drop
+        the radius, is the half spectrum of its partial density, or None
+        before its first node."""
         if _beaten(self.factors[i] * total, self.best):
             return True
-        if partial is None:
+        spec = spectrum(i)
+        if spec is None:
             return False
-        reach = best_center(box_sums(partial, self.grid, self.radii[i], "ball"),
+        reach = best_center(spectrum_box_sums(spec, self.grid, self.radii[i], "ball"),
                             self.grid, self.strides[i])[0]
         return _beaten(self.factors[i] * (reach + tail), self.best)
 
 
 # -- dyadic block norms -------------------------------------------------------
 
-def _block_masks(grid: GridSpec) -> list[np.ndarray]:
-    """Half-spectrum annulus masks of the dyadic levels, in level order."""
-    return [spectral.half(ops._annulus_mask(grid, level)) for level in ops.block_levels(grid)]
+@lru_cache(maxsize=16)
+def _block_masks(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Half-spectrum annulus masks of the dyadic levels, in level order;
+    read-only."""
+    return tuple(spectral.half(ops._annulus_mask(grid, level))
+                 for level in ops.block_levels(grid))
 
 
-def _spectrum_block_sups(spec: np.ndarray, masks: list[np.ndarray], n: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _block_widths(grid: GridSpec) -> tuple[int, ...]:
+    """Columns k2 < width that each block of ``_block_masks`` lives in, in
+    level order: at L = 2 pi, 2^(l+1) for level l, up to N/2 + 1 (2, 4, 8,
+    16, 32 and 33 at N = 64)."""
+    return tuple(int(np.flatnonzero(mask.any(axis=0))[-1]) + 1 for mask in _block_masks(grid))
+
+
+def _spectrum_block_sups(spec: np.ndarray, masks, n: int, widths=None) -> np.ndarray:
     """Sup norm of the block of a half spectrum under each of ``masks``, in
-    order, each block inverted in place in one held block/plane pair."""
+    order, each block inverted in place in one held block/plane pair.
+
+    With ``widths`` (``_block_widths``), block j's column stage runs on its
+    ``widths[j]`` columns only, since the others are zero: a pruned inverse,
+    whose planes are the full inverse's doubles (``spectral``)."""
     block = np.empty((n, spectral.half_width(n)), dtype=complex)
     plane = np.empty((n, n))
     sups = np.empty(len(masks))
     for j, mask in enumerate(masks):
         block.fill(0.0)
         np.copyto(block, spec, where=mask)
-        done = spectral.inverse_into(block, plane)
+        done = spectral.inverse_into(block, plane, None if widths is None else widths[j])
         sups[j] = np.abs(done, out=done).max()
     return sups
 
@@ -248,7 +297,7 @@ def _block_index(grid: GridSpec) -> np.ndarray:
     return index
 
 
-def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
+def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks,
                       weight: float, best: float) -> "np.ndarray | None":
     """``_spectrum_block_sups`` of ``spec``, or None once ``weight`` times
     its block sum can no longer reach ``best``.
@@ -259,10 +308,12 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
     each the node is abandoned when ``_beaten`` holds for
     weight * (sum of the sups made + sum of the W_l still to come).  When
     no value can be beaten, as for the first node visited, no W_l is
-    summed.  Each block's sup is the same double in either order."""
+    summed.  Each block is inverted on its ``_block_widths`` columns, and
+    its sup is the same double in either order."""
     n = grid.n
+    widths = _block_widths(grid)
     if not _beaten(0.0, best):
-        return _spectrum_block_sups(spec, masks, n)
+        return _spectrum_block_sups(spec, masks, n, widths)
     mags = np.abs(spec)
     mags *= _column_weights(n) / (n * n)
     wiener = np.bincount(_block_index(grid).ravel(), mags.ravel(), len(masks) + 1)[:-1]
@@ -273,7 +324,7 @@ def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks: list[np.ndarray],
     for l, rest in zip(order, to_come):
         if _beaten(weight * (reached + rest), best):
             return None
-        sups[l] = _spectrum_block_sups(spec, [masks[l]], n)[0]
+        sups[l] = _spectrum_block_sups(spec, [masks[l]], n, [widths[l]])[0]
         reached += sups[l]
     return sups
 
@@ -367,10 +418,13 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, alpha: float,
     every radius holding it with that radius's weight (``_RadiusSweep``).
     A radius is box-summed, and its density dropped, once its last node is
     in.  Node s's energy totals sum_half colw e^(-2 s lam) |grad f^|^2 / N^2
-    (Parseval, ``_caloric_measures``), so once a radius is in, a radius
-    whose bound cannot beat it is dropped, and nodes that only dropped
-    radii hold are never made; the value and box are the exhaustive
-    sweep's.
+    (Parseval), and at each point it is at most W_s^2, with
+    W_s = sum_half colw e^(-s lam) |grad| |f^| / N^2 its gradient's Wiener
+    sum (both from ``_caloric_measures``), so a ball of c lattice points
+    holds at most the smaller of the total and c W_s^2
+    (``_RadiusSweep.charges``).  Once a radius is in, a radius whose bound
+    cannot beat it is dropped, and nodes that only dropped radii hold are
+    never made; the value and box are the exhaustive sweep's.
 
     The decay plane e^(-s lam) of node g is row g of the node table, over
     the rate levels of ``operators._rate_levels``, gathered onto the modes
@@ -387,6 +441,7 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, alpha: float,
     im1, im2, magnitude = _gradient_symbols(grid)
     measures = _caloric_measures(magnitude * np.abs(spec), grid, beta, table, squares)
     masses = [math.ldexp(q, 2 * e) for _, e, q in measures]
+    peaks = [w * w for w, _, _ in measures]
     ispec = 1j * spec
     decay = np.empty(index.shape)
 
@@ -403,7 +458,7 @@ def _ladder_sweep(f: RealField, sweep: BoxSweepConfig, alpha: float,
         return e
 
     search = _RadiusSweep(grid, sweep, prefactors)
-    search.stream(weights, masses, gradients, energy, 2)
+    search.stream(weights, search.charges(masses, peaks), gradients, energy, 2)
     return unscaled(math.sqrt(max(search.best, 0.0)), scale), search.box
 
 
@@ -513,7 +568,7 @@ def _caloric_measures(spec: np.ndarray, grid: GridSpec, beta: float, table: np.n
     return [(math.ldexp(w, scale), scale, q) for w, q in zip(bounds, sums)]
 
 
-def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
+def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses, peaks):
     """Carleson part times 2^-scale, its box and the partial-coverage flag,
     from planes scaled by 2^-scale: each node's snapshot row is scaled as it
     is copied into the held spectrum buffer, and its Riesz rows are products
@@ -525,9 +580,9 @@ def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
     Carleson density per swept radius, with exact trajectory-cell weights
     for t^(-alpha/beta).  Cells clip only at a radius's last node, so the
     unfinished radii share one partial density.  ``masses[m]`` bounds node
-    m's energy total in the same scaled units; radii that can no longer win
-    are dropped, and nodes that only they hold are not streamed
-    (``_RadiusSweep.stream``)."""
+    m's energy total and ``peaks[m]`` its energy at each point, in the same
+    scaled units; radii that can no longer win are dropped, and nodes that
+    only they hold are not streamed (``_RadiusSweep.stream``)."""
     a, b = params.alpha, params.beta
     carleson_weight = k / b          # (t^(k/(2b)))^2 inside the square
     factor = math.ldexp(1.0, -scale)
@@ -551,7 +606,8 @@ def _carleson_pass(times, spectrum, grid, params, k, sweep, scale, masses):
         return e
 
     search = _RadiusSweep(grid, sweep, [r ** (2 * a + 2 * b - 4) for r in radii])
-    search.stream(np.array([w for w, _ in cells]), masses, rows, energy, 3)
+    search.stream(np.array([w for w, _ in cells]), search.charges(masses, peaks),
+                  rows, energy, 3)
     return math.sqrt(max(search.best, 0.0)), search.box, any(flag for _, flag in cells)
 
 
@@ -572,7 +628,9 @@ def _solution_parts(
     * Measures, before any plane.  One |f^| pass per node gives its Wiener
       bound W and its sum of squares (``_spectrum_measures``), unless the
       caller passes them as ``measures``.  The energy total of node m is at
-      most 2 t_m^(k/b) times its sum of squares, since |R1|^2 + |R2|^2 <= 1.
+      most 2 t_m^(k/b) times its sum of squares, since |R1|^2 + |R2|^2 <= 1,
+      and its energy at each point at most 2 t_m^(k/b) W^2, since |f| <= W
+      and |(R1 f, R2 f)| <= W, the Riesz symbol pair having length <= 1.
       One binary exponent e (``fields.binary_exponent``) of the largest W is
       fixed here: both passes run on spectra scaled by 2^-e and both parts
       are scaled back by 2^(e + outer), all exact, so neither the squares
@@ -582,7 +640,9 @@ def _solution_parts(
     * Carleson pass (``_carleson_pass``): streamed nodes in ascending time,
       each an identity row and two Riesz rows inverted in place, reduced
       as they arrive; radii whose bound cannot beat the best finished one
-      are dropped, and streaming stops once no radius is unfinished.  The
+      are dropped, and streaming stops once no radius is unfinished.  A
+      node's share of a radius's bound is the smaller of its energy total
+      and the radius's ball point count times its pointwise cap.  The
       value and box are those of the exhaustive sweep, bit for bit.
     * Besov pass.  With w = (2b - 1 + k)/(2b), nodes are visited by
       descending bound t^w W >= t^w sum_l sup |P_l f|, ties in ascending
@@ -609,10 +669,11 @@ def _solution_parts(
         raise NonFiniteError("a trajectory node is not finite")
     scale = binary_exponent(l1.max())
     factor = math.ldexp(1.0, -scale)
-    masses = 2 * times ** (k / b) * np.array(
-        [math.ldexp(q, 2 * (e - scale)) for _, e, q in measures])
+    growth = 2 * times ** (k / b)
+    masses = growth * np.array([math.ldexp(q, 2 * (e - scale)) for _, e, q in measures])
+    peaks = growth * np.square(l1 * factor)
     carleson, box, partial = _carleson_pass(
-        times, spectrum, grid, params, k, sweep, scale, masses)
+        times, spectrum, grid, params, k, sweep, scale, masses, peaks)
     sup_weight = (2 * b - 1 + k) / (2 * b)
     masks = _block_masks(grid)
     besov = -1.0

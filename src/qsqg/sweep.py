@@ -33,9 +33,11 @@ leaves the density of every existing radius unchanged, bit for bit.
 
 Sweeps skip work that cannot change their answer (``norms._RadiusSweep``).
 Nodes go in ascending time, and each time a radius is finished, a radius
-whose upper bound (the ball sums of its partial density plus the total
-energy of its nodes still to come) falls below the best finished value is
-dropped; nodes that only dropped radii hold are never made.  A dropped
+whose upper bound falls below the best finished value is dropped: the ball
+sums of its partial density plus, for each node still to come, the smaller
+of its total energy and the ball's lattice point count
+(``mask_point_count``) times its energy's pointwise bound.  Nodes that
+only dropped radii hold are never made.  A dropped
 radius lies strictly below the reported supremum, so pruning keeps the
 certified lower bound and the supremum, value and box, bit for bit.
 """
@@ -104,33 +106,43 @@ class BoxSweepConfig:
 
 # -- indicator masks and box sums ---------------------------------------------
 
-@lru_cache(maxsize=256)
-def _mask_spectrum(grid: GridSpec, radius: float, kind: str) -> np.ndarray:
-    """Half spectrum of the ball/cube indicator centered at the origin."""
+def _mask(grid: GridSpec, radius: float, kind: str) -> np.ndarray:
+    """Boolean indicator of the ball/cube centered at the origin."""
     d = grid.signed_coords
     d1, d2 = np.meshgrid(d, d, indexing="ij")
     if kind == "ball":
-        mask = (d1 * d1 + d2 * d2) < radius * radius
-    elif kind == "cube":
-        mask = (np.abs(d1) < radius) & (np.abs(d2) < radius)
-    else:
-        raise ValueError(f"unknown mask kind {kind!r}")
-    spec = spectral.forward(mask.astype(float))
+        return (d1 * d1 + d2 * d2) < radius * radius
+    if kind == "cube":
+        return (np.abs(d1) < radius) & (np.abs(d2) < radius)
+    raise ValueError(f"unknown mask kind {kind!r}")
+
+
+@lru_cache(maxsize=256)
+def _mask_spectrum(grid: GridSpec, radius: float, kind: str) -> np.ndarray:
+    """Half spectrum of the ball/cube indicator centered at the origin."""
+    spec = spectral.forward(_mask(grid, radius, kind).astype(float))
     spec.setflags(write=False)
     return spec
 
 
 @lru_cache(maxsize=256)
 def mask_point_count(grid: GridSpec, radius: float, kind: str) -> int:
-    spec = _mask_spectrum(grid, radius, kind)
-    return int(round(spec[0, 0].real))
+    """Lattice points of the ball/cube that ``box_sums`` sums over, counted
+    on the indicator itself, so no spectrum is made or cached."""
+    return int(np.count_nonzero(_mask(grid, radius, kind)))
 
 
 def box_sums(values: np.ndarray, grid: GridSpec, radius: float, kind: str) -> np.ndarray:
     """Circular convolution of ``values`` with the indicator of the ball/cube:
     entry (i, j) is the plain sum of ``values`` over the box centered there."""
-    spec = spectral.forward(values) * _mask_spectrum(grid, radius, kind)
-    return spectral.inverse(spec, grid.n)
+    return spectrum_box_sums(spectral.forward(values), grid, radius, kind)
+
+
+def spectrum_box_sums(spec: np.ndarray, grid: GridSpec, radius: float,
+                      kind: str) -> np.ndarray:
+    """``box_sums`` of the plane whose half spectrum is ``spec``, which is
+    left unchanged, so one forward transform serves several radii."""
+    return spectral.inverse(spec * _mask_spectrum(grid, radius, kind), grid.n)
 
 
 def best_center(vals: np.ndarray, grid: GridSpec, stride: int) -> tuple[float, tuple[float, float]]:

@@ -67,9 +67,9 @@ def count_inverse_planes(monkeypatch) -> list[int]:
         planes.append(int(np.prod(spec.shape[:-2])))
         return inverse(spec, n)
 
-    def counting_inverse_into(spec, out):
+    def counting_inverse_into(spec, out, width=None):
         planes.append(int(np.prod(spec.shape[:-2])))
-        return inverse_into(spec, out)
+        return inverse_into(spec, out, width)
 
     monkeypatch.setattr(spectral, "inverse", counting_inverse)
     monkeypatch.setattr(spectral, "inverse_into", counting_inverse_into)
@@ -322,6 +322,32 @@ class TestLadderSweep:
         # unpruned: every node's gradient planes, then one box sum per radius
         assert sum(counted) == planes + radii
 
+    @pytest.mark.parametrize("a,b,nodes,more", [
+        (0.25, 0.75, 15, 6),    # shift of 6 nodes
+        (0.3, 0.8, 25, 13),     # nothing shared
+    ])
+    def test_pointwise_cap_drops_radii_the_mass_bound_keeps(self, grid64, monkeypatch, a, b,
+                                                            nodes, more):
+        # cos(3 x1 - 5 x2) spreads its gradient energy over the torus: a ball
+        # of radius L/16 has 45 lattice points and holds at most 45 |k|^2
+        # of each node's energy, about 1/45 of its total N^2 |k|^2 / 2.
+        # Once radius L/32 finishes at its last node, the capped
+        # transform-free bound drops every other radius: the smallest
+        # radius's nodes' gradient planes, then one box sum.
+        f = field_from_function(grid64, lambda x1, x2: np.cos(3 * x1 - 5 * x2))
+        params, sweep = SpaceParams(a, b), BoxSweepConfig(5)
+        counted = count_inverse_planes(monkeypatch)
+        report = q_norm_semigroup(f, params, sweep)
+        assert counted == [2] * nodes + [1]
+        assert (report.value, report.attaining_box) == shared_ladder_oracle(f, params, sweep)
+        # With each node charged its total alone, radii L/8 and L/16 survive
+        # their ball-sum bounds: ``more`` nodes until L/16 finishes, its box
+        # sum, and a last ball-sum bound that drops L/8.
+        counted.clear()
+        monkeypatch.setattr(norms._RadiusSweep, "charges", lambda self, masses, peaks: masses)
+        assert q_norm_semigroup(f, params, sweep) == report
+        assert counted == [2] * nodes + [1] * 3 + [2] * more + [1] * 2
+
     @pytest.mark.parametrize("n,kib", [(64, 1285), (128, 2168)])
     def test_traced_peak_of_one_call(self, n, kib):
         # at or below the peak of the chunked-inverse stream this replaced,
@@ -481,13 +507,14 @@ class TestTrajectoryNorms:
 
     def test_xk_transforms_each_snapshot_once(self, grid32, params, monkeypatch):
         # at k >= 1 the snapshot spectra are held for all k + 1 multi-indices
-        # and both passes: one forward transform per snapshot, and one per
-        # box sum
+        # and both passes: one forward transform per snapshot, one per box
+        # sum, and one per partial density whose ball sums bound a radius
         f = field_from_function(grid32, lambda x1, x2: np.sin(x1) + 0.3 * np.cos(2 * x2 - x1))
         traj = linear_flow(f, TimeGrid(1.0, 32), params)
         x_k_norm(traj, params, 2)   # fills the mask-spectrum caches
-        forwards, sums = [], []
+        forwards, sums, bounded = [], [], []
         forward, real_box_sums = spectral.forward, norms.box_sums
+        real_spectrum_box_sums = norms.spectrum_box_sums
 
         def counting_forward(values):
             forwards.append(values.shape)
@@ -497,11 +524,17 @@ class TestTrajectoryNorms:
             sums.append(args[2])
             return real_box_sums(*args)
 
+        def counting_spectrum_box_sums(spec, *args):
+            bounded.append(spec)   # held, so distinct spectra keep distinct ids
+            return real_spectrum_box_sums(spec, *args)
+
         monkeypatch.setattr(spectral, "forward", counting_forward)
         monkeypatch.setattr(norms, "box_sums", counting_box_sums)
+        monkeypatch.setattr(norms, "spectrum_box_sums", counting_spectrum_box_sums)
         x_k_norm(traj, params, 2)
         assert forwards.count((32, 32)) == len(forwards)
-        assert len(forwards) == len(traj) + len(sums)
+        spectra = len({id(spec) for spec in bounded})
+        assert len(forwards) == len(traj) + len(sums) + spectra
 
     def test_x_norm_peak_does_not_grow_with_node_count(self, grid64, params):
         # the snapshot spectra are made when read, not held: 32 nodes peak
@@ -753,6 +786,63 @@ class TestBesovPruning:
                 reach = best_center(box_sums(energy, grid, r, "ball"), grid, stride)[0]
                 assert value <= (reach + later_mass) * (1 + norms._BOUND_MARGIN), (n, head, r)
                 assert value <= (mass + later_mass) * (1 + norms._BOUND_MARGIN), (n, head, r)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_pointwise_cap_bounds_every_ball_sum(self, n):
+        # What a node adds to a ball of radius r is at most the ball's point
+        # count times the node's pointwise cap (``_RadiusSweep.charges``):
+        # 2 W^2 for the energy |f|^2 + |R1 f|^2 + |R2 f|^2 of the trajectory
+        # norms, with W the Wiener sum, and W_grad^2 for the Q ladder's
+        # gradient energy.  Checked at every center, on corpus fields, a
+        # single mode, and a field with all phases aligned (max |f| = W).
+        grid = GridSpec(n, L)
+        sweep = BoxSweepConfig({16: 3, 64: 5, 256: 7}[n])   # the deepest sweep
+        search = norms._RadiusSweep(grid, sweep)
+        r1 = ops._half_symbol(ops.riesz_symbol, grid, 1)
+        r2 = ops._half_symbol(ops.riesz_symbol, grid, 2)
+        im1, im2, magnitude = norms._gradient_symbols(grid)
+        times = np.array([0.0, 0.05])
+        table, squares = norms._node_tables(grid, 0.75, times)
+        level_of = ops._rate_levels(grid, 0.75)[1]
+        rng = np.random.default_rng(8199 + n)
+        fields = {f"corpus{j}": g.values
+                  for j, g in enumerate(band_limited_corpus(grid, 2, n // 8 - 1, seed=8191))}
+        fields["mode"] = field_from_function(grid, lambda x1, x2: np.cos(3 * x1 - 5 * x2)).values
+        fields["aligned"] = spectral.inverse(np.abs(spectral.forward(rng.standard_normal((n, n)))), n)
+        for kind, v in fields.items():
+            spec = spectral.forward(v - v.mean())
+            wiener = norms._spectrum_measures(spec, n)[0]
+            if kind == "aligned":
+                assert np.abs(v - v.mean()).max() == pytest.approx(wiener, rel=1e-13)
+            planes = spectral.inverse(np.stack([spec, r1 * spec, r2 * spec]), n)
+            energies = [(np.square(planes).sum(axis=0), 2 * wiener ** 2)]
+            measures = norms._caloric_measures(magnitude * np.abs(spec), grid, 0.75, table, squares)
+            for g, (w_grad, _, _) in enumerate(measures):
+                decayed = 1j * table[g].take(level_of) * spec
+                grads = spectral.inverse(np.stack([decayed * im1, decayed * im2]), n)
+                energies.append((np.square(grads).sum(axis=0), w_grad ** 2))
+            for energy, peak in energies:
+                caps = search.charges(np.inf, [peak])[:, 0]
+                for r, cap in zip(search.radii, caps):
+                    reach = box_sums(energy, grid, r, "ball").max()
+                    assert reach <= cap * (1 + norms._BOUND_MARGIN), (n, kind, r)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_narrow_block_inverses_equal_full_inverses(self, n):
+        # each block is inverted on the columns it lives in, with the
+        # full-width inverse's sups, double for double
+        grid = GridSpec(n, L)
+        masks, widths = norms._block_masks(grid), norms._block_widths(grid)
+        for mask, width in zip(masks, widths):
+            assert mask[:, width - 1].any() and not mask[:, width:].any()
+        if n == 64:
+            assert widths == (2, 4, 8, 16, 32, 33)
+        rng = np.random.default_rng(8197 + n)
+        for kind, v in self.bound_cases(n, rng).items():
+            spec = spectral.forward(v - v.mean())
+            full = norms._spectrum_block_sups(spec, masks, n)
+            narrow = norms._spectrum_block_sups(spec, masks, n, widths)
+            assert (narrow == full).all(), (n, kind)
 
     def test_exact_tie_keeps_the_larger_radius(self, grid32, params):
         search = norms._RadiusSweep(grid32, BoxSweepConfig())
@@ -1014,13 +1104,16 @@ class TestBesovPruning:
     def test_x_norm_forwards_each_snapshot_when_read(self, monkeypatch):
         # no snapshot spectrum is held: one forward transform per snapshot
         # for the measures, one per node that the Carleson stream reads
-        # (27 of 32) or the Besov pass visits (1), and one per box sum
+        # (27 of 32) or the Besov pass visits (1), one per box sum (radius
+        # L/8 finishes), and one for the partial density whose ball sums
+        # drop radius L/4 (L/2 falls to its transform-free bound)
         cfg = ExperimentConfig()
         traj, _ = picard_solve(1e-3 * wellposedness_data(cfg.grid), cfg.params,
                                cfg.solver_config())
         x_norm(traj, cfg.params, cfg.sweep)   # fills the mask-spectrum caches
-        forwards, sums = [], []
+        forwards, sums, bounded = [], [], []
         forward, real_box_sums = spectral.forward, norms.box_sums
+        real_spectrum_box_sums = norms.spectrum_box_sums
 
         def counting_forward(values):
             forwards.append(values.shape)
@@ -1030,11 +1123,16 @@ class TestBesovPruning:
             sums.append(args[2])
             return real_box_sums(*args)
 
+        def counting_spectrum_box_sums(spec, *args):
+            bounded.append(args[1])
+            return real_spectrum_box_sums(spec, *args)
+
         monkeypatch.setattr(spectral, "forward", counting_forward)
         monkeypatch.setattr(norms, "box_sums", counting_box_sums)
+        monkeypatch.setattr(norms, "spectrum_box_sums", counting_spectrum_box_sums)
         x_norm(traj, cfg.params, cfg.sweep)
-        assert len(sums) == 2
-        assert len(forwards) == len(traj) + 27 + 1 + len(sums) == 62
+        assert sums == [L / 8] and bounded == [L / 4]
+        assert len(forwards) == len(traj) + 27 + 1 + len(sums) + 1 == 62
 
     @pytest.mark.parametrize("kind", ["x", "caloric", "q"])
     def test_stream_makes_only_nodes_an_unfinished_radius_holds(self, corpus32, params,

@@ -4,11 +4,13 @@ from scipy.integrate import quad
 
 from qsqg import BoxSweepConfig, CarlesonBox, GridSpec
 from qsqg.sweep import (
+    _mask_spectrum,
     best_center,
     box_sums,
     geometric_ladder,
     mask_point_count,
     power_weight,
+    spectrum_box_sums,
     trajectory_weights,
 )
 
@@ -65,6 +67,26 @@ class TestBoxSums:
     def test_point_count(self, grid16):
         # cube of half-edge L/4 on N=16: offsets -3..3 per axis
         assert mask_point_count(grid16, L / 4, "cube") == 49
+
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("kind", ["ball", "cube"])
+    def test_point_count_is_the_mask_spectrum_dc_term(self, n, kind):
+        # counted on the indicator: the DC term of the spectrum box_sums uses,
+        # at every radius the deepest sweep of the grid has
+        grid = GridSpec(n, L)
+        radii = BoxSweepConfig(int(np.log2(n)) - 1).radii(grid)
+        for r in radii:
+            assert mask_point_count(grid, r, kind) == round(_mask_spectrum(grid, r, kind)[0, 0].real)
+
+    def test_spectrum_box_sums_are_box_sums(self, grid16):
+        vals = np.random.default_rng(6).standard_normal((16, 16))
+        spec = np.fft.rfft2(vals)
+        kept = spec.copy()
+        for r in (L / 2, L / 4, L / 8):
+            got = spectrum_box_sums(spec, grid16, r, "ball")
+            assert got.tobytes() == box_sums(vals, grid16, r, "ball").tobytes()
+        assert spec.tobytes() == kept.tobytes()   # one spectrum serves every radius
 
 
 class TestBestCenter:
