@@ -319,9 +319,6 @@ class Trajectory:
         self._check(other)
         return Trajectory(self.times, tuple(a - b for a, b in zip(self.snapshots, other.snapshots)))
 
-    def scaled(self, factor: float) -> "Trajectory":
-        return Trajectory(self.times, tuple(s * factor for s in self.snapshots))
-
 
 # -- field file format -----------------------------------------------------
 #

@@ -30,13 +30,13 @@ from .operators import _rate_levels
 from .sweep import (
     BoxSweepConfig,
     CarlesonBox,
-    best_center,
+    _RadiusSweep,
+    _beaten,
     box_sums,
     geometric_ladder,
     graded_times,
     mask_point_count,
     power_weight,
-    spectrum_box_sums,
     trajectory_weights,
 )
 
@@ -68,220 +68,20 @@ def _sweep_for(grid: GridSpec, sweep: "BoxSweepConfig | None") -> BoxSweepConfig
     return sweep
 
 
-# -- radius sweeps -------------------------------------------------------------
-
-# Bound pruning skips work only when an upper bound, widened by this relative
-# margin, is below the running maximum.  The bounds hold in exact arithmetic;
-# what they must dominate are computed values.
-# * Besov pass: block l's Wiener sum W_l, the colw-weighted l1 norm of its
-#   coefficients over N^2, bounds its sup, and the W_l of a node sum to its
-#   bound W.  The real inverse FFT errs by about eps * log2(N) times W_l and
-#   the sums by about eps * log2(N^2), so a computed block sup, or a node's
-#   sups so far plus its remaining W_l, can exceed the exact bound by ~1e-15
-#   relative: fields with all phases aligned exceed W by up to 2.5e-16 at
-#   N = 16, 64 and 256, and a delta, which attains every W_l, by 0.0.
-# * Carleson radii: an FFT box sum errs by about eps * log2(N^2) times the
-#   mass (the total) of its nonnegative density, and the Parseval masses,
-#   the pointwise caps and their sums by about eps * log2(N^2) of
-#   themselves.  The balls of radius L/2^m about the 4^(m+1) centers of its
-#   sublattice cover the torus, so a ball's lattice point count c satisfies
-#   c * 4^(m+1) >= N^2.  A node's charge is its mass or c times its peak,
-#   and its mass is at most N^2 times its peak, so either is at least its
-#   mass over 4^(m+1); so is the max ball sum of a partial density.  A
-#   radius's bound is therefore at least its density's mass over 4^(m+1),
-#   and relative to the bound the error is at most about
-#   eps * log2(N^2) * 4^(m+1): 1.1e-11 at the deepest radius of N = 64
-#   (m = 5), 2.3e-10 at N = 256 (m = 7).
-# 1e-9 covers both.
-_BOUND_MARGIN = 1e-9
-
-
-def _beaten(bound: float, best: float) -> bool:
-    """Whether ``bound`` widened by _BOUND_MARGIN is below ``best``; False
-    whenever either is NaN, so a NaN never prunes."""
-    return bound * (1 + _BOUND_MARGIN) < best
-
-
-class _RadiusSweep:
-    """Running supremum over the radii of a sweep with the exhaustive loop's
-    answer: radius i's value is the maximum over its center sublattice, the
-    box its first attaining center in row-major order, and the largest value
-    wins, the larger radius (lower index) on an exact tie.
-
-    ``offer`` takes a radius's values on the grid, ``finish`` a radius's
-    density (``factors[i]`` times its ball sums), ``charges`` bounds what
-    each node adds to a ball, and ``stream`` streams the nodes of per-radius
-    densities and prunes radii that can no longer win."""
-
-    def __init__(self, grid: GridSpec, sweep: BoxSweepConfig, prefactors=None):
-        self.grid = grid
-        self.radii = sweep.radii(grid)
-        self.strides = [sweep.stride(grid, i) for i in range(1, len(self.radii) + 1)]
-        self.factors = [p * grid.cell_area for p in prefactors] if prefactors else None
-        self.best, self.box, self.index = -1.0, None, len(self.radii)
-
-    def offer(self, i: int, vals: np.ndarray) -> None:
-        val, center = best_center(vals, self.grid, self.strides[i])
-        if not math.isfinite(val):
-            raise NonFiniteError(f"box value at radius {self.radii[i]!r} is not finite")
-        if val > self.best or (val == self.best and i < self.index):
-            self.best, self.box, self.index = val, CarlesonBox(center, self.radii[i]), i
-
-    def finish(self, i: int, density: np.ndarray) -> None:
-        if not np.isfinite(density).all():
-            raise NonFiniteError(f"density at radius {self.radii[i]!r} is not finite")
-        self.offer(i, self.factors[i] * box_sums(density, self.grid, self.radii[i], "ball"))
-
-    def charges(self, masses, peaks) -> np.ndarray:
-        """The (radii x nodes) bounds on what node g's nonnegative energy
-        adds to any ball of radius i: the smaller of its total ``masses[g]``
-        and the ball's lattice point count times ``peaks[g]``, a bound on
-        the energy at every point.  The count is ``mask_point_count`` of the
-        mask that ``box_sums`` sums over, so the bound holds for every
-        lattice ball; a box sum with a real-valued kernel in place of the
-        indicator would need the kernel's l1 norm in place of the count.  A
-        NaN mass or peak gives a NaN charge, which never prunes."""
-        counts = [mask_point_count(self.grid, r, "ball") for r in self.radii]
-        return np.minimum(masses, np.multiply.outer(counts, peaks))
-
-    def stream(self, weights: np.ndarray, masses, rows, energy, per_node: int) -> None:
-        """Sup over the radii of the densities sum_g weights[i, g] * energy_g.
-
-        Nodes g go in ascending order, one at a time: ``rows(g, out)``
-        writes node g's ``per_node`` half spectra into ``out``, they are
-        inverted in place (``spectral.inverse_into``), and
-        ``energy(g, planes)`` reduces node g's planes, in place, to its
-        nonnegative energy.  A radius is finished, and its density dropped,
-        once its last node (nonzero weight) is in.  When every radius weighs
-        each node before its last as the largest radius does (trajectory
-        cells clip only at a radius's horizon), the unfinished radii hold
-        one partial density instead of one each.
-
-        ``masses[i, g]`` bounds the sum of energy_g over any ball of radius
-        i (``charges``); a 1-D ``masses[g]``, the total of energy_g, serves
-        every radius.  Each time a radius finishes, an unfinished radius i
-        is dropped when ``_beaten`` holds for
-
-            factors[i] * (max over i's centers of the ball sums of its
-                          partial density + sum over its later nodes of
-                          weight * masses[i, g])
-
-        which bounds its value, since the densities are nonnegative.  The
-        transform-free bound with the sum over all of i's nodes in place of
-        the ball sums is tried first.  When the unfinished radii share one
-        partial density, it is forward-transformed at most once per round,
-        and each ball-sum bound multiplies and inverts that spectrum.  A
-        dropped radius is strictly below the final maximum, so the value and
-        box are those of the exhaustive sweep bit for bit.
-
-        A node is made only if an unfinished radius holds it, and the stream
-        stops once every radius is finished or dropped.  The spectrum and
-        plane buffers of one node and the one scratch plane that takes each
-        weight * energy are allocated once per call."""
-        n = self.grid.n
-        last = [int(np.flatnonzero(row)[-1]) for row in weights]
-        shared = all((row[:end] == weights[0, :end]).all() for row, end in zip(weights, last))
-        table = weights.tolist()
-        unfinished = list(range(len(self.radii)))
-        after = np.cumsum((weights * np.asarray(masses))[:, ::-1], axis=1)[:, ::-1]
-        tails = np.concatenate([after[:, 1:], np.zeros((len(last), 1))], axis=1)
-        totals = after[:, 0]
-        densities = {}      # radius -> partial density (not shared)
-        common = np.zeros((n, n)) if shared else None
-        specs = np.empty((per_node, n, spectral.half_width(n)), dtype=complex)
-        planes = np.empty((per_node, n, n))
-        scratch = np.empty((n, n))
-        for g in range(weights.shape[1]):
-            if not unfinished:
-                break
-            if not any(table[i][g] > 0 for i in unfinished):
-                continue
-            rows(g, specs)
-            e = energy(g, spectral.inverse_into(specs, planes))
-            ending = [i for i in unfinished if last[i] == g]
-            if shared:
-                for i in ending:
-                    final = np.multiply(e, table[i][g], out=scratch)
-                    final += common
-                    self.finish(i, final)
-            else:
-                for i in unfinished:
-                    w = table[i][g]
-                    if w > 0:
-                        if i in densities:
-                            densities[i] += np.multiply(e, w, out=scratch)
-                        else:
-                            densities[i] = e * w
-                for i in ending:
-                    self.finish(i, densities.pop(i))
-            unfinished = [i for i in unfinished if last[i] != g]
-            if shared and unfinished:
-                common += np.multiply(e, table[unfinished[0]][g], out=scratch)
-            if ending:
-                made = []       # the shared partial density's spectrum, this round
-
-                def spectrum(i):
-                    if not shared:
-                        return spectral.forward(densities[i]) if i in densities else None
-                    if not made:
-                        made.append(spectral.forward(common))
-                    return made[0]
-
-                for i in list(unfinished):
-                    if self._beaten_at(i, spectrum, totals[i], tails[i, g]):
-                        unfinished.remove(i)
-                        densities.pop(i, None)
-
-    def _beaten_at(self, i, spectrum, total, tail) -> bool:
-        """Whether radius i can no longer win, with ``total`` bounding the
-        ball sums of its whole density and ``tail`` those of its nodes still
-        to come.  ``spectrum(i)``, asked only when ``total`` does not drop
-        the radius, is the half spectrum of its partial density, or None
-        before its first node."""
-        if _beaten(self.factors[i] * total, self.best):
-            return True
-        spec = spectrum(i)
-        if spec is None:
-            return False
-        reach = best_center(spectrum_box_sums(spec, self.grid, self.radii[i], "ball"),
-                            self.grid, self.strides[i])[0]
-        return _beaten(self.factors[i] * (reach + tail), self.best)
-
-
 # -- dyadic block norms -------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _block_masks(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Half-spectrum annulus masks of the dyadic levels, in level order;
-    read-only."""
-    return tuple(spectral.half(ops._annulus_mask(grid, level))
-                 for level in ops.block_levels(grid))
-
-
-@lru_cache(maxsize=16)
-def _block_widths(grid: GridSpec) -> tuple[int, ...]:
-    """Columns k2 < width that each block of ``_block_masks`` lives in, in
-    level order: at L = 2 pi, 2^(l+1) for level l, up to N/2 + 1 (2, 4, 8,
-    16, 32 and 33 at N = 64)."""
-    return tuple(int(np.flatnonzero(mask.any(axis=0))[-1]) + 1 for mask in _block_masks(grid))
-
-
-def _spectrum_block_sups(spec: np.ndarray, masks, n: int, widths=None) -> np.ndarray:
-    """Sup norm of the block of a half spectrum under each of ``masks``, in
-    order, each block inverted in place in one held block/plane pair.
-
-    With ``widths`` (``_block_widths``), block j's column stage runs on its
-    ``widths[j]`` columns only, since the others are zero: a pruned inverse,
-    whose planes are the full inverse's doubles (``spectral``)."""
-    block = np.empty((n, spectral.half_width(n)), dtype=complex)
-    plane = np.empty((n, n))
-    sups = np.empty(len(masks))
-    for j, mask in enumerate(masks):
-        block.fill(0.0)
-        np.copyto(block, spec, where=mask)
-        done = spectral.inverse_into(block, plane, None if widths is None else widths[j])
-        sups[j] = np.abs(done, out=done).max()
-    return sups
+def _block_plan(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+    """The dyadic blocks of the half spectrum, in level order: their annulus
+    masks, read-only, and the columns k2 < width each lives in, at L = 2 pi
+    2^(l+1) for level l, up to N/2 + 1 (2, 4, 8, 16, 32 and 33 at N = 64).
+    A block's column stage runs on its width only, since the other columns
+    are zero: a pruned inverse, whose planes are the full inverse's doubles
+    (``spectral``)."""
+    masks = tuple(spectral.half(ops._annulus_mask(grid, level))
+                  for level in ops.block_levels(grid))
+    widths = tuple(int(np.flatnonzero(mask.any(axis=0))[-1]) + 1 for mask in masks)
+    return masks, widths
 
 
 @lru_cache(maxsize=16)
@@ -289,7 +89,7 @@ def _block_index(grid: GridSpec) -> np.ndarray:
     """Half-spectrum map from each mode to its block's position in level
     order, and to len(block_levels) on the zero mode, which no annulus
     holds; read-only.  A ``np.bincount`` over it sums a plane per block."""
-    masks = _block_masks(grid)
+    masks = _block_plan(grid)[0]
     index = np.full(masks[0].shape, len(masks), dtype=np.intp)
     for j, mask in enumerate(masks):
         index[mask] = j
@@ -297,34 +97,52 @@ def _block_index(grid: GridSpec) -> np.ndarray:
     return index
 
 
-def _block_sups_below(spec: np.ndarray, grid: GridSpec, masks,
+def _block_sups_below(spec: np.ndarray, grid: GridSpec,
                       weight: float, best: float) -> "np.ndarray | None":
-    """``_spectrum_block_sups`` of ``spec``, or None once ``weight`` times
-    its block sum can no longer reach ``best``.
+    """Sup norm of each dyadic block of the half spectrum ``spec``, in level
+    order, or None once ``weight`` times its block sum can no longer reach
+    ``best``.  Each block is copied into one held block/plane pair and
+    inverted in place on its ``_block_plan`` columns.
 
     Block l's Wiener sum W_l = sum over block l of colw |spec| / N^2 bounds
     sup |P_l f|, and the W_l of all blocks are one ``np.bincount`` over
     ``_block_index``.  Blocks are inverted largest W_l first, and before
     each the node is abandoned when ``_beaten`` holds for
-    weight * (sum of the sups made + sum of the W_l still to come).  When
-    no value can be beaten, as for the first node visited, no W_l is
-    summed.  Each block is inverted on its ``_block_widths`` columns, and
-    its sup is the same double in either order."""
+    weight * (sum of the sups made + sum of the W_l still to come).  A
+    block's sup is the same double in either order.
+
+    The W_l of a node sum to its bound W.  The real inverse FFT errs by
+    about eps * log2(N) times W_l and the sums by about eps * log2(N^2), so
+    a computed block sup, or a node's sups so far plus its remaining W_l,
+    can exceed the exact bound by ~1e-15 relative: fields with all phases
+    aligned exceed W by up to 2.5e-16 at N = 16, 64 and 256, and a delta,
+    which attains every W_l, by 0.0.  The margin of ``_beaten`` covers it."""
     n = grid.n
-    widths = _block_widths(grid)
-    if not _beaten(0.0, best):
-        return _spectrum_block_sups(spec, masks, n, widths)
-    mags = np.abs(spec)
-    mags *= _column_weights(n) / (n * n)
-    wiener = np.bincount(_block_index(grid).ravel(), mags.ravel(), len(masks) + 1)[:-1]
-    order = np.argsort(-wiener, kind="stable").tolist()
-    to_come = np.cumsum(wiener[order[::-1]])[::-1].tolist()
+    masks, widths = _block_plan(grid)
+    order, to_come = range(len(masks)), [0.0] * len(masks)
+    # Only a positive best can be beaten.  Below one (the first node
+    # visited), blocks go in level order and no W_l is summed, so the block
+    # index is built only once a block can be pruned.  The picard-fine
+    # benchmark never prunes one (no ``_block_index`` is built in its
+    # N = 256 solve and x_norm), and building the index on every call moved
+    # its peak RSS from 95.5 to 95.8 MiB (3 runs each).
+    if _beaten(0.0, best):
+        mags = np.abs(spec)
+        mags *= _column_weights(n) / (n * n)
+        wiener = np.bincount(_block_index(grid).ravel(), mags.ravel(), len(masks) + 1)[:-1]
+        order = np.argsort(-wiener, kind="stable").tolist()
+        to_come = np.cumsum(wiener[order[::-1]])[::-1].tolist()
+    block = np.empty((n, spectral.half_width(n)), dtype=complex)
+    plane = np.empty((n, n))
     sups = np.empty(len(masks))
     reached = 0.0
     for l, rest in zip(order, to_come):
         if _beaten(weight * (reached + rest), best):
             return None
-        sups[l] = _spectrum_block_sups(spec, [masks[l]], n, [widths[l]])[0]
+        block.fill(0.0)
+        np.copyto(block, spec, where=masks[l])
+        done = spectral.inverse_into(block, plane, widths[l])
+        sups[l] = np.abs(done, out=done).max()
         reached += sups[l]
     return sups
 
@@ -675,7 +493,6 @@ def _solution_parts(
     carleson, box, partial = _carleson_pass(
         times, spectrum, grid, params, k, sweep, scale, masses, peaks)
     sup_weight = (2 * b - 1 + k) / (2 * b)
-    masks = _block_masks(grid)
     besov = -1.0
     best_m = None
     bounds = times ** sup_weight * (l1 * factor)
@@ -684,7 +501,7 @@ def _solution_parts(
             break
         weight = times[m] ** sup_weight
         spec = np.multiply(spectrum(m), factor)
-        sups = _block_sups_below(spec, grid, masks, weight, besov)
+        sups = _block_sups_below(spec, grid, weight, besov)
         if sups is None:
             continue
         bval = weight * float(sups.sum())

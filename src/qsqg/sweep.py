@@ -1,4 +1,5 @@
-"""Carleson-box sweeps: box families, indicator sums, and time quadrature.
+"""Carleson-box sweeps: box families, indicator sums, the one sweep driver
+(``_RadiusSweep``), and time quadrature.
 
 A box is the parabolic region (0, r^(2 beta)) x B(x0, r) with the ball taken
 in torus distance; the same (x0, r) also names the axis-aligned cube of edge
@@ -30,24 +31,16 @@ one node, timed by the largest radius holding it, and each radius adds its
 own weighted energies in ascending time order.  So the largest radius's
 density is the one its lone ladder gives, and adding a smaller radius
 leaves the density of every existing radius unchanged, bit for bit.
-
-Sweeps skip work that cannot change their answer (``norms._RadiusSweep``).
-Nodes go in ascending time, and each time a radius is finished, a radius
-whose upper bound falls below the best finished value is dropped: the ball
-sums of its partial density plus, for each node still to come, the smaller
-of its total energy and the ball's lattice point count
-(``mask_point_count``) times its energy's pointwise bound.  Nodes that
-only dropped radii hold are never made.  A dropped
-radius lies strictly below the reported supremum, so pruning keeps the
-certified lower bound and the supremum, value and box, bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .fields import GridSpec
 from . import spectral
 
@@ -153,6 +146,188 @@ def best_center(vals: np.ndarray, grid: GridSpec, stride: int) -> tuple[float, t
     i, j = np.unravel_index(flat, sub.shape)
     c = grid.coords
     return float(sub[i, j]), (float(c[i * stride]), float(c[j * stride]))
+
+
+# -- radius sweeps -------------------------------------------------------------
+
+# Bound pruning skips work only when an upper bound, widened by this relative
+# margin, is below the running maximum.  The bounds hold in exact arithmetic;
+# what they must dominate are computed values.  An FFT box sum errs by about
+# eps * log2(N^2) times the mass (the total) of its nonnegative density, and
+# the Parseval masses, the pointwise caps and their sums by about
+# eps * log2(N^2) of themselves.  The balls of radius L/2^m about the
+# 4^(m+1) centers of its sublattice cover the torus, so a ball's lattice
+# point count c satisfies c * 4^(m+1) >= N^2.  A node's charge is its mass
+# or c times its peak, and its mass is at most N^2 times its peak, so either
+# is at least its mass over 4^(m+1); so is the max ball sum of a partial
+# density.  A radius's bound is therefore at least its density's mass over
+# 4^(m+1), and relative to the bound the error is at most about
+# eps * log2(N^2) * 4^(m+1): 1.1e-11 at the deepest radius of N = 64
+# (m = 5), 2.3e-10 at N = 256 (m = 7).  1e-9 covers it, and the Besov
+# pass's ~1e-15 (``norms._block_sups_below``).
+_BOUND_MARGIN = 1e-9
+
+
+def _beaten(bound: float, best: float) -> bool:
+    """Whether ``bound`` widened by _BOUND_MARGIN is below ``best``; False
+    whenever either is NaN, so a NaN never prunes."""
+    return bound * (1 + _BOUND_MARGIN) < best
+
+
+class _RadiusSweep:
+    """Running supremum over the radii of a sweep with the exhaustive loop's
+    answer: radius i's value is the maximum over its center sublattice, the
+    box its first attaining center in row-major order, and the largest value
+    wins, the larger radius (lower index) on an exact tie.
+
+    ``offer`` takes a radius's values on the grid, ``finish`` a radius's
+    density (``factors[i]`` times its ball sums), ``charges`` bounds what
+    each node adds to a ball, and ``stream`` streams the nodes of per-radius
+    densities and prunes radii that can no longer win.
+
+    The stream skips work that cannot change its answer.  Nodes go in
+    ascending time, and each time a radius is finished, a radius whose upper
+    bound falls below the best finished value is dropped: the ball sums of
+    its partial density plus, for each node still to come, the smaller of
+    its total energy and the ball's lattice point count
+    (``mask_point_count``) times its energy's pointwise bound.  Nodes that
+    only dropped radii hold are never made.  A dropped radius lies strictly
+    below the reported supremum, so pruning keeps the certified lower bound
+    and the supremum, value and box, bit for bit."""
+
+    def __init__(self, grid: GridSpec, sweep: BoxSweepConfig, prefactors=None):
+        self.grid = grid
+        self.radii = sweep.radii(grid)
+        self.strides = [sweep.stride(grid, i) for i in range(1, len(self.radii) + 1)]
+        self.factors = [p * grid.cell_area for p in prefactors] if prefactors else None
+        self.best, self.box, self.index = -1.0, None, len(self.radii)
+
+    def offer(self, i: int, vals: np.ndarray) -> None:
+        val, center = best_center(vals, self.grid, self.strides[i])
+        if not math.isfinite(val):
+            raise NonFiniteError(f"box value at radius {self.radii[i]!r} is not finite")
+        if val > self.best or (val == self.best and i < self.index):
+            self.best, self.box, self.index = val, CarlesonBox(center, self.radii[i]), i
+
+    def finish(self, i: int, density: np.ndarray) -> None:
+        if not np.isfinite(density).all():
+            raise NonFiniteError(f"density at radius {self.radii[i]!r} is not finite")
+        self.offer(i, self.factors[i] * box_sums(density, self.grid, self.radii[i], "ball"))
+
+    def charges(self, masses, peaks) -> np.ndarray:
+        """The (radii x nodes) bounds on what node g's nonnegative energy
+        adds to any ball of radius i: the smaller of its total ``masses[g]``
+        and the ball's lattice point count times ``peaks[g]``, a bound on
+        the energy at every point.  The count is ``mask_point_count`` of the
+        mask that ``box_sums`` sums over, so the bound holds for every
+        lattice ball; a box sum with a real-valued kernel in place of the
+        indicator would need the kernel's l1 norm in place of the count.  A
+        NaN mass or peak gives a NaN charge, which never prunes."""
+        counts = [mask_point_count(self.grid, r, "ball") for r in self.radii]
+        return np.minimum(masses, np.multiply.outer(counts, peaks))
+
+    def stream(self, weights: np.ndarray, masses, rows, energy, per_node: int) -> None:
+        """Sup over the radii of the densities sum_g weights[i, g] * energy_g.
+
+        Nodes g go in ascending order, one at a time: ``rows(g, out)``
+        writes node g's ``per_node`` half spectra into ``out``, they are
+        inverted in place (``spectral.inverse_into``), and
+        ``energy(g, planes)`` reduces node g's planes, in place, to its
+        nonnegative energy.  A radius is finished, and its density dropped,
+        once its last node (nonzero weight) is in.  When every radius weighs
+        each node before its last as the largest radius does (trajectory
+        cells clip only at a radius's horizon), the unfinished radii hold
+        one partial density instead of one each.
+
+        ``masses[i, g]`` bounds the sum of energy_g over any ball of radius
+        i (``charges``); a 1-D ``masses[g]``, the total of energy_g, serves
+        every radius.  Each time a radius finishes, an unfinished radius i
+        is dropped when ``_beaten`` holds for
+
+            factors[i] * (max over i's centers of the ball sums of its
+                          partial density + sum over its later nodes of
+                          weight * masses[i, g])
+
+        which bounds its value, since the densities are nonnegative.  The
+        transform-free bound with the sum over all of i's nodes in place of
+        the ball sums is tried first.  When the unfinished radii share one
+        partial density, it is forward-transformed at most once per round,
+        and each ball-sum bound multiplies and inverts that spectrum.  A
+        dropped radius is strictly below the final maximum, so the value and
+        box are those of the exhaustive sweep bit for bit.
+
+        A node is made only if an unfinished radius holds it, and the stream
+        stops once every radius is finished or dropped.  The spectrum and
+        plane buffers of one node and the one scratch plane that takes each
+        weight * energy are allocated once per call."""
+        n = self.grid.n
+        last = [int(np.flatnonzero(row)[-1]) for row in weights]
+        shared = all((row[:end] == weights[0, :end]).all() for row, end in zip(weights, last))
+        table = weights.tolist()
+        unfinished = list(range(len(self.radii)))
+        after = np.cumsum((weights * np.asarray(masses))[:, ::-1], axis=1)[:, ::-1]
+        tails = np.concatenate([after[:, 1:], np.zeros((len(last), 1))], axis=1)
+        totals = after[:, 0]
+        densities = {}      # radius -> partial density (not shared)
+        common = np.zeros((n, n)) if shared else None
+        specs = np.empty((per_node, n, spectral.half_width(n)), dtype=complex)
+        planes = np.empty((per_node, n, n))
+        scratch = np.empty((n, n))
+        for g in range(weights.shape[1]):
+            if not unfinished:
+                break
+            if not any(table[i][g] > 0 for i in unfinished):
+                continue
+            rows(g, specs)
+            e = energy(g, spectral.inverse_into(specs, planes))
+            ending = [i for i in unfinished if last[i] == g]
+            if shared:
+                for i in ending:
+                    final = np.multiply(e, table[i][g], out=scratch)
+                    final += common
+                    self.finish(i, final)
+            else:
+                for i in unfinished:
+                    w = table[i][g]
+                    if w > 0:
+                        if i in densities:
+                            densities[i] += np.multiply(e, w, out=scratch)
+                        else:
+                            densities[i] = e * w
+                for i in ending:
+                    self.finish(i, densities.pop(i))
+            unfinished = [i for i in unfinished if last[i] != g]
+            if shared and unfinished:
+                common += np.multiply(e, table[unfinished[0]][g], out=scratch)
+            if ending:
+                made = []       # the shared partial density's spectrum, this round
+
+                def spectrum(i):
+                    if not shared:
+                        return spectral.forward(densities[i]) if i in densities else None
+                    if not made:
+                        made.append(spectral.forward(common))
+                    return made[0]
+
+                for i in list(unfinished):
+                    if self._beaten_at(i, spectrum, totals[i], tails[i, g]):
+                        unfinished.remove(i)
+                        densities.pop(i, None)
+
+    def _beaten_at(self, i, spectrum, total, tail) -> bool:
+        """Whether radius i can no longer win, with ``total`` bounding the
+        ball sums of its whole density and ``tail`` those of its nodes still
+        to come.  ``spectrum(i)``, asked only when ``total`` does not drop
+        the radius, is the half spectrum of its partial density, or None
+        before its first node."""
+        if _beaten(self.factors[i] * total, self.best):
+            return True
+        spec = spectrum(i)
+        if spec is None:
+            return False
+        reach = best_center(spectrum_box_sums(spec, self.grid, self.radii[i], "ball"),
+                            self.grid, self.strides[i])[0]
+        return _beaten(self.factors[i] * (reach + tail), self.best)
 
 
 # -- time quadrature ----------------------------------------------------------

@@ -3,7 +3,8 @@
 The package runs none of these: each is a second route to a quantity the
 package computes another way (a full-plane heat symbol against the rate-level
 semigroup core, the double-difference Q norm against its semigroup
-characterization, per-radius ladders against the shared-node sweep), or an
+characterization, per-radius ladders against the shared-node sweep,
+full-width block inverses against the column-pruned ones), or an
 operator the tests need to build their data (the SQG velocity, 2/3-rule
 dealiasing), or the allocating form of a solver loop that the package runs
 on held buffers.
@@ -15,13 +16,12 @@ import numpy as np
 
 from qsqg import spectral
 from qsqg.fields import GridSpec, RealField, SpaceParams, Trajectory, scaled_values, unscaled
-from qsqg.norms import (NormReport, _RadiusSweep, _block_masks, _spectrum_block_sups,
-                        _sweep_for)
-from qsqg.operators import (_propagators, apply_lattice_symbol, block_levels,
+from qsqg.norms import NormReport, _sweep_for
+from qsqg.operators import (_annulus_mask, _propagators, apply_lattice_symbol, block_levels,
                             derivative_symbol, dissipation_symbol, riesz_symbol)
 from qsqg.solver import _density, _density_scratch, _half_planes
-from qsqg.sweep import (BoxSweepConfig, CarlesonBox, best_center, box_sums, geometric_ladder,
-                        power_weight)
+from qsqg.sweep import (BoxSweepConfig, CarlesonBox, _RadiusSweep, best_center, box_sums,
+                        geometric_ladder, power_weight)
 
 
 # -- operators -----------------------------------------------------------------
@@ -84,10 +84,14 @@ def reference_oracle(theta0: RealField, params: SpaceParams, config) -> Trajecto
 # -- dyadic block norm ---------------------------------------------------------
 
 def block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarray]:
-    """Sup norm of every dyadic frequency block (one forward transform, each
-    block inverted on its own)."""
-    sups = _spectrum_block_sups(spectral.forward(values), _block_masks(grid), grid.n)
-    return list(block_levels(grid)), sups
+    """Sup norm of every dyadic frequency block: one forward transform, and
+    each block cut from the full annulus mask and inverted on all columns."""
+    spec = spectral.forward(values)
+    levels = list(block_levels(grid))
+    sups = np.array([np.abs(spectral.inverse(np.where(spectral.half(_annulus_mask(grid, level)),
+                                                      spec, 0.0), grid.n)).max()
+                     for level in levels])
+    return levels, sups
 
 
 def besov_sup_norm(f: RealField, s: float) -> NormReport:

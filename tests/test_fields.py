@@ -193,7 +193,6 @@ class TestTrajectory:
         np.testing.assert_allclose(double.snapshots[1].values, 4 * f.values)
         diff = double - traj
         np.testing.assert_allclose(diff.snapshots[0].values, f.values)
-        np.testing.assert_allclose(traj.scaled(3.0).snapshots[0].values, 3 * f.values)
 
 
 class TestFieldIO:

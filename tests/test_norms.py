@@ -28,14 +28,19 @@ from qsqg.experiments import ExperimentConfig, deepest_sweep, wellposedness_data
 from qsqg.norms import caloric_coverage_times
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve, scaling_transform
 from qsqg.sweep import (
+    _BOUND_MARGIN,
     CarlesonBox,
+    _beaten,
+    _RadiusSweep,
     best_center,
     box_sums,
     mask_point_count,
+    spectrum_box_sums,
     trajectory_weights,
 )
 
-from oracles import besov_sup_norm, ladder_oracle, q_norm_direct, shared_ladder_oracle
+from oracles import (besov_sup_norm, block_sups, ladder_oracle, q_norm_direct,
+                     shared_ladder_oracle)
 
 L = 2 * np.pi
 
@@ -54,6 +59,30 @@ def caloric_trajectory(u0, params, times):
 def full_coverage_trajectory(field, params, nodes=40):
     times = caloric_coverage_times(field.grid, params, num_nodes=nodes)
     return Trajectory(times, tuple(field for _ in times))
+
+
+def count_box_sums(monkeypatch) -> tuple[list[float], list[tuple[np.ndarray, float]]]:
+    """The radii of the box sums the sweep driver makes from now on, and the
+    spectrum and radius of each ball-sum bound it makes from a spectrum it
+    holds (``spectrum_box_sums`` called other than through ``box_sums``)."""
+    sums, bounded, inside = [], [], []
+
+    def counting_box_sums(values, grid, radius, kind):
+        sums.append(radius)
+        inside.append(radius)
+        try:
+            return box_sums(values, grid, radius, kind)
+        finally:
+            inside.pop()
+
+    def counting_spectrum_box_sums(spec, grid, radius, kind):
+        if not inside:
+            bounded.append((spec, radius))   # held, so distinct spectra keep distinct ids
+        return spectrum_box_sums(spec, grid, radius, kind)
+
+    monkeypatch.setattr("qsqg.sweep.box_sums", counting_box_sums)
+    monkeypatch.setattr("qsqg.sweep.spectrum_box_sums", counting_spectrum_box_sums)
+    return sums, bounded
 
 
 def count_inverse_planes(monkeypatch) -> list[int]:
@@ -114,7 +143,7 @@ class TestAxioms:
         c = 3.5
         for est, order in ((x_norm, 1), (carleson_l1_functional, 1)):
             base = est(traj, params).value
-            scaled = est(traj.scaled(c), params).value
+            scaled = est(Trajectory(times, tuple(c * s for s in traj.snapshots)), params).value
             assert abs(scaled - c**order * base) <= 1e-12 * max(1.0, base)
 
 
@@ -317,7 +346,7 @@ class TestLadderSweep:
         assert counted[:nodes] == [2] * nodes
         assert sum(counted) == 2 * nodes + 1 + ball_bounds
         counted.clear()
-        monkeypatch.setattr(norms._RadiusSweep, "_beaten_at", lambda *args: False)
+        monkeypatch.setattr(_RadiusSweep, "_beaten_at", lambda *args: False)
         q_norm_semigroup(f, params, sweep)
         # unpruned: every node's gradient planes, then one box sum per radius
         assert sum(counted) == planes + radii
@@ -344,7 +373,7 @@ class TestLadderSweep:
         # their ball-sum bounds: ``more`` nodes until L/16 finishes, its box
         # sum, and a last ball-sum bound that drops L/8.
         counted.clear()
-        monkeypatch.setattr(norms._RadiusSweep, "charges", lambda self, masses, peaks: masses)
+        monkeypatch.setattr(_RadiusSweep, "charges", lambda self, masses, peaks: masses)
         assert q_norm_semigroup(f, params, sweep) == report
         assert counted == [2] * nodes + [1] * 3 + [2] * more + [1] * 2
 
@@ -512,28 +541,18 @@ class TestTrajectoryNorms:
         f = field_from_function(grid32, lambda x1, x2: np.sin(x1) + 0.3 * np.cos(2 * x2 - x1))
         traj = linear_flow(f, TimeGrid(1.0, 32), params)
         x_k_norm(traj, params, 2)   # fills the mask-spectrum caches
-        forwards, sums, bounded = [], [], []
-        forward, real_box_sums = spectral.forward, norms.box_sums
-        real_spectrum_box_sums = norms.spectrum_box_sums
+        forwards = []
+        forward = spectral.forward
 
         def counting_forward(values):
             forwards.append(values.shape)
             return forward(values)
 
-        def counting_box_sums(*args):
-            sums.append(args[2])
-            return real_box_sums(*args)
-
-        def counting_spectrum_box_sums(spec, *args):
-            bounded.append(spec)   # held, so distinct spectra keep distinct ids
-            return real_spectrum_box_sums(spec, *args)
-
         monkeypatch.setattr(spectral, "forward", counting_forward)
-        monkeypatch.setattr(norms, "box_sums", counting_box_sums)
-        monkeypatch.setattr(norms, "spectrum_box_sums", counting_spectrum_box_sums)
+        sums, bounded = count_box_sums(monkeypatch)
         x_k_norm(traj, params, 2)
         assert forwards.count((32, 32)) == len(forwards)
-        spectra = len({id(spec) for spec in bounded})
+        spectra = len({id(spec) for spec, _ in bounded})
         assert len(forwards) == len(traj) + len(sums) + spectra
 
     def test_x_norm_peak_does_not_grow_with_node_count(self, grid64, params):
@@ -707,15 +726,14 @@ class TestBesovPruning:
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_bound_dominates_block_sum(self, n):
         grid = GridSpec(n, L)
-        masks = norms._block_masks(grid)
         rng = np.random.default_rng(8191 + n)
         for t in (0.3, 1.0, 4.0):
             weight = t ** ((2 * 0.75 - 1) / (2 * 0.75))
             for kind, v in self.bound_cases(n, rng).items():
                 spec = spectral.forward(v - v.mean())
-                block_sum = weight * float(norms._spectrum_block_sups(spec, masks, n).sum())
+                block_sum = weight * float(norms._block_sups_below(spec, grid, 1.0, -1.0).sum())
                 bound = weight * norms._spectrum_measures(spec, n)[0]
-                assert block_sum <= bound * (1 + norms._BOUND_MARGIN), (n, kind)
+                assert block_sum <= bound * (1 + _BOUND_MARGIN), (n, kind)
                 if kind == "delta":   # the tight case: every mode in phase at one point
                     assert block_sum == pytest.approx(bound, rel=1e-13), n
 
@@ -724,20 +742,18 @@ class TestBesovPruning:
         # the per-block bound the Besov pass abandons a node by:
         # sup |P_l f| <= W_l = sum over block l of colw |f^| / N^2
         grid = GridSpec(n, L)
-        masks = norms._block_masks(grid)
+        masks = norms._block_plan(grid)[0]
         colw = norms._column_weights(n)
         rng = np.random.default_rng(8195 + n)
         for kind, v in self.bound_cases(n, rng).items():
             spec = spectral.forward(v - v.mean())
-            sups = norms._spectrum_block_sups(spec, masks, n)
+            sups = norms._block_sups_below(spec, grid, 1.0, -1.0)
             wiener = np.array([float((colw * np.abs(np.where(mask, spec, 0.0))).sum()) / (n * n)
                                for mask in masks])
-            assert (sups <= wiener * (1 + norms._BOUND_MARGIN)).all(), (n, kind)
+            assert (sups <= wiener * (1 + _BOUND_MARGIN)).all(), (n, kind)
             if kind == "delta":   # every mode of every block in phase at one point
                 np.testing.assert_allclose(sups, wiener, rtol=1e-13, err_msg=str(n))
-            # a node never abandoned gets the batched call's doubles
-            assert np.array_equal(norms._block_sups_below(spec, grid, masks, 1.0, -1.0), sups)
-            assert norms._block_sups_below(spec, grid, masks, 1.0, 2 * wiener.sum()) is None
+            assert norms._block_sups_below(spec, grid, 1.0, 2 * wiener.sum()) is None
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_unabandonable_node_batches_its_remaining_blocks(self, n, monkeypatch):
@@ -745,20 +761,19 @@ class TestBesovPruning:
         # weight times the sups made can no longer be beaten, and every
         # block is made, one per call
         grid = GridSpec(n, L)
-        masks = norms._block_masks(grid)
         v = np.random.default_rng(8196 + n).standard_normal((n, n))
         spec = spectral.forward(v - v.mean())
-        sups = norms._spectrum_block_sups(spec, masks, n)
+        sups = block_sups(v - v.mean(), grid)[1]
         planes = count_inverse_planes(monkeypatch)
-        assert np.array_equal(norms._block_sups_below(spec, grid, masks, 1.0, sups.min()), sups)
-        assert planes == [1] * len(masks)
+        assert np.array_equal(norms._block_sups_below(spec, grid, 1.0, sups.min()), sups)
+        assert planes == [1] * len(sups)
 
     def test_bound_margin_keeps_values_within_rounding_of_their_bound(self):
         for b in (1.0, 3.7e-300, 2.5e300):
-            assert not norms._beaten(b * (1 - 1e-12), b)
-            assert norms._beaten(b * (1 - 1e-8), b)
-            assert not norms._beaten(math.nan, b)
-            assert not norms._beaten(b, math.nan)
+            assert not _beaten(b * (1 - 1e-12), b)
+            assert _beaten(b * (1 - 1e-8), b)
+            assert not _beaten(math.nan, b)
+            assert not _beaten(b, math.nan)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_carleson_bound_dominates_value(self, n):
@@ -784,8 +799,8 @@ class TestBesovPruning:
                 stride = sweep.stride(grid, m)
                 value = best_center(box_sums(energy + later, grid, r, "ball"), grid, stride)[0]
                 reach = best_center(box_sums(energy, grid, r, "ball"), grid, stride)[0]
-                assert value <= (reach + later_mass) * (1 + norms._BOUND_MARGIN), (n, head, r)
-                assert value <= (mass + later_mass) * (1 + norms._BOUND_MARGIN), (n, head, r)
+                assert value <= (reach + later_mass) * (1 + _BOUND_MARGIN), (n, head, r)
+                assert value <= (mass + later_mass) * (1 + _BOUND_MARGIN), (n, head, r)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_pointwise_cap_bounds_every_ball_sum(self, n):
@@ -797,7 +812,7 @@ class TestBesovPruning:
         # single mode, and a field with all phases aligned (max |f| = W).
         grid = GridSpec(n, L)
         sweep = BoxSweepConfig({16: 3, 64: 5, 256: 7}[n])   # the deepest sweep
-        search = norms._RadiusSweep(grid, sweep)
+        search = _RadiusSweep(grid, sweep)
         r1 = ops._half_symbol(ops.riesz_symbol, grid, 1)
         r2 = ops._half_symbol(ops.riesz_symbol, grid, 2)
         im1, im2, magnitude = norms._gradient_symbols(grid)
@@ -825,14 +840,14 @@ class TestBesovPruning:
                 caps = search.charges(np.inf, [peak])[:, 0]
                 for r, cap in zip(search.radii, caps):
                     reach = box_sums(energy, grid, r, "ball").max()
-                    assert reach <= cap * (1 + norms._BOUND_MARGIN), (n, kind, r)
+                    assert reach <= cap * (1 + _BOUND_MARGIN), (n, kind, r)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_narrow_block_inverses_equal_full_inverses(self, n):
-        # each block is inverted on the columns it lives in, with the
-        # full-width inverse's sups, double for double
+    def test_block_sups_equal_full_width_oracle(self, n):
+        # each block is inverted on the columns it lives in (``_block_plan``),
+        # with the sups of the oracle's full-width inverses, double for double
         grid = GridSpec(n, L)
-        masks, widths = norms._block_masks(grid), norms._block_widths(grid)
+        masks, widths = norms._block_plan(grid)
         for mask, width in zip(masks, widths):
             assert mask[:, width - 1].any() and not mask[:, width:].any()
         if n == 64:
@@ -840,12 +855,40 @@ class TestBesovPruning:
         rng = np.random.default_rng(8197 + n)
         for kind, v in self.bound_cases(n, rng).items():
             spec = spectral.forward(v - v.mean())
-            full = norms._spectrum_block_sups(spec, masks, n)
-            narrow = norms._spectrum_block_sups(spec, masks, n, widths)
-            assert (narrow == full).all(), (n, kind)
+            sups = norms._block_sups_below(spec, grid, 1.0, -1.0)
+            assert (sups == block_sups(v - v.mean(), grid)[1]).all(), (n, kind)
+
+    def test_block_index_is_built_once_a_block_can_be_pruned(self, grid32, params,
+                                                             monkeypatch):
+        # sin x1 decays as one block, so its first node visited sets the sup
+        # and the next node's bound falls short: no node is visited with a
+        # best to beat, and no block index is built
+        norms._block_index.cache_clear()
+        f = field_from_function(grid32, lambda x1, x2: np.sin(x1))
+        times = caloric_coverage_times(grid32, params, num_nodes=24)
+        x_norm(caloric_trajectory(f, params, times), params)
+        assert norms._block_index.cache_info().currsize == 0
+        # white noise at t = 1, whose Wiener bound is 4.5 times its block sum,
+        # then the same noise at half its weighted size at t = 0.5: that node
+        # is visited, its bound being above the sup, and abandoned
+        w = (2 * params.beta - 1) / (2 * params.beta)
+        noise = np.random.default_rng(8200).standard_normal((32, 32))
+        traj = Trajectory(np.array([0.5, 1.0]), (RealField(grid32, 0.5 ** (1 - w) * noise),
+                                                 RealField(grid32, noise)))
+        visits = []
+        block_sups_below = norms._block_sups_below
+
+        def spying(*args):
+            visits.append(block_sups_below(*args))
+            return visits[-1]
+
+        monkeypatch.setattr(norms, "_block_sups_below", spying)
+        x_norm(traj, params)
+        assert len(visits) == 2 and visits[1] is None
+        assert norms._block_index.cache_info().currsize == 1
 
     def test_exact_tie_keeps_the_larger_radius(self, grid32, params):
-        search = norms._RadiusSweep(grid32, BoxSweepConfig())
+        search = _RadiusSweep(grid32, BoxSweepConfig())
         for i in (2, 0, 1):
             search.offer(i, np.ones((32, 32)))
         assert (search.best, search.box.radius) == (1.0, L / 2)
@@ -861,7 +904,7 @@ class TestBesovPruning:
         # Point masses A at node 0 (radius 2) and B = 1.03 A at node 1
         # (radius 0, and radius 1 with weight 1/2).  Radius 2 finishes first
         # with A; radius 0's bound B is attained, so it must stay and win.
-        search = norms._RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
+        search = _RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
         weights = np.array([[0, 1], [0, 0.5], [1, 0]], float)
         levels = [1.0, 1.03]
         zero = np.zeros((32, 17), dtype=complex)
@@ -883,7 +926,7 @@ class TestBesovPruning:
         # Radius 2 finishes first, at node 1, and far ahead.  Node 2, held by
         # radii 0 and 1, is non-finite, and so is its mass: finite masses
         # would drop both radii before node 2 and hide it.
-        search = norms._RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
+        search = _RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
         weights = np.array([[0, 0, 1, 1, 1, 1], [0, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0]], float)
         levels = [1e6, 1e-6, bad, 1e-6, 1e-6, 1e-6]
         masses = [level * 32 * 32 for level in levels]
@@ -905,7 +948,7 @@ class TestBesovPruning:
         # radii hold one partial density: radius 2 finishes at node 1 far
         # ahead, node 2 is non-finite, and finite masses would drop radii 0
         # and 1 before it.
-        search = norms._RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
+        search = _RadiusSweep(grid32, BoxSweepConfig(), [1.0, 1.0, 1.0])
         weights = np.array([[1, 1e-9, 1, 1], [1, 1e-9, 1, 0], [1, 1, 0, 0]], float)
         levels = [1e-6, 1e6, bad, 1e-6]
         masses = [level * 32 * 32 for level in levels]
@@ -963,11 +1006,9 @@ class TestBesovPruning:
         delta = np.zeros((n, n))
         delta[5, 7] = 1.0
         noise = np.random.default_rng(8193).standard_normal((n, n))
-        masks = norms._block_masks(grid)
 
         def weighted_sum(t, v):
-            spec = spectral.forward(v - v.mean())
-            return t ** w * float(norms._spectrum_block_sups(spec, masks, n).sum())
+            return t ** w * float(block_sups(v - v.mean(), grid)[1].sum())
 
         noise *= 0.97 * weighted_sum(0.5, delta) / weighted_sum(1.0, noise)
         return Trajectory(np.array([0.5, 1.0]), (RealField(grid, delta), RealField(grid, noise)))
@@ -1111,27 +1152,17 @@ class TestBesovPruning:
         traj, _ = picard_solve(1e-3 * wellposedness_data(cfg.grid), cfg.params,
                                cfg.solver_config())
         x_norm(traj, cfg.params, cfg.sweep)   # fills the mask-spectrum caches
-        forwards, sums, bounded = [], [], []
-        forward, real_box_sums = spectral.forward, norms.box_sums
-        real_spectrum_box_sums = norms.spectrum_box_sums
+        forwards = []
+        forward = spectral.forward
 
         def counting_forward(values):
             forwards.append(values.shape)
             return forward(values)
 
-        def counting_box_sums(*args):
-            sums.append(args[2])
-            return real_box_sums(*args)
-
-        def counting_spectrum_box_sums(spec, *args):
-            bounded.append(args[1])
-            return real_spectrum_box_sums(spec, *args)
-
         monkeypatch.setattr(spectral, "forward", counting_forward)
-        monkeypatch.setattr(norms, "box_sums", counting_box_sums)
-        monkeypatch.setattr(norms, "spectrum_box_sums", counting_spectrum_box_sums)
+        sums, bounded = count_box_sums(monkeypatch)
         x_norm(traj, cfg.params, cfg.sweep)
-        assert sums == [L / 8] and bounded == [L / 4]
+        assert sums == [L / 8] and [radius for _, radius in bounded] == [L / 4]
         assert len(forwards) == len(traj) + 27 + 1 + len(sums) + 1 == 62
 
     @pytest.mark.parametrize("kind", ["x", "caloric", "q"])
@@ -1151,7 +1182,7 @@ class TestBesovPruning:
             "q": lambda: q_norm_semigroup(
                 field_from_function(f.grid, lambda x1, x2: np.sin(x1)), SpaceParams(0.3, 0.8)),
         }[kind]
-        real_stream = norms._RadiusSweep.stream
+        real_stream = _RadiusSweep.stream
         streams = []
 
         def spying_stream(self, weights, masses, rows, energy, per_node):
@@ -1186,7 +1217,7 @@ class TestBesovPruning:
             assert ended == set(range(len(weights)))
             streams.append((len(made), weights.shape[1]))
 
-        monkeypatch.setattr(norms._RadiusSweep, "stream", spying_stream)
+        monkeypatch.setattr(_RadiusSweep, "stream", spying_stream)
         run()
         assert streams and all(made < count for made, count in streams), streams
 
@@ -1280,7 +1311,7 @@ def test_trajectory_homogeneous_over_all_amplitudes(params, corpus32, kind):
     base = est(traj)
     assert base > 0
     for c in AMPLITUDES:
-        value = est(traj.scaled(c))
+        value = est(Trajectory(traj.times, tuple(c * s for s in traj.snapshots)))
         assert isinstance(value, float) and math.isfinite(value)
         assert abs(value - c * base) <= 1e-12 * c * base, c
 

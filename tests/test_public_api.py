@@ -2,9 +2,10 @@
 traces, so a stale ``__all__`` entry or a deleted traced name fails here
 rather than only in the benchmark run.  No package module imports scipy,
 and the package runs with scipy unimportable.  Only ``qsqg.fields`` calls
-frexp, so exact amplitude scaling keeps one owner, and only
-``qsqg.spectral`` names ``numpy.fft``, so transforms keep one too.  Every
-public name has a use in the package or the benchmark."""
+frexp, so exact amplitude scaling keeps one owner, only
+``qsqg.spectral`` names ``numpy.fft``, so transforms keep one too, and only
+``qsqg.sweep`` names its box kernel and pruning margin.  Every public name
+has a use in the package or the benchmark."""
 import ast
 import importlib
 import os
@@ -110,6 +111,17 @@ def test_only_spectral_names_numpy_fft():
     hits = found(lambda name: name == "numpy.fft" or name.startswith("numpy.fft."),
                  owner="spectral.py")
     assert not hits, f"numpy.fft named at {hits}"
+
+
+def test_only_sweep_names_its_kernel_and_margin():
+    """The ball and cube kernel, the box sums read off its spectrum, the
+    center search and the pruning margin, whose bounds rest on the kernel
+    being 0/1, have one owner: no other package module names
+    ``best_center``, ``spectrum_box_sums``, ``_mask_spectrum`` or
+    ``_BOUND_MARGIN``."""
+    owned = {"best_center", "spectrum_box_sums", "_mask_spectrum", "_BOUND_MARGIN"}
+    hits = found(lambda name: name.split(".")[-1] in owned, owner="sweep.py")
+    assert not hits, f"sweep internals named at {hits}"
 
 
 def test_every_public_name_is_used():
