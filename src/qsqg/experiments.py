@@ -275,14 +275,11 @@ def run_space_identity(cfg: ExperimentConfig) -> ExperimentReport:
 
 # -- experiment 3: scaling invariance -------------------------------------------
 
-# Most radii ``deepest_sweep`` gives a sweep, whatever the grid admits.
-MAX_SWEEP_RADII = 5
-
-
 def deepest_sweep(grid: GridSpec, like: BoxSweepConfig) -> BoxSweepConfig:
-    """Widest dyadic radius ladder the grid admits, up to MAX_SWEEP_RADII."""
+    """Widest dyadic radius ladder the grid admits, at least 3 radii; at
+    power-of-two N it reaches the 2-cell radius."""
     m = 3
-    while m < MAX_SWEEP_RADII and grid.n % 2 ** (m + 2) == 0:
+    while grid.n % 2 ** (m + 2) == 0:
         m += 1
     return BoxSweepConfig(m, like.time_nodes)
 
@@ -533,7 +530,7 @@ def _lemma_constants(traj: Trajectory, params: SpaceParams,
     ``sweep``'s radii, times the plain weighted mass."""
     grid = traj.grid
     a, b = params.alpha, params.beta
-    lam = spectral.half(ops.dissipation_symbol(grid, 2 * b))
+    lam = ops._half_symbol(ops.dissipation_symbol, grid, 2 * b)
     specs = spectral.forward(np.stack([s.values for s in traj.snapshots]))
     weights, _ = trajectory_weights(traj.times, traj.times[-1], a / b)
     # A is the solver's Duhamel recursion with density (-Lap)^b f, frozen at
@@ -544,7 +541,7 @@ def _lemma_constants(traj: Trajectory, params: SpaceParams,
         rhs += weights[m] * _l2_sq(specs[m], grid)
     memory = lhs / rhs if rhs > 0 else float("nan")
 
-    smooth = [spectral.half(ops.dissipation_symbol(grid, k * b + 1)) for k in (0, 1)]
+    smooth = [ops._half_symbol(ops.dissipation_symbol, grid, k * b + 1) for k in (0, 1)]
     smoothing = [0.0, 0.0]
     mass = 0.0
     cum = np.zeros_like(specs[0])

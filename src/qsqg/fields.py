@@ -11,8 +11,9 @@ Conventions, fixed once for the whole package:
 Every transform goes through ``qsqg.spectral``, an unnormalized real FFT
 fhat(xi) = sum_x f(x) exp(-i xi . x) that keeps only the half spectrum:
 columns k2 = 0 .. N/2 of the FFT layout, shape (N, N/2 + 1), the rest being
-fixed by conjugate symmetry.  Symbols and masks are built here in the full
-layout and multiply a half spectrum through its leading N/2 + 1 columns.
+fixed by conjugate symmetry.  The frequency planes (xi, |xi|, the dealias
+mask) are in the full layout and rebuilt on each access; symbols are cut
+from them and only their half copies are cached (``operators._half_symbol``).
 Odd symbols stay projected by ``GridSpec.hermitian_part``: the real inverse
 drops unpaired odd content on the k2 = 0, N/2 columns as ``.real`` of
 a complex inverse does, but on the k1 = N/2 row it would turn that content
@@ -103,31 +104,24 @@ class GridSpec:
         k.setflags(write=False)
         return k
 
-    @cached_property
+    @property
     def xi(self) -> tuple[np.ndarray, np.ndarray]:
         """2-d frequency arrays (xi1, xi2), FFT layout, axis 0 = xi1."""
         base = (2 * np.pi / self.length) * self.wavenumbers
-        x1, x2 = np.meshgrid(base, base, indexing="ij")
-        x1.setflags(write=False)
-        x2.setflags(write=False)
-        return x1, x2
+        return tuple(np.meshgrid(base, base, indexing="ij"))
 
-    @cached_property
+    @property
     def xi_norm(self) -> np.ndarray:
         x1, x2 = self.xi
-        s = np.sqrt(x1 * x1 + x2 * x2)
-        s.setflags(write=False)
-        return s
+        return np.sqrt(x1 * x1 + x2 * x2)
 
-    @cached_property
+    @property
     def dealias_mask(self) -> np.ndarray:
         """Boolean keep-mask: |k_j| <= DEALIAS_FRACTION * N/2 on both axes."""
         cut = DEALIAS_FRACTION * self.n / 2
         k = np.abs(self.wavenumbers)
         keep1, keep2 = np.meshgrid(k <= cut, k <= cut, indexing="ij")
-        m = keep1 & keep2
-        m.setflags(write=False)
-        return m
+        return keep1 & keep2
 
     @cached_property
     def dealias_cutoff(self) -> int:

@@ -73,13 +73,14 @@ def _sweep_for(grid: GridSpec, sweep: "BoxSweepConfig | None") -> BoxSweepConfig
 @lru_cache(maxsize=16)
 def _block_plan(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
     """The dyadic blocks of the half spectrum, in level order: their annulus
-    masks, read-only, and the columns k2 < width each lives in, at L = 2 pi
+    masks, read-only half copies cut from one full |xi| plane that is then
+    dropped, and the columns k2 < width each lives in, at L = 2 pi
     2^(l+1) for level l, up to N/2 + 1 (2, 4, 8, 16, 32 and 33 at N = 64).
     A block's column stage runs on its width only, since the other columns
     are zero: a pruned inverse, whose planes are the full inverse's doubles
     (``spectral``)."""
-    masks = tuple(spectral.half(ops._annulus_mask(grid, level))
-                  for level in ops.block_levels(grid))
+    mag = spectral.half(grid.xi_norm)
+    masks = tuple(ops._annulus_mask(mag, level) for level in ops.block_levels(grid))
     widths = tuple(int(np.flatnonzero(mask.any(axis=0))[-1]) + 1 for mask in masks)
     return masks, widths
 
@@ -339,9 +340,10 @@ def _spectrum_measures(spec: np.ndarray, n: int) -> tuple[float, int, float]:
 @lru_cache(maxsize=16)
 def _gradient_symbols(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Im d1, Im d2 and |grad| = hypot(|d1|, |d2|) on the half spectrum, with
-    d_j the derivative symbols, which are purely imaginary; read-only.
-    Im d_j are contiguous copies: with strided views of the complex symbols
-    the corpus-q benchmark pass ran 8-10% slower."""
+    d_j the derivative symbols, which are purely imaginary; read-only.  All
+    three are cut from full d_j built for them and dropped.  Im d_j are
+    contiguous copies: with strided views of the complex symbols the
+    corpus-q benchmark pass ran 8-10% slower."""
     d1 = spectral.half(ops.derivative_symbol(grid, 1))
     d2 = spectral.half(ops.derivative_symbol(grid, 2))
     parts = (d1.imag.copy(), d2.imag.copy(), np.hypot(np.abs(d1), np.abs(d2)))

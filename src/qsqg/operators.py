@@ -1,14 +1,15 @@
 """Fourier-multiplier operators on torus fields.
 
 Every operator here is diagonal in frequency: transform to the half spectrum,
-multiply by the half view of a lattice symbol, transform back with the real
-inverse, all in ``apply_lattice_symbol`` on ``fields.scaled_values`` of the
-field, so no finite field overflows a transform.  The solver and the
-trajectory norms multiply by contiguous half copies (``_half_symbol``).
-Lattice symbols are passed through ``GridSpec.hermitian_part`` once at build
-time, which zeroes the unpaired odd content on Nyquist rows; without that
-step odd symbols such as i*xi_1 would leave a spurious real term on the
-k1 = N/2 row (see ``qsqg.spectral``).
+multiply by a half-layout symbol, transform back with the real inverse, all
+in ``_apply_half`` on ``fields.scaled_values`` of the field, so no finite
+field overflows a transform.  The builders make symbols in the full FFT
+layout and keep none; ``_half_symbol``, the package's one symbol cache, keeps
+the contiguous half copy that the operators, the solver and the norms
+multiply by.  Lattice symbols are passed through ``GridSpec.hermitian_part``
+once at build time, which zeroes the unpaired odd content on Nyquist rows;
+without that step odd symbols such as i*xi_1 would leave a spurious real
+term on the k1 = N/2 row (see ``qsqg.spectral``).
 """
 from __future__ import annotations
 
@@ -29,61 +30,51 @@ __all__ = [
 ]
 
 
-def apply_lattice_symbol(f: RealField, symbol: np.ndarray) -> RealField:
-    """Multiply the spectrum of f by a prebuilt (Hermitian) lattice symbol."""
+def _apply_half(f: RealField, half_symbol: np.ndarray) -> RealField:
+    """Multiply the half spectrum of f by a half-layout (Hermitian) symbol."""
     v, e = scaled_values(f)
-    out = spectral.inverse(spectral.half(symbol) * spectral.forward(v), f.grid.n)
+    out = spectral.inverse(half_symbol * spectral.forward(v), f.grid.n)
     return RealField(f.grid, unscaled(out, e))
 
 
-# -- cached symbol builders --------------------------------------------------
+# -- symbol builders, full layout, not kept ----------------------------------
 
-@lru_cache(maxsize=128)
 def dissipation_symbol(grid: GridSpec, power: float) -> np.ndarray:
     """|xi|^power with the zero mode set to 0 (homogeneous convention)."""
     with np.errstate(divide="ignore"):
         s = grid.xi_norm ** power
     s[0, 0] = 0.0
-    s.setflags(write=False)
     return s
 
 
-@lru_cache(maxsize=64)
 def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
     s = 1j * grid.xi[axis - 1]
-    s = grid.hermitian_part(s)
-    s.setflags(write=False)
-    return s
+    return grid.hermitian_part(s)
 
 
-@lru_cache(maxsize=64)
 def mixed_derivative_symbol(grid: GridSpec, order1: int, order2: int) -> np.ndarray:
     s = (1j * grid.xi[0]) ** order1 * (1j * grid.xi[1]) ** order2
-    s = grid.hermitian_part(s)
-    s.setflags(write=False)
-    return s
+    return grid.hermitian_part(s)
 
 
-@lru_cache(maxsize=16)
 def riesz_symbol(grid: GridSpec, axis: int) -> np.ndarray:
     """i xi_j / |xi| with zero mode 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
         s = 1j * grid.xi[axis - 1] / grid.xi_norm
     s[0, 0] = 0.0
-    s = grid.hermitian_part(s)
-    s.setflags(write=False)
-    return s
+    return grid.hermitian_part(s)
 
 
 @lru_cache(maxsize=64)
 def _half_symbol(builder, grid: GridSpec, *args) -> np.ndarray:
     """Contiguous, read-only copy of the half layout of the lattice symbol
-    ``builder(grid, *args)``, for the hot multiplies of the solver and the
-    trajectory norms.  The full symbol comes from ``builder`` without its
-    cache and is dropped, so those paths hold N x (N/2 + 1) symbols only;
-    a product with the strided half view of the full symbol took 43 us per
-    N = 256 plane against 19 us with the copy."""
-    s = spectral.half(builder.__wrapped__(grid, *args)).copy()
+    ``builder(grid, *args)``: the package's one symbol cache, which every
+    operator, the solver and the norms multiply by.  The full symbol is
+    built for the copy and dropped, so only N x (N/2 + 1) symbols are held.
+    The copy is the half view bit for bit, signed zeros included, so each
+    product keeps its doubles; a product with the strided half view took
+    43 us per N = 256 plane against 19 us with the copy."""
+    s = spectral.half(builder(grid, *args)).copy()
     s.setflags(write=False)
     return s
 
@@ -100,7 +91,7 @@ def _rate_levels(grid: GridSpec, beta: float) -> tuple[np.ndarray, np.ndarray]:
     counts): 457 levels for 2,112 modes at N = 64 and 1,621 for 8,320 at
     N = 128.  Otherwise (c k1)^2 + (c k2)^2, c = 2 pi / L, rounds apart on
     modes of equal |k|^2: 489 levels at N = 64 for L = 1.  Both arrays are
-    read-only."""
+    read-only, and are cut from a full lam built for them and dropped."""
     lam = spectral.half(dissipation_symbol(grid, 2 * beta))
     levels, level_of = np.unique(lam, return_inverse=True)
     level_of = level_of.reshape(lam.shape).astype(np.min_scalar_type(levels.size - 1))
@@ -148,7 +139,7 @@ def fractional_laplacian(f: RealField, gamma: float) -> RealField:
         return f
     if gamma < 0:
         f.require_mean_zero("fractional_laplacian with negative power")
-    return apply_lattice_symbol(f, dissipation_symbol(f.grid, 2.0 * gamma))
+    return _apply_half(f, _half_symbol(dissipation_symbol, f.grid, 2.0 * gamma))
 
 
 def riesz_transform(f: RealField, axis: int) -> RealField:
@@ -156,13 +147,13 @@ def riesz_transform(f: RealField, axis: int) -> RealField:
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     f.require_mean_zero("riesz_transform")
-    return apply_lattice_symbol(f, riesz_symbol(f.grid, axis))
+    return _apply_half(f, _half_symbol(riesz_symbol, f.grid, axis))
 
 
 def partial_derivative(f: RealField, axis: int) -> RealField:
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return apply_lattice_symbol(f, derivative_symbol(f.grid, axis))
+    return _apply_half(f, _half_symbol(derivative_symbol, f.grid, axis))
 
 
 def _dealias(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -186,9 +177,9 @@ def block_levels(grid: GridSpec) -> range:
     return range(math.floor(math.log2(lo)), math.floor(math.log2(hi)) + 1)
 
 
-@lru_cache(maxsize=256)
-def _annulus_mask(grid: GridSpec, level: int) -> np.ndarray:
-    mag = grid.xi_norm
+def _annulus_mask(mag: np.ndarray, level: int) -> np.ndarray:
+    """Read-only mask 2^l <= |xi| < 2^(l+1) of l = ``level`` over the |xi|
+    plane ``mag``, in ``mag``'s layout."""
     m = (mag >= 2.0 ** level) & (mag < 2.0 ** (level + 1))
     m.setflags(write=False)
     return m
@@ -213,8 +204,8 @@ def kernel_fields(
 
     heat = render(decay)
     grad = (
-        render(spectral.half(derivative_symbol(grid, 1)) * decay),
-        render(spectral.half(derivative_symbol(grid, 2)) * decay),
+        render(_half_symbol(derivative_symbol, grid, 1) * decay),
+        render(_half_symbol(derivative_symbol, grid, 2) * decay),
     )
-    riesz_kernel = render(spectral.half(riesz_symbol(grid, 1)) * decay)
+    riesz_kernel = render(_half_symbol(riesz_symbol, grid, 1) * decay)
     return heat, grad, riesz_kernel

@@ -1,9 +1,11 @@
 """Independent references that the tests check package code against.
 
 The package runs none of these: each is a second route to a quantity the
-package computes another way (a full-plane heat symbol against the rate-level
-semigroup core, the double-difference Q norm against its semigroup
-characterization, per-radius ladders against the shared-node sweep,
+package computes another way (the full-layout multiplier
+``apply_lattice_symbol`` against the operators' cached half symbols, a
+full-plane heat symbol against the rate-level semigroup core, the
+double-difference Q norm against its semigroup characterization,
+per-radius ladders against the shared-node sweep,
 full-width block inverses against the column-pruned ones), or an
 operator the tests need to build their data (the SQG velocity, 2/3-rule
 dealiasing), or the allocating form of a solver loop that the package runs
@@ -17,14 +19,22 @@ import numpy as np
 from qsqg import spectral
 from qsqg.fields import GridSpec, RealField, SpaceParams, Trajectory, scaled_values, unscaled
 from qsqg.norms import NormReport, _sweep_for
-from qsqg.operators import (_annulus_mask, _propagators, apply_lattice_symbol, block_levels,
-                            derivative_symbol, dissipation_symbol, riesz_symbol)
+from qsqg.operators import (_annulus_mask, _propagators, block_levels, derivative_symbol,
+                            dissipation_symbol, riesz_symbol)
 from qsqg.solver import _density, _density_scratch, _half_planes
 from qsqg.sweep import (BoxSweepConfig, CarlesonBox, _RadiusSweep, best_center, box_sums,
                         geometric_ladder, power_weight)
 
 
 # -- operators -----------------------------------------------------------------
+
+def apply_lattice_symbol(f: RealField, symbol: np.ndarray) -> RealField:
+    """Multiply the spectrum of f by a (Hermitian) lattice symbol in the full
+    FFT layout, through the strided half view of the symbol."""
+    v, e = scaled_values(f)
+    out = spectral.inverse(spectral.half(symbol) * spectral.forward(v), f.grid.n)
+    return RealField(f.grid, unscaled(out, e))
+
 
 def heat_symbol(grid: GridSpec, beta: float, t: float) -> np.ndarray:
     """exp(-t |xi|^(2 beta)) on the full plane; zero mode stays 1, so the
@@ -88,7 +98,8 @@ def block_sups(values: np.ndarray, grid: GridSpec) -> tuple[list[int], np.ndarra
     each block cut from the full annulus mask and inverted on all columns."""
     spec = spectral.forward(values)
     levels = list(block_levels(grid))
-    sups = np.array([np.abs(spectral.inverse(np.where(spectral.half(_annulus_mask(grid, level)),
+    mag = grid.xi_norm
+    sups = np.array([np.abs(spectral.inverse(np.where(spectral.half(_annulus_mask(mag, level)),
                                                       spec, 0.0), grid.n)).max()
                      for level in levels])
     return levels, sups

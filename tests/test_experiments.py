@@ -47,8 +47,9 @@ class TestHelpers:
         assert deepest_sweep(GridSpec(32, 2 * math.pi), like).num_radii == 4
         assert deepest_sweep(GridSpec(64, 2 * math.pi), like).num_radii == 5
         assert deepest_sweep(GridSpec(48, 2 * math.pi), like).num_radii == 3
-        # N = 128 would admit 6 radii; the sweep stops at 5
-        assert deepest_sweep(GridSpec(128, 2 * math.pi), like).num_radii == 5
+        # power-of-two grids reach their 2-cell radius L/(N/2)
+        assert deepest_sweep(GridSpec(128, 2 * math.pi), like).num_radii == 6
+        assert deepest_sweep(GridSpec(256, 2 * math.pi), like).num_radii == 7
 
     def test_deepest_sweep_keeps_time_ladder(self):
         like = BoxSweepConfig(3, 24)

@@ -666,7 +666,8 @@ def exhaustive_parts(times, spectra, snapshots, grid, params, k, sweep):
     spectra."""
     a, b = params.alpha, params.beta
     n = grid.n
-    masks = [spectral.half(ops._annulus_mask(grid, l)) for l in ops.block_levels(grid)]
+    mag = grid.xi_norm
+    masks = [spectral.half(ops._annulus_mask(mag, l)) for l in ops.block_levels(grid)]
     r1 = spectral.half(ops.riesz_symbol(grid, 1))
     r2 = spectral.half(ops.riesz_symbol(grid, 2))
     radii = sweep.radii(grid)

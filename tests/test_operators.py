@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,11 @@ from qsqg import (
     fractional_laplacian,
     kernel_fields,
     partial_derivative,
+    q_norm_semigroup,
     riesz_transform,
     x_norm,
 )
+from qsqg import operators as ops
 from qsqg import spectral
 from qsqg.fields import Trajectory
 from qsqg.experiments import wellposedness_data
@@ -21,7 +26,6 @@ from qsqg.operators import (
     _decays,
     _half_symbol,
     _propagators,
-    apply_lattice_symbol,
     derivative_symbol,
     dissipation_symbol,
     mixed_derivative_symbol,
@@ -29,7 +33,7 @@ from qsqg.operators import (
 )
 from qsqg.solver import SolverConfig, TimeGrid, picard_solve
 
-from oracles import dealias_field, heat_semigroup, heat_symbol, sqg_velocity
+from oracles import apply_lattice_symbol, dealias_field, heat_semigroup, heat_symbol, sqg_velocity
 
 L = 2 * np.pi
 
@@ -39,7 +43,7 @@ def max_err(f, g):
 
 
 class TestApplyMultiplier:
-    """``apply_lattice_symbol``, the one multiplier engine behind every operator."""
+    """``apply_lattice_symbol``, the full-layout multiplier oracle."""
 
     def test_identity_symbol(self, smooth32):
         out = apply_lattice_symbol(smooth32, np.ones((32, 32)))
@@ -186,7 +190,7 @@ class TestLittlewoodPaley:
     def test_blocks_partition_mean_free_part(self, smooth32):
         # every nonzero mode lies in exactly one annulus, the zero mode in none
         grid = smooth32.grid
-        count = sum(_annulus_mask(grid, level).astype(int) for level in block_levels(grid))
+        count = sum(_annulus_mask(grid.xi_norm, level).astype(int) for level in block_levels(grid))
         want = np.ones((grid.n, grid.n), dtype=int)
         want[0, 0] = 0
         assert np.array_equal(count, want)
@@ -194,7 +198,7 @@ class TestLittlewoodPaley:
     def test_single_mode_lands_in_its_annulus(self, grid32):
         # cos(2 x1) holds the modes (2, 0) and (-2, 0)
         for level in block_levels(grid32):
-            mask = _annulus_mask(grid32, level)
+            mask = _annulus_mask(grid32.xi_norm, level)
             assert mask[2, 0] == mask[-2, 0] == (level == 1)  # 2 <= |xi| < 4
 
 
@@ -284,8 +288,8 @@ class TestSemigroupCore:
 
 
 class TestHalfSymbols:
-    """The hot multiplies read contiguous half copies of the symbols
-    (``_half_symbol``); the public builders keep the full layout."""
+    """``_half_symbol`` is the package's one symbol cache: it keeps
+    contiguous half copies, and the full-layout builders keep nothing."""
 
     BUILDERS = [
         (riesz_symbol, (1,)),
@@ -294,6 +298,8 @@ class TestHalfSymbols:
         (derivative_symbol, (2,)),
         (mixed_derivative_symbol, (0, 0)),
         (mixed_derivative_symbol, (2, 1)),
+        (dissipation_symbol, (1.5,)),
+        (dissipation_symbol, (-1.0,)),
     ]
 
     @pytest.mark.parametrize("n", [16, 48, 256])
@@ -308,14 +314,55 @@ class TestHalfSymbols:
         assert copy.flags.c_contiguous and not copy.flags.writeable
         assert _half_symbol(builder, grid, *args) is copy
 
-    def test_solver_and_x_norm_build_no_full_symbol(self, params):
-        builders = (riesz_symbol, derivative_symbol, mixed_derivative_symbol)
-        grid = GridSpec(32, 4 * L)   # new to every cache, so a call would miss
+    def test_solver_and_x_norm_build_no_full_symbol(self, params, monkeypatch):
+        # each symbol the path multiplies is built once, for its half copy or
+        # table, and dropped; a second run finds every one cached
+        builds = Counter()
+        for name in ("dissipation_symbol", "derivative_symbol", "mixed_derivative_symbol",
+                     "riesz_symbol"):
+            def counted(grid, *args, name=name, build=getattr(ops, name)):
+                builds[(name, *args)] += 1
+                return build(grid, *args)
+            monkeypatch.setattr(ops, name, counted)
+        grid = GridSpec(32, 4 * L)   # new to every cache
         theta0 = 1e-3 * field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(x2))
-        misses = [builder.cache_info().misses for builder in builders]
-        traj, _ = picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
-        x_norm(traj, params)
-        assert [builder.cache_info().misses for builder in builders] == misses
+
+        def run():
+            traj, _ = picard_solve(theta0, params, SolverConfig(TimeGrid(1.0, 16)))
+            x_norm(traj, params)
+
+        run()
+        assert builds == {("dissipation_symbol", 2 * params.beta): 1,
+                          ("riesz_symbol", 1): 1, ("riesz_symbol", 2): 1,
+                          ("derivative_symbol", 1): 1, ("derivative_symbol", 2): 1}
+        builds.clear()
+        run()
+        assert not builds
+
+    def test_no_full_plane_stays_allocated(self, params):
+        # every cache filled on a fresh grid holds half-layout tables only:
+        # no N x N symbol, mask or xi plane (of bools, doubles or complex)
+        # outlives the calls.  Allocations before ``start`` are not traced,
+        # so the retained blocks are those the calls made and kept.  Their
+        # total read 3.15 MiB when the builders and GridSpec kept full
+        # planes, and 1.78 MiB with half copies only.
+        n = 128
+        grid = GridSpec(n, 5 * L)   # new to every cache
+        f = field_from_function(grid, lambda x1, x2: np.sin(x1) + np.cos(2 * x2))
+        traj = Trajectory(np.array([0.5, 1.0]), (f, 0.5 * f))
+        tracemalloc.start()
+        try:
+            riesz_transform(f, 1)
+            fractional_laplacian(f, 0.5)
+            q_norm_semigroup(f, params)
+            x_norm(traj, params)
+            retained = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        sizes = [trace.size for trace in retained.traces]
+        assert not [size for size in sizes if size in (n * n, 8 * n * n, 16 * n * n)]
+        assert sum(sizes) <= 2.5 * 2 ** 20
 
     def test_x_norm_caches_no_identity_symbol(self, params):
         # at k = 0 the multi-index symbol is exactly 1: x_norm neither makes
