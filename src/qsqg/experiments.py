@@ -36,6 +36,7 @@ from .norms import (
     x_k_norm,
 )
 from .solver import (
+    PicardReport,
     SolverConfig,
     TimeGrid,
     fixed_point_residual,
@@ -368,45 +369,56 @@ class WellposedRow(NamedTuple):
     status: str
 
 
+def _wellposed_amplitude(eps: float, shape: RealField, cfg: ExperimentConfig,
+                         solver_cfg: SolverConfig) -> tuple[WellposedRow, "PicardReport | None"]:
+    """One rung of the ladder: the data norm, the Picard solve, the x_norm of
+    its fixed-point residual and, when converged, the node-wise agreement with
+    the reference integrator.  Returns the row and the Picard report, or no
+    report when Picard diverged; the rung's trajectories die with this call,
+    so no later solve runs beside them."""
+    data = eps * shape
+    data_norm = caloric_minus1_norm(data, cfg.params, cfg.sweep).value
+    rep = residual = ref_err = None
+    status = "ok"
+    try:
+        traj, rep = picard_solve(data, cfg.params, solver_cfg)
+        residual = x_norm(fixed_point_residual(traj, data, cfg.params),
+                          cfg.params, cfg.sweep).value
+        if rep.converged:
+            ref = reference_solve(data, cfg.params, solver_cfg)
+            errs = [
+                np.abs(p.values - r.values).max() / max(np.abs(r.values).max(), 1e-300)
+                for p, r in zip(traj.snapshots, ref.snapshots)
+            ]
+            ref_err = float(max(errs))
+    except DivergenceError as exc:
+        status = f"diverged(iteration={exc.iteration})"
+    if rep is None:
+        return WellposedRow(eps, data_norm, False, 0, None, None, None, status), None
+    contraction = rep.contraction_ratio if math.isfinite(rep.contraction_ratio) else None
+    return WellposedRow(eps, data_norm, rep.converged, rep.iterations, contraction,
+                        residual, ref_err, status), rep
+
+
 def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Picard iteration across a geometric amplitude ladder; per amplitude the
     contraction ratio, the fixed-point residual, and the node-wise agreement
     with the reference integrator.  Non-convergence and blow-up are recorded
     as data, not errors; a run reported converged with a contraction ratio
     >= 1 is warned about, since the fixed point it found is not certified,
-    and so is one whose reference_rel_err exceeds REFERENCE_ERR_WARN."""
+    and so is one whose reference_rel_err exceeds REFERENCE_ERR_WARN.
+
+    One amplitude is held at a time (``_wellposed_amplitude``): the peak is
+    one amplitude's, not the ladder's.  Besides contraction_vs_eps, every
+    amplitude Picard did not diverge on keeps its trace as two plot series
+    keyed by format(eps, "g"): picard_norm_eps<eps> (iterate norm against
+    iteration, from 0) and picard_increment_eps<eps> (increment against
+    iteration, from 1)."""
     shape = wellposedness_data(cfg.grid)
     solver_cfg = cfg.solver_config()
-    epsilons = [10.0 ** k for k in range(-4, 2)]
-    rows = []
-    largest = None
-    for eps in epsilons:
-        data = eps * shape
-        data_norm = caloric_minus1_norm(data, cfg.params, cfg.sweep).value
-        converged = False
-        iterations = 0
-        contraction = None
-        residual = None
-        ref_err = None
-        status = "ok"
-        try:
-            traj, rep = picard_solve(data, cfg.params, solver_cfg)
-            converged, iterations = rep.converged, rep.iterations
-            contraction = rep.contraction_ratio if math.isfinite(rep.contraction_ratio) else None
-            resid_traj = fixed_point_residual(traj, data, cfg.params)
-            residual = x_norm(resid_traj, cfg.params, cfg.sweep).value
-            if converged:
-                largest = eps if largest is None else max(largest, eps)
-                ref = reference_solve(data, cfg.params, solver_cfg)
-                errs = [
-                    np.abs(p.values - r.values).max() / max(np.abs(r.values).max(), 1e-300)
-                    for p, r in zip(traj.snapshots, ref.snapshots)
-                ]
-                ref_err = float(max(errs))
-        except DivergenceError as exc:
-            status = f"diverged(iteration={exc.iteration})"
-        rows.append(WellposedRow(eps, data_norm, converged, iterations, contraction,
-                                 residual, ref_err, status))
+    ladder = [_wellposed_amplitude(10.0 ** k, shape, cfg, solver_cfg) for k in range(-4, 2)]
+    rows = [row for row, _ in ladder]
+    largest = max((r.epsilon for r in rows if r.converged), default=None)
 
     hard, warn = [], []
     summary: dict = {"largest_converging_eps": largest}
@@ -431,6 +443,11 @@ def run_wellposedness_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                         f"> {REFERENCE_ERR_WARN:g}")
     plot = {"contraction_vs_eps": [(r.epsilon, r.contraction_ratio) for r in rows
                                    if r.contraction_ratio is not None]}
+    for row, rep in ladder:
+        if rep is not None:
+            key = format(row.epsilon, "g")
+            plot[f"picard_norm_eps{key}"] = list(enumerate(rep.iterate_norms))
+            plot[f"picard_increment_eps{key}"] = list(enumerate(rep.increments, 1))
     return ExperimentReport(
         "wellposed", cfg, WellposedRow._fields, rows, summary, plot, hard, warn,
     )

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from qsqg import cli, experiments
+from qsqg.errors import DivergenceError
 from qsqg.fields import GridSpec, RealField, SpaceParams
+from qsqg.norms import caloric_minus1_norm, x_norm
+from qsqg.solver import fixed_point_residual, picard_solve, reference_solve
 from qsqg.sweep import BoxSweepConfig
 from qsqg.experiments import (
     IDENTITY_PAIRS,
@@ -31,6 +34,19 @@ from qsqg.experiments import (
 @pytest.fixture(scope="module")
 def cfg32(grid32):
     return ExperimentConfig(grid=grid32, corpus_size=4, solver_nodes=16)
+
+
+def traced_peak(run):
+    """Traced peak of run() above what was allocated before it, measured on
+    a second call so that the per-grid caches are already filled."""
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def tree_bytes(root):
@@ -152,19 +168,61 @@ class TestRunners:
         # it, so from 2 fields to 10 the traced peak grows by the rows
         # alone, less than one field of the refined grid; holding a grid's
         # corpus grows it by 8 fields
-        def traced_peak(size):
-            cfg = ExperimentConfig(grid=grid32, corpus_size=size)
-            runner(cfg)   # fills the per-grid caches
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                runner(cfg)
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+        def corpus_peak(size):
+            return traced_peak(lambda: runner(ExperimentConfig(grid=grid32, corpus_size=size)))
 
         fine_field = (2 * grid32.n) ** 2 * np.dtype(float).itemsize
-        assert traced_peak(10) - traced_peak(2) < fine_field
+        assert corpus_peak(10) - corpus_peak(2) < fine_field
+
+    def test_wellposed_peak_is_one_amplitudes(self, cfg32):
+        # each amplitude's Picard solution, residual and reference solution
+        # are dropped before the next amplitude is solved, so the ladder's
+        # traced peak is its costliest amplitude's (eps = 10) plus less than
+        # one trajectory; holding the previous amplitude's three trajectories
+        # beside the next Picard solve adds about three
+        params, sweep, solver_cfg = cfg32.params, cfg32.sweep, cfg32.solver_config()
+
+        def lone_amplitude():
+            data = 10.0 * wellposedness_data(cfg32.grid)
+            caloric_minus1_norm(data, params, sweep)
+            traj, rep = picard_solve(data, params, solver_cfg)
+            x_norm(fixed_point_residual(traj, data, params), params, sweep)
+            assert rep.converged
+            ref = reference_solve(data, params, solver_cfg)
+            max(np.abs(p.values - r.values).max()
+                for p, r in zip(traj.snapshots, ref.snapshots))
+
+        trajectory = cfg32.solver_nodes * cfg32.grid.n ** 2 * np.dtype(float).itemsize
+        excess = traced_peak(lambda: run_wellposedness_sweep(cfg32)) \
+            - traced_peak(lone_amplitude)
+        assert excess < trajectory
+
+    def test_wellposed_keeps_picard_trace(self, cfg32, monkeypatch, tmp_path):
+        # every amplitude Picard finishes on keeps its iterate norms and
+        # increments as two plot series; the one it diverges on keeps none
+        solve, reports = experiments.picard_solve, []
+
+        def diverge_last(data, params, config):
+            if len(reports) == 5:
+                raise DivergenceError("picard iterate 3 diverged", iteration=3)
+            traj, rep = solve(data, params, config)
+            reports.append(rep)
+            return traj, rep
+
+        monkeypatch.setattr(experiments, "picard_solve", diverge_last)
+        report = run_wellposedness_sweep(cfg32)
+        assert [r.status for r in report.rows] == ["ok"] * 5 + ["diverged(iteration=3)"]
+        keys = ["0.0001", "0.001", "0.01", "0.1", "1"]
+        assert set(report.plot_data) == {"contraction_vs_eps"} | {
+            f"picard_{series}_eps{key}" for series in ("norm", "increment") for key in keys}
+        for key, rep in zip(keys, reports):
+            assert report.plot_data[f"picard_norm_eps{key}"] == list(enumerate(rep.iterate_norms))
+            assert report.plot_data[f"picard_increment_eps{key}"] == \
+                list(enumerate(rep.increments, 1))
+        lines = (persist(report, tmp_path) / "plots" / "picard_increment_eps1.csv") \
+            .read_text().splitlines()
+        assert lines[0] == "x,y"
+        assert lines[1:] == [f"{i},{inc:.17g}" for i, inc in enumerate(reports[-1].increments, 1)]
 
 
 class TestCli:
